@@ -15,19 +15,13 @@ contraction that splits a closed form into its constant part plus an
 explicit exact remainder.
 """
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
 from .cyclic import ChainContext, CyclicChain
 from .scalars import ULaurent
 from .torus import _merge_directions
-
-
-def _fact(n: int) -> int:
-    out = 1
-    for t in range(2, n + 1):
-        out *= t
-    return out
 
 
 def _coordinate_name(dim: int, j: int) -> str:
@@ -270,7 +264,8 @@ def hkr(chain: CyclicChain, order: int = 16) -> FormalForm:
         n = len(word) - 1
         a0, b0 = word[0]
         acc = FormalForm.monomial(d, a0, b0, (),
-                                  coeff * Fraction(1, _fact(n)), order)
+                                  coeff * Fraction(1, math.factorial(n)),
+                                  order)
         for a, b in word[1:]:
             acc = acc.wedge(
                 FormalForm.monomial(d, a, b, (), unit, order).d_hat())

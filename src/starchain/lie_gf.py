@@ -11,6 +11,7 @@ equivariant class data recomputed from jet-level twist waves, and the
 trace-side pairings that evaluate chains against these functionals.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -20,13 +21,6 @@ from .group_coh import (EquivariantClassCocycle, GroupCochain, phi_pair,
 from .scalars import FieldElement, HbarLaurent, ULaurent
 from .torus import TorusElement, TorusForm, TranslationAction, WeylSection
 from .weyl import Derivation, WeylElement, commutator, extension_defect
-
-
-def _fact(n: int) -> int:
-    out = 1
-    for t in range(2, n + 1):
-        out *= t
-    return out
 
 
 def _perm_sign(perm) -> int:
@@ -219,7 +213,7 @@ def trace_functional(n: int, dim: int, order: int = 16):
             for i in range(len(acc)):
                 tr = tr + acc[i][i]
             total = total + tr
-        return total * Fraction(1, _fact(n))
+        return total * Fraction(1, math.factorial(n))
 
     return p
 
@@ -238,7 +232,7 @@ def chern_weil(p, n: int) -> LieCochain:
             if _perm_sign(perm) < 0:
                 v = v * (-1)
             total = total + v
-        return total * Fraction(1, _fact(2 * n))
+        return total * Fraction(1, math.factorial(2 * n))
 
     return LieCochain(2 * n, fn)
 
@@ -248,7 +242,8 @@ def chern_weil(p, n: int) -> LieCochain:
 def _series_log_factor(max_weight: int) -> dict:
     """Coefficients c_m of log((x/2)/sinh(x/2)) = sum c_m x^(2m)."""
     # sinh(y)/y = sum y^(2k)/(2k+1)!; work in t = y^2
-    g = {k: Fraction(1, _fact(2 * k + 1)) for k in range(max_weight + 1)}
+    g = {k: Fraction(1, math.factorial(2 * k + 1))
+         for k in range(max_weight + 1)}
     # log(1 + u) with u = g - 1, truncated in t-weight
     u = {k: v for k, v in g.items() if k > 0}
     log_g: dict = {}

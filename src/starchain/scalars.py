@@ -5,7 +5,10 @@ The tower is Q(zeta_L)[pi] -> hbar-Laurent series mod hbar^(N+1) -> u-Laurent
 series mod u^(Nu+1).  pi is transcendental, so it is carried as a formal
 power; zeta_L is a primitive L-th root of unity with L divisible by 4 (so the
 imaginary unit i = zeta_L^(L/4) is always available).  All arithmetic is
-exact over fractions.Fraction.
+exact.  A cyclotomic element holds integer numerators over one positive
+common denominator in lowest terms, so its products and sums run on Python
+ints with one gcd per result; an operation on two levels first embeds both
+operands at the lcm level.
 """
 
 from __future__ import annotations
@@ -55,55 +58,80 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _zeta_rows(level: int) -> tuple[tuple[int, ...], ...]:
-    """Row k expresses zeta^k over the power basis zeta^0..zeta^(m-1), m = phi(level)."""
+def _zeta_rows(level: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row k expresses zeta^k over the power basis zeta^0..zeta^(m-1),
+    m = phi(level), as its nonzero (index, coefficient) pairs; the rows
+    k < m are the single unit entry ((k, 1),)."""
     phi = cyclotomic_polynomial(level)
     m = len(phi) - 1
-    rows: list[tuple[int, ...]] = []
-    for k in range(level):
-        if k < m:
-            row = [0] * m
-            row[k] = 1
-        else:
-            prev = rows[k - 1]
-            row = [0] * (m + 1)
-            for j, c in enumerate(prev):
-                row[j + 1] = c
-            top = row[m]
-            if top:
-                for j in range(m):
-                    row[j] -= top * phi[j]
-            row = row[:m]
-        rows.append(tuple(row))
+    rows = [((k, 1),) for k in range(m)]
+    vec = [0] * m
+    vec[m - 1] = 1
+    for _ in range(m, level):
+        # multiply the dense vector by zeta, then rewrite zeta^m through phi
+        top = vec[-1]
+        vec = [0] + vec[:-1]
+        if top:
+            for j in range(m):
+                vec[j] -= top * phi[j]
+        rows.append(tuple((j, c) for j, c in enumerate(vec) if c))
     return tuple(rows)
 
 
-def _basis_size(level: int) -> int:
-    return len(cyclotomic_polynomial(level)) - 1
+def _normal(level: int, num: dict[tuple[int, int], int],
+            den: int) -> "FieldElement":
+    """FieldElement with numerators num over den > 0, brought to normal
+    form: zero numerators dropped, then one gcd to put it in lowest terms."""
+    if not all(num.values()):
+        num = {k: v for k, v in num.items() if v}
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {k: v // g for k, v in num.items()}
+    x = object.__new__(FieldElement)
+    x.level = level
+    x.num = num
+    x.den = den
+    return x
 
 
 class FieldElement:
     """Element of Q(zeta_L)[pi]: finite sum of (rational) * zeta^a * pi^b.
 
-    coeffs maps (a, b) -> Fraction with 0 <= a < phi(L) and b >= 0; zero
-    coefficients are never stored.  Values are immutable by convention.
+    The value is sum(num[(a, b)] * zeta^a * pi^b) / den with integer
+    numerators, 0 <= a < phi(L) and b >= 0.  It is kept in normal form:
+    den > 0, no zero numerator is stored, and gcd(den, *num.values()) == 1,
+    so two elements at one level are equal exactly when their (num, den)
+    are.  coeffs is the same value as an (a, b) -> Fraction mapping.
+    Values are immutable by convention.
     """
 
-    __slots__ = ("level", "coeffs")
+    __slots__ = ("level", "num", "den")
 
-    def __init__(self, level: int, coeffs: dict[tuple[int, int], Fraction]):
+    def __init__(self, level: int, coeffs: dict[tuple[int, int], Rat]):
         if level < 4 or level % 4 != 0:
             raise ValueError("cyclotomic level must be a multiple of 4")
         if level > MAX_CYCLOTOMIC_LEVEL:
             raise LevelOverflow(f"level {level} exceeds bound {MAX_CYCLOTOMIC_LEVEL}")
+        coeffs = {k: Fraction(v) for k, v in coeffs.items() if v != 0}
+        # over the lcm of reduced denominators the numerators are coprime
+        den = math.lcm(*(v.denominator for v in coeffs.values()))
         self.level = level
-        self.coeffs = {k: v for k, v in coeffs.items() if v != 0}
+        self.num = {k: v.numerator * (den // v.denominator)
+                    for k, v in coeffs.items()}
+        self.den = den
+
+    @property
+    def coeffs(self) -> dict[tuple[int, int], Fraction]:
+        den = self.den
+        return {k: Fraction(v, den) for k, v in self.num.items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def rational(cls, q: Rat, level: int = 4) -> "FieldElement":
-        return cls(level, {(0, 0): Fraction(q)})
+        return cls(level, {(0, 0): q})
 
     @classmethod
     def zero(cls, level: int = 4) -> "FieldElement":
@@ -112,9 +140,7 @@ class FieldElement:
     @classmethod
     def zeta(cls, level: int, k: int = 1) -> "FieldElement":
         """zeta_level^k, reduced to the power basis."""
-        rows = _zeta_rows(level)
-        row = rows[k % level]
-        return cls(level, {(a, 0): Fraction(c) for a, c in enumerate(row) if c})
+        return cls(level, {(a, 0): c for a, c in _zeta_rows(level)[k % level]})
 
     @classmethod
     def i_unit(cls, level: int = 4) -> "FieldElement":
@@ -124,7 +150,7 @@ class FieldElement:
     def pi_power(cls, b: int, coeff: Rat = 1, level: int = 4) -> "FieldElement":
         if b < 0:
             raise ValueError("pi powers are nonnegative")
-        return cls(level, {(0, b): Fraction(coeff)})
+        return cls(level, {(0, b): coeff})
 
     # -- level handling ----------------------------------------------------
 
@@ -138,13 +164,12 @@ class FieldElement:
             raise LevelOverflow(f"level {level} exceeds bound {MAX_CYCLOTOMIC_LEVEL}")
         step = level // self.level
         rows = _zeta_rows(level)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a, b), c in self.coeffs.items():
-            for a2, rc in enumerate(rows[(a * step) % level]):
-                if rc:
-                    key = (a2, b)
-                    out[key] = out.get(key, Fraction(0)) + c * rc
-        return FieldElement(level, out)
+        out: dict[tuple[int, int], int] = {}
+        for (a, b), c in self.num.items():
+            for a2, rc in rows[(a * step) % level]:
+                key = (a2, b)
+                out[key] = out.get(key, 0) + c * rc
+        return _normal(level, out, self.den)
 
     @staticmethod
     def common_level(x: "FieldElement", y: "FieldElement") -> int:
@@ -154,22 +179,29 @@ class FieldElement:
                 f"lcm level {lev} exceeds bound {MAX_CYCLOTOMIC_LEVEL}")
         return lev
 
+    def _aligned(self, other: "FieldElement"):
+        """Both operands at their common level; same-level pairs pass as is."""
+        if self.level == other.level:
+            return self, other
+        lev = self.common_level(self, other)
+        return self.embed(lev), other.embed(lev)
+
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def is_rational(self) -> bool:
-        return all(k == (0, 0) for k in self.coeffs)
+        return all(k == (0, 0) for k in self.num)
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs.get((0, 0), Fraction(0))
+        return Fraction(self.num.get((0, 0), 0), self.den)
 
     def is_monomial(self) -> bool:
         """Single zeta-power term with no pi (hence invertible by inspection)."""
-        return len(self.coeffs) == 1 and next(iter(self.coeffs))[1] == 0
+        return len(self.num) == 1 and next(iter(self.num))[1] == 0
 
     # -- arithmetic --------------------------------------------------------
 
@@ -177,17 +209,23 @@ class FieldElement:
         other = _as_field(other, self.level)
         if other is NotImplemented:
             return NotImplemented
-        lev = self.common_level(self, other)
-        a, b = self.embed(lev), other.embed(lev)
-        out = dict(a.coeffs)
-        for k, v in b.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return FieldElement(lev, out)
+        x, y = self._aligned(other)
+        d1, d2 = x.den, y.den
+        if d1 == d2:
+            s1 = s2 = 1
+        else:
+            g = math.gcd(d1, d2)
+            s1, s2 = d2 // g, d1 // g
+        out = {k: v * s1 for k, v in x.num.items()}
+        for k, v in y.num.items():
+            out[k] = out.get(k, 0) + v * s2
+        return _normal(x.level, out, d1 * s1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.level, {k: -v for k, v in self.coeffs.items()})
+        return _normal(self.level, {k: -v for k, v in self.num.items()},
+                       self.den)
 
     def __sub__(self, other):
         o = _as_field(other, self.level)
@@ -201,30 +239,37 @@ class FieldElement:
             return NotImplemented
         return o + (-self)
 
+    def _scaled(self, n: int, d: int) -> "FieldElement":
+        """self * n/d for integers n and d > 0, at self's level."""
+        return _normal(self.level, {k: v * n for k, v in self.num.items()},
+                       self.den * d)
+
     def __mul__(self, other):
-        other = _as_field(other, self.level)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other.numerator, other.denominator)
+        if not isinstance(other, FieldElement):
             return NotImplemented
-        lev = self.common_level(self, other)
-        a, b = self.embed(lev), other.embed(lev)
+        x, y = self._aligned(other)
+        lev = x.level
         rows = _zeta_rows(lev)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in a.coeffs.items():
-            for (a2, b2), c2 in b.coeffs.items():
+        out: dict[tuple[int, int], int] = {}
+        for (a1, b1), c1 in x.num.items():
+            for (a2, b2), c2 in y.num.items():
                 c = c1 * c2
                 bb = b1 + b2
-                for a3, rc in enumerate(rows[(a1 + a2) % lev]):
-                    if rc:
-                        key = (a3, bb)
-                        out[key] = out.get(key, Fraction(0)) + c * rc
-        return FieldElement(lev, out)
+                for a3, rc in rows[(a1 + a2) % lev]:
+                    key = (a3, bb)
+                    out[key] = out.get(key, 0) + c * rc
+        return _normal(lev, out, x.den * y.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return FieldElement(self.level, {k: v / q for k, v in self.coeffs.items()})
+            n, d = other.numerator, other.denominator
+            if n == 0:
+                raise ZeroDivisionError("FieldElement division by zero")
+            return self._scaled(-d, -n) if n < 0 else self._scaled(d, n)
         if isinstance(other, FieldElement):
             return self * other.inv_monomial()
         return NotImplemented
@@ -249,26 +294,32 @@ class FieldElement:
         """
         if not self.is_monomial():
             raise ValueError("only monomial scalars (q * zeta^a) are invertible here")
-        (a, _b), q = next(iter(self.coeffs.items()))
+        ((a, _b), n), = self.num.items()
         # zeta^a appears through the reduced basis, so a is already a plain
         # power; its inverse power is level - a.
         inv = FieldElement.zeta(self.level, (self.level - a) % self.level)
-        return inv / q
+        return inv / Fraction(n, self.den)
 
     def __eq__(self, other):
         other = _as_field(other, self.level)
         if other is NotImplemented:
             return NotImplemented
-        try:
-            lev = self.common_level(self, other)
-        except LevelOverflow:
-            return False
-        return self.embed(lev).coeffs == other.embed(lev).coeffs
+        x, y = self, other
+        # a rational has the same (num, den) at every level
+        if x.level != y.level and not (x.is_rational() and y.is_rational()):
+            try:
+                x, y = x._aligned(y)
+            except LevelOverflow:
+                return False
+        return x.den == y.den and x.num == y.num
 
     def __hash__(self):
-        # canonical: embed nothing; hash by sorted items plus level class is
-        # unreliable across levels, so hash only the rational part selector.
-        return hash(frozenset(self.coeffs.items())) ^ self.level
+        # Only level-free data: embedding is injective and fixes Q, so equal
+        # elements at different levels have the same pi-degrees and, when
+        # rational, the same value.
+        if self.is_rational():
+            return hash(self.rational_value())
+        return hash(frozenset(b for _a, b in self.num))
 
     def __repr__(self):
         return f"FieldElement({to_text(self)!r})"

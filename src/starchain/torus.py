@@ -15,6 +15,7 @@ is a polynomial in pi and hbar over the cyclotomic field within the window.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -646,7 +647,7 @@ class WeylSection:
             fe = FieldElement.rational(1)
             tot = sum(alpha)
             for wj, aj in zip(w, alpha):
-                c *= Fraction(wj ** aj, _fact(aj))
+                c *= Fraction(wj ** aj, math.factorial(aj))
             if c == 0 and tot > 0:
                 continue
             fe = FieldElement.pi_power(tot, c * 2 ** tot) * \
@@ -758,13 +759,6 @@ class WeylSection:
         return f"WeylSection<{len(self.coeffs)} fiber terms, order={self.order}>"
 
 
-def _fact(n: int) -> int:
-    out = 1
-    for t in range(2, n + 1):
-        out *= t
-    return out
-
-
 def _fiber_indices(slots: int, max_total: int):
     if slots == 0:
         yield ()
@@ -784,7 +778,7 @@ def jet(f: TorusElement, order: int) -> WeylSection:
             tot = sum(alpha)
             q = Fraction(1)
             for mj, aj in zip(m, alpha):
-                q *= Fraction(mj ** aj, _fact(aj))
+                q *= Fraction(mj ** aj, math.factorial(aj))
             if q == 0 and tot > 0:
                 continue
             fe = FieldElement.pi_power(tot, q * 2 ** tot) * \

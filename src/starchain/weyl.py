@@ -16,6 +16,7 @@ omega(xihat_k, xhat_j) = delta_kj, i.e. omega = dxi ^ dx in each plane.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .scalars import FieldElement, HbarLaurent, _as_field, _min_trunc
@@ -25,13 +26,6 @@ def _falling(n: int, j: int) -> int:
     out = 1
     for t in range(j):
         out *= n - t
-    return out
-
-
-def _factorial(j: int) -> int:
-    out = 1
-    for t in range(2, j + 1):
-        out *= t
     return out
 
 
@@ -223,13 +217,13 @@ class WeylElement:
                     for i in range(dim):
                         num_s *= Fraction(
                             _falling(b1[i], s[i]) * _falling(a2[i], s[i]),
-                            _factorial(s[i]))
+                            math.factorial(s[i]))
                     for t in itertools.product(*(range(m + 1) for m in t_bounds)):
                         num = num_s
                         for i in range(dim):
                             num *= Fraction(
                                 _falling(a1[i], t[i]) * _falling(b2[i], t[i]),
-                                _factorial(t[i]))
+                                math.factorial(t[i]))
                         st = sum(s) + sum(t)
                         coeff = cc * num * Fraction((-1) ** sum(t), 2 ** st) \
                             * _i_pow(st)

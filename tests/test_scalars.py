@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from starchain.scalars import (
     FieldElement,
@@ -158,12 +160,118 @@ def test_level_guard():
     assert math.lcm(999_996, 8) > MAX_CYCLOTOMIC_LEVEL
     with pytest.raises(LevelOverflow):
         big * other
+    # rationals compare by value, with no common level to overflow
+    assert big == other
+    assert big != FieldElement.rational(2, 8)
+
+
+def test_hash_agrees_with_equality_across_levels():
+    quarter, eighth = FieldElement.rational(1, 4), FieldElement.rational(1, 8)
+    assert quarter == eighth
+    assert len({quarter, eighth}) == 1
+    assert hash(FieldElement.rational(Fraction(3, 5), 12)) == hash(Fraction(3, 5))
+    i = FieldElement.i_unit(4)
+    assert i == i.embed(12) and hash(i) == hash(i.embed(12))
 
 
 def test_level_must_be_multiple_of_four():
     for bad in (0, 1, 2, 3, 6, 10):
         with pytest.raises(ValueError):
             FieldElement.rational(1, bad)
+
+
+# ---------------------------------------------------------------------------
+# oracle: sympy's cyclotomic polynomials and polynomial remainder over QQ.
+# An element is drawn as a raw (a, b) -> Fraction dict; the oracle keeps it
+# as pi-degree -> polynomial in X = zeta_M, where zeta_L = X^(M/L).
+
+X = sympy.Symbol("X")
+LEVELS = (4, 8, 12, 20, 60)
+
+
+@st.composite
+def raw_elements(draw):
+    level = draw(st.sampled_from(LEVELS))
+    m = len(cyclotomic_polynomial(level)) - 1
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, m - 1), st.integers(0, 2)), coeff,
+        max_size=4))
+    return level, terms
+
+
+def oracle(raw, level):
+    """{pi-degree: polynomial in X reduced mod Phi_level} of a raw element."""
+    lev, terms = raw
+    step = level // lev
+    polys = {}
+    for (a, b), q in terms.items():
+        term = sympy.Rational(q.numerator, q.denominator) * X ** (a * step)
+        polys[b] = polys.get(b, 0) + term
+    return {b: oracle_reduce(p, level) for b, p in polys.items()}
+
+
+def oracle_reduce(poly, level):
+    return sympy.rem(sympy.expand(poly), sympy.cyclotomic_poly(level, X), X,
+                     domain=sympy.QQ)
+
+
+def oracle_coeffs(polys):
+    out = {}
+    for b, p in polys.items():
+        for (a,), c in sympy.Poly(p, X, domain=sympy.QQ).terms():
+            if c:
+                out[(a, b)] = Fraction(int(c.p), int(c.q))
+    return out
+
+
+def oracle_mul(x, y, level):
+    out = {}
+    for b1, p1 in x.items():
+        for b2, p2 in y.items():
+            out[b1 + b2] = out.get(b1 + b2, 0) + p1 * p2
+    return {b: oracle_reduce(p, level) for b, p in out.items()}
+
+
+def oracle_add(x, y, sign=1):
+    return {b: x.get(b, 0) + sign * y.get(b, 0) for b in set(x) | set(y)}
+
+
+def assert_normal(fe):
+    assert fe.den > 0
+    assert all(type(v) is int and v for v in fe.num.values())
+    assert math.gcd(fe.den, *fe.num.values()) == 1
+
+
+def assert_matches(fe, level, polys):
+    assert fe.level == level
+    assert_normal(fe)
+    assert fe.coeffs == oracle_coeffs(polys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_elements(), raw_elements())
+def test_arithmetic_against_sympy_oracle(rx, ry):
+    x, y = FieldElement(*rx), FieldElement(*ry)
+    lev = math.lcm(rx[0], ry[0])
+    ox, oy = oracle(rx, lev), oracle(ry, lev)
+    assert_matches(x * y, lev, oracle_mul(ox, oy, lev))
+    assert_matches(x + y, lev, oracle_add(ox, oy))
+    assert_matches(x - y, lev, oracle_add(ox, oy, -1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_elements(), st.sampled_from((1, 2, 3, 5)),
+       st.fractions(max_denominator=12).filter(bool))
+def test_embed_and_rational_division_against_sympy_oracle(raw, step, q):
+    x = FieldElement(*raw)
+    lev = raw[0] * step
+    up = x.embed(lev)
+    assert_matches(up, lev, oracle(raw, lev))
+    assert up == x and hash(up) == hash(x)
+    scaled = {b: p / sympy.Rational(q.numerator, q.denominator)
+              for b, p in oracle(raw, raw[0]).items()}
+    assert_matches(x / q, raw[0], scaled)
 
 
 # ---------------------------------------------------------------------------
