@@ -7,8 +7,8 @@ operator set serves several slot vocabularies:
   'torus'    slots are plane-wave modes in Z^(2d); adjacent slots merge
              through the wave product e_m e_n = phase(m, n) e_{m+n}
   'weyl'     slots are monomials x^a xi^b; merging expands the
-             normal-ordered product of the two monomials, folding the
-             resulting hbar powers into the scalar
+             symmetric Weyl-Moyal product of the two monomials, folding
+             the resulting hbar powers into the scalar
   'sym'      the same monomial slots with the plain commutative product;
              this is the domain of the chains-to-forms rule
   'group'    slots are cyclic-group elements; inner faces omit a slot and
@@ -246,11 +246,7 @@ def _canon_diag(ctx, key):
         return key, None
     hinv = ctx.group.inverse(h)
     grp2 = tuple(ctx.group.compose(hinv, g) for g in grp)
-    scal = None
-    for m in alg:
-        ph = ctx.action.mode_phase(hinv, m, ctx.h_trunc)
-        scal = ph if scal is None else scal * ph
-    return (alg, grp2), scal
+    return (alg, grp2), ctx.action.word_phase(hinv, alg, ctx.h_trunc)
 
 
 def _acc(table, key, val):
@@ -581,18 +577,14 @@ class EquivariantChain:
 
     # -- inner (coefficient complex) operators -----------------------------
 
-    def _inner_act(self, g, ik, sign_free_scalar):
+    def _inner_act(self, g, ik):
         """Right action of g on an inner word: eigenvalue phases only."""
         ctx, act = self.inner_ctx, self.action
         ginv = act.group.inverse(g)
-        s = sign_free_scalar
         modes = ik[0] if ctx.kind == "diag" else ik
-        for m in modes:
-            ph = act.mode_phase(ginv, m, ctx.h_trunc)
-            s = ph if s is None else s * ph
+        s = act.word_phase(ginv, modes, ctx.h_trunc)
         if ctx.kind == "diag":
-            hinv = act.group.inverse(g)
-            ik = (ik[0], tuple(act.group.compose(hinv, x) for x in ik[1]))
+            ik = (ik[0], tuple(act.group.compose(ginv, x) for x in ik[1]))
         return ik, s
 
     def inner_boundary(self, mode: str = "mixed") -> "EquivariantChain":
@@ -639,7 +631,7 @@ class EquivariantChain:
         p = len(gw)
         if p == 0:
             return terms
-        ik0, s0 = self._inner_act(gw[0], ik, None)
+        ik0, s0 = self._inner_act(gw[0], ik)
         terms.append(((ik0, gw[1:]), 1, s0))
         for i in range(1, p):
             sg = -1 if i % 2 else 1
@@ -700,11 +692,10 @@ class EquivariantChain:
         G = self.action.group
         out: dict = {}
         for (ik, gw), v in self.coeffs.items():
-            ik2, s = self._inner_act(gw[0], ik, None)
-            v2 = v if s is None else v * s
+            ik2, s = self._inner_act(gw[0], ik)
             word = tuple(G.compose(G.inverse(gw[i]), gw[i + 1])
                          for i in range(len(gw) - 1))
-            _acc(out, (ik2, word), v2)
+            _acc(out, (ik2, word), v * s)
         return EquivariantChain(self.inner_ctx, self.action, False, out)
 
     def to_homogeneous(self) -> "EquivariantChain":
@@ -719,10 +710,6 @@ class EquivariantChain:
                 gw.append(G.compose(gw[-1], h))
             _acc(out, (ik, tuple(gw)), v)
         return EquivariantChain(self.inner_ctx, self.action, True, out)
-
-
-def contracting_homotopy(gc: EquivariantChain) -> EquivariantChain:
-    return gc.prepend_unit()
 
 
 def equivariant_embed(f: CyclicChain) -> EquivariantChain:

@@ -16,20 +16,12 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .cyclic import CyclicChain, d_map
+from .forms import _perm_sign
 from .group_coh import (EquivariantClassCocycle, GroupCochain, phi_pair,
                         word_to_form)
 from .scalars import FieldElement, HbarLaurent, ULaurent
 from .torus import TorusElement, TorusForm, TranslationAction, WeylSection
 from .weyl import Derivation, WeylElement, commutator, extension_defect
-
-
-def _perm_sign(perm) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
 
 
 class LieCochain:

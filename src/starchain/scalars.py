@@ -9,6 +9,13 @@ exact.  A cyclotomic element holds integer numerators over one positive
 common denominator in lowest terms, so its products and sums run on Python
 ints with one gcd per result; an operation on two levels first embeds both
 operands at the lcm level.
+
+An hbar product whose operands both have several coefficients, all at one
+level, is one integer convolution: each operand is brought over one
+denominator, the numerators are multiplied through the zeta rows of that
+level, and each output power is normalised once.  Otherwise the product is
+the pairwise sum of FieldElement products, so each output coefficient sits
+at the lcm level of its own pairs.  Both give the same normal form.
 """
 
 from __future__ import annotations
@@ -76,6 +83,21 @@ def _zeta_rows(level: int) -> tuple[tuple[tuple[int, int], ...], ...]:
                 vec[j] -= top * phi[j]
         rows.append(tuple((j, c) for j, c in enumerate(vec) if c))
     return tuple(rows)
+
+
+def _mul_into(out: dict[tuple[int, int], int],
+              xnum: dict[tuple[int, int], int],
+              ynum: dict[tuple[int, int], int], level: int) -> None:
+    """Add the product of two numerator maps at one level into out,
+    reducing every zeta power through the rows of _zeta_rows(level)."""
+    rows = _zeta_rows(level)
+    for (a1, b1), c1 in xnum.items():
+        for (a2, b2), c2 in ynum.items():
+            c = c1 * c2
+            bb = b1 + b2
+            for a3, rc in rows[(a1 + a2) % level]:
+                key = (a3, bb)
+                out[key] = out.get(key, 0) + c * rc
 
 
 def _normal(level: int, num: dict[tuple[int, int], int],
@@ -250,17 +272,9 @@ class FieldElement:
         if not isinstance(other, FieldElement):
             return NotImplemented
         x, y = self._aligned(other)
-        lev = x.level
-        rows = _zeta_rows(lev)
         out: dict[tuple[int, int], int] = {}
-        for (a1, b1), c1 in x.num.items():
-            for (a2, b2), c2 in y.num.items():
-                c = c1 * c2
-                bb = b1 + b2
-                for a3, rc in rows[(a1 + a2) % lev]:
-                    key = (a3, bb)
-                    out[key] = out.get(key, 0) + c * rc
-        return _normal(lev, out, x.den * y.den)
+        _mul_into(out, x.num, y.num, x.level)
+        return _normal(x.level, out, x.den * y.den)
 
     __rmul__ = __mul__
 
@@ -346,6 +360,33 @@ def _min_trunc(a_trunc, a_low, b_trunc, b_low):
     if not cands:
         return min(a_trunc, b_trunc)
     return min(cands)
+
+
+def _shared_level(coeffs: dict[int, FieldElement]):
+    """The level every coefficient sits at, or None when they differ."""
+    lev = None
+    for fe in coeffs.values():
+        if lev is None:
+            lev = fe.level
+        elif fe.level != lev:
+            return None
+    return lev
+
+
+def _over_one_den(coeffs: dict[int, FieldElement]):
+    """({power: numerators}, den): every coefficient over the lcm den of
+    their denominators."""
+    den = 1
+    for fe in coeffs.values():
+        d = fe.den
+        if den % d:
+            den = den // math.gcd(den, d) * d
+    nums = {}
+    for k, fe in coeffs.items():
+        s = den // fe.den
+        nums[k] = fe.num if s == 1 else {key: v * s
+                                          for key, v in fe.num.items()}
+    return nums, den
 
 
 class HbarLaurent:
@@ -445,6 +486,12 @@ class HbarLaurent:
         if not isinstance(other, HbarLaurent):
             return NotImplemented
         trunc = _min_trunc(self.trunc, self.low, other.trunc, other.low)
+        if len(self.coeffs) > 1 and len(other.coeffs) > 1:
+            lev = _shared_level(self.coeffs)
+            if lev is not None and lev == _shared_level(other.coeffs):
+                return self._convolve(other, lev, trunc)
+        # one term has no sums to fuse; with mixed levels each output
+        # coefficient sits at the lcm of its own pairs' levels
         out: dict[int, FieldElement] = {}
         for i, a in self.coeffs.items():
             for j, b in other.coeffs.items():
@@ -457,6 +504,27 @@ class HbarLaurent:
         return HbarLaurent(trunc, out)
 
     __rmul__ = __mul__
+
+    def _convolve(self, other: "HbarLaurent", lev: int,
+                  trunc: int) -> "HbarLaurent":
+        """Product of two series whose coefficients all sit at level lev:
+        both are brought over one denominator, their integer numerators
+        convolved, and each output power normalised once."""
+        xnum, xden = _over_one_den(self.coeffs)
+        ynum, yden = _over_one_den(other.coeffs)
+        acc: dict[int, dict[tuple[int, int], int]] = {}
+        for i, a in xnum.items():
+            for j, b in ynum.items():
+                k = i + j
+                if k > trunc:
+                    continue
+                out = acc.get(k)
+                if out is None:
+                    out = acc[k] = {}
+                _mul_into(out, a, b, lev)
+        den = xden * yden
+        return HbarLaurent(trunc, {k: _normal(lev, num, den)
+                                   for k, num in acc.items()})
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -179,7 +179,7 @@ class ScenarioConfig:
                                  None if self.twist is None
                                  else tuple(self.twist))
 
-    def group_cochain(self, degree_hint=None) -> GroupCochain:
+    def group_cochain(self) -> GroupCochain:
         g = self.group()
         if self.cochain == "trivial":
             return GroupCochain.constant(g, 1)

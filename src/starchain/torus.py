@@ -26,9 +26,8 @@ from .weyl import WeylElement
 
 @lru_cache(maxsize=None)
 def _unit_phase(num: int, den: int) -> FieldElement:
-    """exp(2 pi i num/den) as an exact root of unity."""
-    f = Fraction(num, den)
-    return FieldElement.zeta(4 * f.denominator, 4 * f.numerator)
+    """exp(2 pi i num/den) as an exact root of unity at level 4*den."""
+    return FieldElement.zeta(4 * den, 4 * num)
 
 
 @lru_cache(maxsize=None)
@@ -255,9 +254,18 @@ class TranslationAction:
     phase exp(2 pi i g (m . vector)) under the g-th power.  A twist vector
     w in Z^(2d) composes this with conjugation by the fiber wave attached to
     w, which multiplies mode m by exp(-4 pi^2 i hbar g <w, m>).
+
+    The vector is also kept as integers over one common denominator, so a
+    phase costs an integer dot product and a cached root-of-unity lookup;
+    the phase of one mode sits at level 4*den(g (m . vector)).  Both phases
+    are exponentials linear in the mode, so the eigenvalue of g on a word of
+    plane waves is the phase of the summed mode (word_phase).  Its root of
+    unity is written at the lcm of the slot levels, the level the
+    slot-by-slot product has: two slots of exp(2 pi i/8) (level 32 each)
+    give i at level 32, not at the level 16 of the summed mode alone.
     """
 
-    __slots__ = ("dim", "group", "vector", "twist")
+    __slots__ = ("dim", "group", "vector", "twist", "_num", "_den")
 
     def __init__(self, dim: int, group: CyclicGroup, vector,
                  twist=None):
@@ -278,10 +286,18 @@ class TranslationAction:
         self.group = group
         self.vector = vector
         self.twist = twist
+        self._den = math.lcm(*(v.denominator for v in vector))
+        self._num = tuple(v.numerator * (self._den // v.denominator)
+                          for v in vector)
+
+    def _dot(self, g: int, mode) -> int:
+        """g (mode . vector) times _den, reduced mod _den."""
+        return g * sum(m * v for m, v in zip(mode, self._num)) % self._den
 
     def translation_phase(self, g: int, mode) -> FieldElement:
-        r = sum(Fraction(mj) * vj for mj, vj in zip(mode, self.vector)) * g
-        return _unit_phase(r.numerator, r.denominator)
+        r = self._dot(g, mode)
+        d = math.gcd(r, self._den)
+        return _unit_phase(r // d, self._den // d)
 
     def twist_phase(self, g: int, mode, trunc: int) -> HbarLaurent:
         if self.twist is None or g == 0:
@@ -305,10 +321,30 @@ class TranslationAction:
         acting on a single mode never mixes modes; this returns the full
         eigenvalue (translation phase times twist phase) in one series.
         """
+        return self.word_phase(g, (mode,), trunc)
+
+    def word_phase(self, g: int, modes, trunc: int) -> HbarLaurent:
+        """Scalar the g-th power multiplies a word of plane waves by: the
+        product of its slots' eigenvalues, computed once from the summed
+        mode and written at the lcm of the slot levels."""
         g = self.group.normalize(g)
-        c = HbarLaurent.from_field(self.translation_phase(g, mode), trunc)
-        if self.twist is not None:
-            c = c * self.twist_phase(g, mode, trunc)
+        den = self._den
+        total = 0
+        slot_den = 1
+        pairing = 0
+        for m in modes:
+            r = self._dot(g, m)
+            total += r
+            d = den // math.gcd(r, den)
+            if slot_den % d:
+                slot_den = slot_den // math.gcd(slot_den, d) * d
+            if self.twist is not None:
+                pairing += omega_pairing(self.twist, m)
+        # total / den has a denominator dividing slot_den
+        c = HbarLaurent.from_field(
+            _unit_phase(total % den * slot_den // den, slot_den), trunc)
+        if pairing and g:
+            c = c * _star_phase(2 * g * pairing, trunc)
         return c
 
     def untwisted(self) -> "TranslationAction":

@@ -1,8 +1,11 @@
 """Formal Weyl algebra on 2d generators with its star product.
 
 Elements are polynomials in xhat_1..xhat_d, xihat_1..xihat_d and hbar with
-FieldElement coefficients, stored normal-ordered (all xhat before all xihat);
-hbar counts as degree 2, so the filtration degree of a monomial
+FieldElement coefficients, stored as Weyl symbols: a key is a commutative
+monomial x^a xi^b hbar^k, and star() is the symmetric Weyl-Moyal product of
+symbols, so no ordering of xhat against xihat is imposed (in dim 1,
+x * xi = x xi - (i/2) hbar and xi * x = x xi + (i/2) hbar); hbar counts as
+degree 2, so the filtration degree of a monomial
 xhat^a xihat^b hbar^k is |a| + |b| + 2k.  Every element carries `order`, the
 highest filtration degree that is reliable; the star product is filtered, so
 windows combine exactly like the Laurent windows in scalars.
@@ -45,7 +48,7 @@ def _deg(key) -> int:
 
 
 class WeylElement:
-    """Sparse normal-ordered element of the formal Weyl algebra."""
+    """Sparse element of the formal Weyl algebra, keyed by Weyl symbols."""
 
     __slots__ = ("dim", "order", "coeffs")
 

@@ -286,6 +286,80 @@ def rand_hbar(rng, trunc, lowest=-2):
     return out
 
 
+# ---------------------------------------------------------------------------
+# oracle for the hbar product: the pairwise sum of FieldElement products.
+# Operands are drawn with negative powers and different windows, either with
+# every coefficient at one shared level (the fused integer convolution) or
+# with a level per coefficient (the pairwise loop); one-coefficient operands
+# are drawn too.
+
+
+@st.composite
+def nonzero_field(draw, level):
+    m = len(cyclotomic_polynomial(level)) - 1
+    coeff = st.fractions(min_value=-9, max_value=9,
+                         max_denominator=12).filter(bool)
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, m - 1), st.integers(0, 2)), coeff,
+        min_size=1, max_size=3))
+    return FieldElement(level, terms)
+
+
+@st.composite
+def hbar_series(draw, shared=None):
+    trunc = draw(st.integers(-1, 5))
+    powers = draw(st.lists(st.integers(-3, trunc), min_size=1, max_size=4,
+                           unique=True))
+    if shared is None:
+        shared = draw(st.sampled_from((4, 12, 60, None)))
+    coeffs = {}
+    for k in powers:
+        lev = draw(st.sampled_from(LEVELS)) if shared is None else shared
+        coeffs[k] = draw(nonzero_field(lev))
+    return HbarLaurent(trunc, coeffs)
+
+
+def pairwise_product(x, y):
+    trunc = min(x.trunc + y.low, y.trunc + x.low)
+    out = {}
+    for i, a in x.coeffs.items():
+        for j, b in y.coeffs.items():
+            if i + j <= trunc:
+                p = a * b
+                out[i + j] = p if i + j not in out else out[i + j] + p
+    return HbarLaurent(trunc, out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hbar_series(), hbar_series())
+def test_hbar_product_against_pairwise_oracle(x, y):
+    got, want = x * y, pairwise_product(x, y)
+    assert got.trunc == want.trunc
+    assert to_text(got) == to_text(want)
+    assert {k: v.level for k, v in got.coeffs.items()} == \
+        {k: v.level for k, v in want.coeffs.items()}
+    for v in got.coeffs.values():
+        assert_normal(v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((4, 12, 60, None)).flatmap(
+    lambda lev: st.tuples(hbar_series(lev), hbar_series(lev),
+                          hbar_series(lev))))
+def test_hbar_product_laws_on_common_window(xyz):
+    x, y, z = xyz
+    floor = x.low + y.low + z.low
+    left, right = (x * y) * z, x * (y * z)
+    window = min(left.trunc, right.trunc)
+    # the window holds the lowest term of the product, so it decides
+    assert window >= floor
+    assert left.truncate(window) == right.truncate(window)
+    left, right = x * (y + z), x * y + x * z
+    window = min(left.trunc, right.trunc)
+    assert window >= x.low + min(y.low, z.low)
+    assert left.truncate(window) == right.truncate(window)
+
+
 def test_hbar_ring_axioms():
     rng = random.Random(5150)
     for _ in range(30):

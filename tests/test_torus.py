@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starchain.groups import CyclicGroup
-from starchain.scalars import FieldElement, HbarLaurent
+from starchain.scalars import FieldElement, HbarLaurent, to_text
 from starchain.torus import (
     CrossedElement,
     TorusElement,
@@ -151,6 +152,70 @@ def test_translation_phases():
     # mode orthogonal to the translation is fixed
     en = TorusElement.plane_wave(1, (0, 3), 4)
     assert act.apply(1, en) == en
+
+
+def fraction_phase(vector, g, mode):
+    """exp(2 pi i g (mode . vector)) by the Fraction formula."""
+    r = g * sum(Fraction(m) * Fraction(v) for m, v in zip(mode, vector))
+    return FieldElement.zeta(4 * r.denominator, 4 * r.numerator)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=6),
+                min_size=4, max_size=4),
+       st.lists(st.integers(-5, 5), min_size=4, max_size=4),
+       st.integers(-7, 7))
+def test_integer_translation_phase_matches_fraction_formula(vector, mode, g):
+    act = TranslationAction(2, CyclicGroup(None), vector)
+    got = act.translation_phase(g, mode)
+    want = fraction_phase(vector, g, mode)
+    assert got.level == want.level
+    assert to_text(got) == to_text(want)
+
+
+def slotwise_phase(act, g, modes, trunc):
+    scal = None
+    for m in modes:
+        ph = act.mode_phase(g, m, trunc)
+        scal = ph if scal is None else scal * ph
+    return scal
+
+
+PHASE_ACTIONS = (
+    TranslationAction(1, CyclicGroup(None), (Fraction(1, 3), Fraction(-1, 8))),
+    TranslationAction(1, CyclicGroup(None), (Fraction(1, 2), Fraction(1, 6)),
+                      twist=(1, -1)),
+    TranslationAction(1, CyclicGroup(4), (Fraction(3, 4), Fraction(1, 2))),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(PHASE_ACTIONS), st.integers(-5, 5),
+       st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                min_size=1, max_size=4),
+       st.integers(0, 4))
+def test_word_phase_is_slotwise_product(act, g, modes, trunc):
+    got = act.word_phase(g, modes, trunc)
+    want = slotwise_phase(act, g, modes, trunc)
+    assert got.trunc == want.trunc
+    assert to_text(got) == to_text(want)
+    assert {k: v.level for k, v in got.coeffs.items()} == \
+        {k: v.level for k, v in want.coeffs.items()}
+
+
+def test_word_phase_keeps_the_slot_level():
+    # each slot is exp(2 pi i/8) at level 32; the word's phase is i, still
+    # at level 32 (zeta^8), not at the level 16 of the summed mode alone
+    act = TranslationAction(1, CyclicGroup(None), (Fraction(1, 8), 0))
+    assert act.translation_phase(1, (1, 0)).level == 32
+    ph = act.word_phase(1, ((1, 0), (1, 0)), 3)
+    assert ph.coefficient(0) == I and ph.coefficient(0).level == 32
+    assert to_text(ph) == "(1/1)·ζ^8·π^0·ħ^0·u^0"
+    assert to_text(ph) == to_text(slotwise_phase(act, 1, ((1, 0), (1, 0)), 3))
+    # two slots of -1 at level 8 give 1 at level 8, not at level 4
+    act = TranslationAction(1, CyclicGroup(None), (Fraction(1, 2), 0))
+    ph = act.word_phase(1, ((1, 0), (1, 0)), 3)
+    assert ph.coefficient(0) == 1 and ph.coefficient(0).level == 8
 
 
 def test_action_is_group_homomorphism():

@@ -132,8 +132,10 @@ def test_weyl_symmetrized_quadratic():
     xi = WeylElement.xi_hat(1, 0)
     sym = (x.star(xi) + xi.star(x)) / 2
     assert sym == x.poly_mul(xi)
-    # and the two orderings differ by the commutator
+    # the symmetric Weyl-Moyal product: both orderings move off the
+    # commutative symbol x xi by half of i hbar, in opposite directions
     assert x.star(xi) == x.poly_mul(xi) - WeylElement.hbar(1) * I / 2
+    assert xi.star(x) == x.poly_mul(xi) + WeylElement.hbar(1) * I / 2
 
 
 def test_poly_mul_is_top_symbol_of_star():
