@@ -52,6 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .scalars import HbarLaurent, ULaurent, _as_field
+from .sparse import Chain, _acc
 from .torus import (TorusElement, CrossedElement, TranslationAction,
                     omega_pairing, _star_phase)
 from .weyl import WeylElement
@@ -249,11 +250,6 @@ def _canon_diag(ctx, key):
     return (alg, grp2), ctx.action.word_phase(hinv, alg, ctx.h_trunc)
 
 
-def _acc(table, key, val):
-    cur = table.get(key)
-    table[key] = val if cur is None else cur + val
-
-
 def _raw_boundary_terms(ctx, key, coeff):
     """Alternating face sum of one word; degree 0 contributes nothing."""
     n = _key_degree(ctx, key)
@@ -285,14 +281,14 @@ def _raw_connes_terms(ctx, key, coeff):
     return out
 
 
-class CyclicChain:
+class CyclicChain(Chain):
     """Finite sum of labelled tensor words with ULaurent coefficients.
 
     Words of different simplicial degree may coexist (mixed chains carry
     u powers in the scalars).  Coinvariant diagonal chains are stored by
     canonical representatives and every operator re-canonicalises."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx",)
 
     def __init__(self, ctx: ChainContext, coeffs):
         self.ctx = ctx
@@ -317,44 +313,14 @@ class CyclicChain:
         return cls(ctx, {key: ctx.one() if coeff is None
                          else ctx.scalar(coeff)})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _spawn(self, coeffs, other=None):
+        return CyclicChain(self.ctx, coeffs)
+
+    def _scalar(self, s):
+        return self.ctx.scalar(s)
 
     def degrees(self):
         return sorted({_key_degree(self.ctx, k) for k in self.coeffs})
-
-    def __add__(self, other):
-        if not isinstance(other, CyclicChain):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            _acc(out, k, v)
-        return CyclicChain(self.ctx, out)
-
-    def __neg__(self):
-        return CyclicChain(self.ctx, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, CyclicChain):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, s):
-        s = self.ctx.scalar(s)
-        return CyclicChain(self.ctx,
-                           {k: v * s for k, v in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def shift_u(self, k: int) -> "CyclicChain":
-        return CyclicChain(self.ctx,
-                           {key: v.shift_u(k)
-                            for key, v in self.coeffs.items()})
-
-    def truncate_u(self, k: int) -> "CyclicChain":
-        return CyclicChain(self.ctx,
-                           {key: v.truncate_u(k)
-                            for key, v in self.coeffs.items()})
 
     def face(self, i: int) -> "CyclicChain":
         out: dict = {}
@@ -402,16 +368,8 @@ class CyclicChain:
     def mixed_boundary(self) -> "CyclicChain":
         """Simplicial boundary plus u times the degree-raising one, kept
         inside the declared u window."""
-        raised = self.connes_boundary().shift_u(1)
-        return self.boundary() + raised.truncate_u(self.ctx.u_trunc)
-
-    def __eq__(self, other):
-        if not isinstance(other, CyclicChain):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("CyclicChain is unhashable")
+        raised = self.connes_boundary().shift(1)
+        return self.boundary() + raised.truncate(self.ctx.u_trunc)
 
     def __repr__(self):
         n = len(self.coeffs)
@@ -500,7 +458,7 @@ def project_algebra_factor(c: CyclicChain) -> CyclicChain:
 
 # -- equivariant chains ----------------------------------------------------
 
-class EquivariantChain:
+class EquivariantChain(Chain):
     """Inner chain tensored with a word of group elements.
 
     Homogeneous keys are (inner_key, (k_0, ..., k_p)) in free normal
@@ -509,7 +467,7 @@ class EquivariantChain:
     (words acquiring one are dropped, which realises the quotient by
     degenerate words)."""
 
-    __slots__ = ("inner_ctx", "action", "homogeneous", "coeffs")
+    __slots__ = ("inner_ctx", "action", "homogeneous")
 
     def __init__(self, inner_ctx: ChainContext, action: TranslationAction,
                  homogeneous: bool, coeffs):
@@ -531,44 +489,14 @@ class EquivariantChain:
             _acc(clean, (ik, gw), v)
         self.coeffs = {k: v for k, v in clean.items() if not v.is_zero()}
 
-    def _spawn(self, coeffs):
+    def _spawn(self, coeffs, other=None):
+        if other is not None and other.homogeneous != self.homogeneous:
+            raise ValueError("cannot mix coordinate systems")
         return EquivariantChain(self.inner_ctx, self.action,
                                 self.homogeneous, coeffs)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        if not isinstance(other, EquivariantChain):
-            return NotImplemented
-        if other.homogeneous != self.homogeneous:
-            raise ValueError("cannot mix coordinate systems")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            _acc(out, k, v)
-        return self._spawn(out)
-
-    def __neg__(self):
-        return self._spawn({k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, EquivariantChain):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, s):
-        s = self.inner_ctx.scalar(s)
-        return self._spawn({k: v * s for k, v in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, EquivariantChain):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("EquivariantChain is unhashable")
+    def _scalar(self, s):
+        return self.inner_ctx.scalar(s)
 
     def __repr__(self):
         form = "homogeneous" if self.homogeneous else "non-homogeneous"
@@ -597,7 +525,7 @@ class EquivariantChain:
         for (ik, gw), c in self.coeffs.items():
             terms = _raw_boundary_terms(ctx, ik, c)
             if mode == "mixed":
-                terms += [(k2, v.shift_u(1).truncate_u(ctx.u_trunc))
+                terms += [(k2, v.shift(1).truncate(ctx.u_trunc))
                           for k2, v in _raw_connes_terms(ctx, ik, c)]
             elif mode != "hochschild":
                 raise ValueError(f"unknown boundary mode {mode!r}")
@@ -768,12 +696,12 @@ def q_map(f: CyclicChain, mode: str = "mixed") -> EquivariantChain:
 
 # -- front/back splitting and the localisation composite -------------------
 
-class TensorSplitChain:
+class TensorSplitChain(Chain):
     """Sum of (algebra word) x (group word) pairs with independent
     lengths; the boundary is the algebra one plus (-1)^(algebra degree)
     times the omission boundary of the group word."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx",)
 
     def __init__(self, ctx: ChainContext, coeffs):
         self.ctx = ctx
@@ -783,22 +711,11 @@ class TensorSplitChain:
                 _acc(clean, k, v)
         self.coeffs = {k: v for k, v in clean.items() if not v.is_zero()}
 
-    def is_zero(self):
-        return not self.coeffs
+    def _spawn(self, coeffs, other=None):
+        return TensorSplitChain(self.ctx, coeffs)
 
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            _acc(out, k, -v)
-        return TensorSplitChain(self.ctx, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorSplitChain):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("TensorSplitChain is unhashable")
+    def _scalar(self, s):
+        return self.ctx.scalar(s)
 
     def total_boundary(self) -> "TensorSplitChain":
         tctx = self.ctx.as_torus()
@@ -879,9 +796,8 @@ def d_map(c: CyclicChain, mode: str = "mixed") -> EquivariantChain:
 #     n = 0:  (e)
 #     n = 1:  -2 (e,e,e) - (e,e,1) - (1,1,e) + (1,e,e) + (e,1,e)
 #
-# and the blocks through n = 2 below are frozen copies of what
-# derive_chern_coefficients produces (the derivation is rerun against
-# them by the test suite; higher blocks are derived on demand).
+# and every block is derived on demand: chern_coefficients(n) solves
+# through degree n only, since the cost grows steeply with the degree.
 
 def _pq_connes_terms(word):
     """Degree-raising boundary in the orthogonal letter basis; the unit
@@ -934,37 +850,13 @@ def derive_chern_coefficients(n_max: int):
     return tables
 
 
-_CHERN_TABLE = {
-    0: {(1,): Fraction(1)},
-    1: {(1, 1, 1): Fraction(-2), (1, 1, 0): Fraction(-1),
-        (0, 0, 1): Fraction(-1), (0, 1, 1): Fraction(1),
-        (1, 0, 1): Fraction(1)},
-    2: {(0, 0, 0, 0, 1): Fraction(1), (0, 0, 0, 1, 0): Fraction(2),
-        (0, 0, 0, 1, 1): Fraction(-1), (0, 0, 1, 0, 0): Fraction(2),
-        (0, 0, 1, 0, 1): Fraction(-1), (0, 0, 1, 1, 0): Fraction(-2),
-        (0, 0, 1, 1, 1): Fraction(6), (0, 1, 0, 0, 1): Fraction(-1),
-        (0, 1, 0, 1, 0): Fraction(-2), (0, 1, 0, 1, 1): Fraction(1),
-        (0, 1, 1, 0, 0): Fraction(-2), (0, 1, 1, 0, 1): Fraction(1),
-        (0, 1, 1, 1, 0): Fraction(2), (0, 1, 1, 1, 1): Fraction(-6),
-        (1, 0, 0, 0, 1): Fraction(-1), (1, 0, 0, 1, 0): Fraction(-2),
-        (1, 0, 0, 1, 1): Fraction(1), (1, 0, 1, 0, 0): Fraction(-2),
-        (1, 0, 1, 0, 1): Fraction(1), (1, 0, 1, 1, 0): Fraction(2),
-        (1, 0, 1, 1, 1): Fraction(-6), (1, 1, 0, 0, 0): Fraction(1),
-        (1, 1, 0, 0, 1): Fraction(2), (1, 1, 0, 1, 0): Fraction(3),
-        (1, 1, 0, 1, 1): Fraction(-2), (1, 1, 1, 0, 0): Fraction(3),
-        (1, 1, 1, 0, 1): Fraction(-2), (1, 1, 1, 1, 0): Fraction(2),
-        (1, 1, 1, 1, 1): Fraction(12)},
-}
-
 _CHERN_MAX = 5
 
 
 def chern_coefficients(n: int) -> dict:
     if not 0 <= n <= _CHERN_MAX:
         raise ValueError(f"character blocks are kept for degrees 0..{_CHERN_MAX}")
-    if n in _CHERN_TABLE:
-        return dict(_CHERN_TABLE[n])
-    return dict(derive_chern_coefficients(_CHERN_MAX)[n])
+    return dict(derive_chern_coefficients(n)[n])
 
 
 def chern_word_chain(u_trunc: int) -> CyclicChain:

@@ -20,7 +20,8 @@ from fractions import Fraction
 from itertools import permutations
 
 from .cyclic import ChainContext, CyclicChain
-from .scalars import ULaurent
+from .scalars import FieldElement, HbarLaurent, ULaurent
+from .sparse import Sparse, _acc
 from .torus import _merge_directions
 
 
@@ -28,25 +29,35 @@ def _coordinate_name(dim: int, j: int) -> str:
     return f"x{j}" if j < dim else f"xi{j - dim}"
 
 
-class FormalForm:
+class FormalForm(Sparse):
     """Sparse form with ULaurent coefficients, capped at a polynomial
     filtration order the same way Weyl elements are."""
 
-    __slots__ = ("dim", "order", "terms", "shifted")
+    __slots__ = ("dim", "order", "shifted")
 
-    def __init__(self, dim: int, terms, order: int = 16, shifted: bool = False):
+    _scalars = (int, Fraction, FieldElement, HbarLaurent, ULaurent)
+
+    def __init__(self, dim: int, coeffs, order: int = 16,
+                 shifted: bool = False):
         self.dim = dim
         self.order = order
         self.shifted = shifted
         clean = {}
-        for (mono, legs), c in terms.items():
+        for (mono, legs), c in coeffs.items():
             a, b = mono
             assert len(a) == dim and len(b) == dim
             assert all(x < y for x, y in zip(legs, legs[1:]))
             if sum(a) + sum(b) > order or c.is_zero():
                 continue
             clean[(mono, legs)] = c
-        self.terms = clean
+        self.coeffs = clean
+
+    def _spawn(self, coeffs, other=None):
+        order = self.order
+        if other is not None:
+            assert other.dim == self.dim and other.shifted == self.shifted
+            order = min(order, other.order)
+        return FormalForm(self.dim, coeffs, order, self.shifted)
 
     # -- constructors ------------------------------------------------------
 
@@ -66,91 +77,38 @@ class FormalForm:
 
     # -- queries -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def form_degrees(self):
-        return sorted({len(legs) for _, legs in self.terms})
+        return sorted({len(legs) for _, legs in self.coeffs})
 
     def degree_part(self, r: int) -> "FormalForm":
-        return FormalForm(self.dim,
-                          {k: v for k, v in self.terms.items()
-                           if len(k[1]) == r},
-                          self.order, self.shifted)
+        return self._spawn({k: v for k, v in self.coeffs.items()
+                            if len(k[1]) == r})
 
     def scalar_part(self) -> ULaurent:
         """Coefficient of the constant 0-form term."""
         z = (0,) * self.dim
-        c = self.terms.get(((z, z), ()))
-        return c if c is not None else ULaurent.zero(self.u_window() or 0)
-
-    def u_window(self):
-        wins = [c.trunc for c in self.terms.values()]
-        return min(wins) if wins else None
-
-    # -- linear structure --------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, FormalForm):
-            return NotImplemented
-        assert other.dim == self.dim and other.shifted == self.shifted
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            cur = out.get(k)
-            out[k] = v if cur is None else cur + v
-        return FormalForm(self.dim, out, min(self.order, other.order),
-                          self.shifted)
-
-    def __neg__(self):
-        return FormalForm(self.dim, {k: -v for k, v in self.terms.items()},
-                          self.order, self.shifted)
-
-    def __sub__(self, other):
-        if not isinstance(other, FormalForm):
-            return NotImplemented
-        return self + (-other)
+        c = self.coeffs.get(((z, z), ()))
+        return c if c is not None else ULaurent.zero(self.global_window() or 0)
 
     def __mul__(self, other):
         if isinstance(other, FormalForm):
             return self.wedge(other)
-        return FormalForm(self.dim,
-                          {k: v * other for k, v in self.terms.items()},
-                          self.order, self.shifted)
-
-    def __rmul__(self, other):
-        return FormalForm(self.dim,
-                          {k: v * other for k, v in self.terms.items()},
-                          self.order, self.shifted)
-
-    def shift_u(self, k: int) -> "FormalForm":
-        return FormalForm(self.dim,
-                          {key: v.shift_u(k) for key, v in self.terms.items()},
-                          self.order, self.shifted)
-
-    def truncate_u(self, trunc: int) -> "FormalForm":
-        return FormalForm(self.dim,
-                          {key: v.truncate_u(trunc)
-                           for key, v in self.terms.items()},
-                          self.order, self.shifted)
+        return Sparse.__mul__(self, other)
 
     # -- products and derivatives ------------------------------------------
 
     def wedge(self, other: "FormalForm") -> "FormalForm":
         assert isinstance(other, FormalForm) and other.dim == self.dim
         out: dict = {}
-        for ((a1, b1), p), c1 in self.terms.items():
-            for ((a2, b2), q), c2 in other.terms.items():
+        for ((a1, b1), p), c1 in self.coeffs.items():
+            for ((a2, b2), q), c2 in other.coeffs.items():
                 legs, sign = _merge_directions(p, q)
                 if legs is None:
                     continue
                 mono = (tuple(x + y for x, y in zip(a1, a2)),
                         tuple(x + y for x, y in zip(b1, b2)))
                 c = c1 * c2
-                if sign < 0:
-                    c = -c
-                key = (mono, legs)
-                cur = out.get(key)
-                out[key] = c if cur is None else cur + c
+                _acc(out, (mono, legs), -c if sign < 0 else c)
         return FormalForm(self.dim, out, min(self.order, other.order),
                           self.shifted)
 
@@ -158,7 +116,7 @@ class FormalForm:
         """Exterior derivative in the fiber coordinates."""
         d = self.dim
         out: dict = {}
-        for ((a, b), legs), c in self.terms.items():
+        for ((a, b), legs), c in self.coeffs.items():
             for j in range(2 * d):
                 e = a[j] if j < d else b[j - d]
                 if not e:
@@ -172,40 +130,20 @@ class FormalForm:
                 newlegs, sign = _merge_directions((j,), legs)
                 if newlegs is None:
                     continue
-                term = c * (e * sign)
-                key = (mono, newlegs)
-                cur = out.get(key)
-                out[key] = term if cur is None else cur + term
-        return FormalForm(d, out, self.order, self.shifted)
+                _acc(out, (mono, newlegs), c * (e * sign))
+        return self._spawn(out)
 
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, FormalForm):
-            return NotImplemented
-        if self.shifted != other.shifted:
+        """The coefficient-window rule, and both sides shifted or neither."""
+        if isinstance(other, FormalForm) and self.shifted != other.shifted:
             return False
-        wa, wb = self.u_window(), other.u_window()
-        keys = set(self.terms) | set(other.terms)
-        for k in keys:
-            a = self.terms.get(k)
-            b = other.terms.get(k)
-            if a is None:
-                if not (b if wa is None else b.truncate_u(wa)).is_zero():
-                    return False
-            elif b is None:
-                if not (a if wb is None else a.truncate_u(wb)).is_zero():
-                    return False
-            elif a != b:
-                return False
-        return True
-
-    def __hash__(self):
-        raise TypeError("FormalForm is unhashable (window-relative equality)")
+        return Sparse.__eq__(self, other)
 
     def __repr__(self):
         bits = []
-        for (mono, legs) in sorted(self.terms):
+        for (mono, legs) in sorted(self.coeffs):
             a, b = mono
             factors = [f"{_coordinate_name(self.dim, j)}^{e}"
                        for j, e in enumerate(a + b) if e]
@@ -282,8 +220,8 @@ def j_shift(phi: FormalForm) -> FormalForm:
     exactly, windows included, and tags the result as shifted.
     """
     out: dict = {}
-    for key, c in phi.terms.items():
-        out[key] = c.shift_u(-phi.dim - len(key[1]))
+    for key, c in phi.coeffs.items():
+        out[key] = c.shift(-phi.dim - len(key[1]))
     return FormalForm(phi.dim, out, phi.order, shifted=True)
 
 
@@ -301,7 +239,7 @@ def poincare_contract(phi: FormalForm):
         raise ValueError(f"form is not closed; derivative is {exact!r}")
     d = phi.dim
     cert: dict = {}
-    for ((a, b), legs), c in phi.terms.items():
+    for ((a, b), legs), c in phi.coeffs.items():
         w = sum(a) + sum(b) + len(legs)
         if w == 0:
             continue
@@ -313,10 +251,7 @@ def poincare_contract(phi: FormalForm):
                 mono = (a, tuple(v + 1 if t == j - d else v
                                  for t, v in enumerate(b)))
             rest = legs[:pos] + legs[pos + 1:]
-            term = c * Fraction((-1) ** pos, w)
-            key = (mono, rest)
-            cur = cert.get(key)
-            cert[key] = term if cur is None else cur + term
+            _acc(cert, (mono, rest), c * Fraction((-1) ** pos, w))
     certificate = FormalForm(d, cert, phi.order + 1, phi.shifted)
     return phi.scalar_part(), certificate
 

@@ -21,6 +21,7 @@ from itertools import product
 from .cyclic import CyclicChain, EquivariantChain, d_map
 from .groups import CyclicGroup
 from .scalars import FieldElement, HbarLaurent, ULaurent, _as_field
+from .sparse import _acc
 from .torus import (TorusElement, TorusForm, TranslationAction,
                     omega_pairing, symplectic_form)
 
@@ -164,7 +165,7 @@ def form_pullback(action: TranslationAction, g: int,
     coefficients pick up phases."""
     g = action.group.normalize(g)
     out = {}
-    for k, v in form.parts.items():
+    for k, v in form.coeffs.items():
         out[k] = TorusElement(
             form.dim, {m: c * action.translation_phase(g, m)
                        for m, c in v.coeffs.items()})
@@ -185,7 +186,7 @@ class EquivariantClassCocycle:
             fam = {tuple(e): f for e, f in fam.items() if not f.is_zero()}
             for exps, f in fam.items():
                 assert len(exps) == p
-                assert all(len(k) == q for k in f.parts)
+                assert all(len(k) == q for k in f.coeffs)
             if fam:
                 self.components[(p, q)] = fam
 
@@ -193,7 +194,7 @@ class EquivariantClassCocycle:
     def constant(cls, action: TranslationAction,
                  form: TorusForm) -> "EquivariantClassCocycle":
         comps = {}
-        for q in sorted({len(k) for k in form.parts}):
+        for q in sorted({len(k) for k in form.coeffs}):
             comps[(0, q)] = {(): form.degree_part(q)}
         return cls(action, comps)
 
@@ -225,7 +226,7 @@ class EquivariantClassCocycle:
         for pq, fam in other.components.items():
             tgt = out.setdefault(pq, {})
             for e, f in fam.items():
-                tgt[e] = f if e not in tgt else tgt[e] + f
+                _acc(tgt, e, f)
         return EquivariantClassCocycle(self.action, out)
 
     def scale(self, s) -> "EquivariantClassCocycle":
@@ -244,9 +245,7 @@ class EquivariantClassCocycle:
                 tgt = out.setdefault((p1 + p2, q1 + q2), {})
                 for e1, f1 in fam1.items():
                     for e2, f2 in fam2.items():
-                        f = f1.wedge(f2) * sign
-                        key = e1 + e2
-                        tgt[key] = f if key not in tgt else tgt[key] + f
+                        _acc(tgt, e1 + e2, f1.wedge(f2) * sign)
         return EquivariantClassCocycle(self.action, out)
 
     def exponential(self) -> "EquivariantClassCocycle":
@@ -271,7 +270,7 @@ class EquivariantClassCocycle:
         return acc
 
     def _window(self) -> int:
-        wins = [f.min_trunc() for fam in self.components.values()
+        wins = [f.global_window() for fam in self.components.values()
                 for f in fam.values()]
         return min(wins) if wins else 0
 
@@ -367,10 +366,7 @@ def cap(chain: EquivariantChain, xi: GroupCochain,
         val = xi.evaluate(gw[:k])
         if val.is_zero():
             continue
-        key = (ik, gw[k:])
-        term = v * val
-        cur = out.get(key)
-        out[key] = term if cur is None else cur + term
+        _acc(out, (ik, gw[k:]), v * val)
     return EquivariantChain(chain.inner_ctx, chain.action, False, out)
 
 
@@ -442,10 +438,6 @@ class TraceFunctional:
         return res
 
 
-def tr_xi(xi: GroupCochain, action: TranslationAction) -> TraceFunctional:
-    return TraceFunctional(xi, action)
-
-
 def trace_pair(chain: CyclicChain) -> ULaurent:
     """Plain trace against the degree-0 part of a torus or crossed chain."""
     kind = chain.ctx.kind
@@ -510,7 +502,7 @@ def phi_pair(classes: EquivariantClassCocycle, xi: GroupCochain,
             tot = val.wedge(form).integrate()
             if tot.is_zero():
                 continue
-            term = (v * tot).shift_u((P + Q) // 2 - dim)
+            term = (v * tot).shift((P + Q) // 2 - dim)
             res = term if res is None else res + term
     if res is None:
         res = ULaurent.zero(chain.ctx.u_trunc)

@@ -363,7 +363,7 @@ def tau_t_pair(chain: CyclicChain) -> ULaurent:
         total = word_to_form(dim, key, chain.ctx.h_trunc).integrate()
         if total.is_zero():
             continue
-        term = (v * total).shift_u(-dim)
+        term = (v * total).shift(-dim)
         res = term if res is None else res + term
     if res is None:
         res = ULaurent.zero(chain.ctx.u_trunc)

@@ -25,6 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
 
+from .sparse import Filtered, Sparse, _acc
+
 
 MAX_CYCLOTOMIC_LEVEL = 1_000_000
 
@@ -389,8 +391,8 @@ def _over_one_den(coeffs: dict[int, FieldElement]):
     return nums, den
 
 
-class HbarLaurent:
-    """Truncated Laurent series in hbar with FieldElement coefficients.
+class _Laurent(Filtered):
+    """Truncated Laurent series: key = exponent, limit = trunc.
 
     trunc is the highest exponent whose coefficient is reliable; terms above
     it are discarded by every operation.  The principal (negative) part is
@@ -398,18 +400,65 @@ class HbarLaurent:
     range, so callers that need a guaranteed range assert on .trunc as well.
     """
 
-    __slots__ = ("trunc", "coeffs")
+    __slots__ = ("trunc",)
 
-    def __init__(self, trunc: int, coeffs: dict[int, FieldElement]):
+    def __init__(self, trunc: int, coeffs):
         self.trunc = trunc
         self.coeffs = {k: v for k, v in coeffs.items()
                        if k <= trunc and not v.is_zero()}
 
-    # -- constructors ------------------------------------------------------
+    def _at(self, trunc, coeffs):
+        return type(self)(trunc, coeffs)
+
+    def global_window(self) -> int:
+        return self.trunc
+
+    # The series are the hottest layer: these two read trunc and the
+    # exponents directly instead of through global_window() and _degree,
+    # as the generic Filtered versions do.
+
+    def _spawn(self, coeffs, other=None):
+        trunc = self.trunc if other is None else min(self.trunc, other.trunc)
+        return type(self)(trunc, coeffs)
+
+    @property
+    def low(self):
+        return min(self.coeffs) if self.coeffs else None
 
     @classmethod
-    def zero(cls, trunc: int) -> "HbarLaurent":
+    def zero(cls, trunc: int):
         return cls(trunc, {})
+
+    def _pairwise(self, other, trunc: int):
+        """Product as the sum of coefficient products, through trunc."""
+        out: dict = {}
+        for i, a in self.coeffs.items():
+            for j, b in other.coeffs.items():
+                k = i + j
+                if k <= trunc:
+                    _acc(out, k, a * b)
+        return self._at(trunc, out)
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._spawn({k: v / other for k, v in self.coeffs.items()})
+        if isinstance(other, FieldElement):
+            return self * other.inv_monomial()
+        return NotImplemented
+
+    def shift(self, k: int):
+        """Multiply by the variable to the k; the window moves with the
+        terms."""
+        return self._at(self.trunc + k,
+                        {e + k: v for e, v in self.coeffs.items()})
+
+
+class HbarLaurent(_Laurent):
+    """Truncated Laurent series in hbar with FieldElement coefficients."""
+
+    __slots__ = ()
+
+    # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_field(cls, fe: FieldElement, trunc: int, power: int = 0) -> "HbarLaurent":
@@ -426,13 +475,6 @@ class HbarLaurent:
 
     # -- queries -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def low(self):
-        return min(self.coeffs) if self.coeffs else _INF
-
     def coefficient(self, k: int) -> FieldElement:
         if k > self.trunc:
             raise ValueError(f"hbar^{k} is beyond the reliable window {self.trunc}")
@@ -448,33 +490,9 @@ class HbarLaurent:
             return HbarLaurent.from_field(fe, self.trunc)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        trunc = min(self.trunc, o.trunc)
-        out = dict(self.coeffs)
-        for k, v in o.coeffs.items():
-            cur = out.get(k)
-            out[k] = v if cur is None else cur + v
-        return HbarLaurent(trunc, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return HbarLaurent(self.trunc, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+    # bound in each series class's own body: perfbench/tracer.py times
+    # HbarLaurent.__add__ and ULaurent.__add__ as separate entries
+    __add__ = __radd__ = Sparse.__add__
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
@@ -492,16 +510,7 @@ class HbarLaurent:
                 return self._convolve(other, lev, trunc)
         # one term has no sums to fuse; with mixed levels each output
         # coefficient sits at the lcm of its own pairs' levels
-        out: dict[int, FieldElement] = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                k = i + j
-                if k > trunc:
-                    continue
-                cur = out.get(k)
-                p = a * b
-                out[k] = p if cur is None else cur + p
-        return HbarLaurent(trunc, out)
+        return self._pairwise(other, trunc)
 
     __rmul__ = __mul__
 
@@ -526,25 +535,6 @@ class HbarLaurent:
         return HbarLaurent(trunc, {k: _normal(lev, num, den)
                                    for k, num in acc.items()})
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return HbarLaurent(self.trunc,
-                               {k: v / q for k, v in self.coeffs.items()})
-        if isinstance(other, FieldElement):
-            return self * other.inv_monomial()
-        return NotImplemented
-
-    def shift(self, k: int) -> "HbarLaurent":
-        """Multiply by hbar^k; the reliability window moves with the terms."""
-        return HbarLaurent(self.trunc + k,
-                           {e + k: v for e, v in self.coeffs.items()})
-
-    def truncate(self, trunc: int) -> "HbarLaurent":
-        trunc = min(trunc, self.trunc)
-        return HbarLaurent(trunc, {k: v for k, v in self.coeffs.items()
-                                   if k <= trunc})
-
     def invert(self) -> "HbarLaurent":
         """Inverse when the lowest coefficient is a monomial scalar."""
         if self.is_zero():
@@ -562,20 +552,6 @@ class HbarLaurent:
             acc = acc + term
             j += 1
         return (acc * lead_inv).shift(-l)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        common = min(self.trunc, o.trunc)
-        a = {k: v for k, v in self.coeffs.items() if k <= common}
-        b = {k: v for k, v in o.coeffs.items() if k <= common}
-        if set(a) != set(b):
-            return False
-        return all(a[k] == b[k] for k in a)
-
-    def __hash__(self):
-        raise TypeError("HbarLaurent is unhashable (window-relative equality)")
 
     def __repr__(self):
         return f"HbarLaurent({to_text(self)!r}, trunc={self.trunc})"
@@ -601,19 +577,12 @@ def hbar_exp(x: HbarLaurent) -> HbarLaurent:
     return acc
 
 
-class ULaurent:
+class ULaurent(_Laurent):
     """Truncated Laurent series in u (degree -2) over HbarLaurent."""
 
-    __slots__ = ("trunc", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, trunc: int, coeffs: dict[int, HbarLaurent]):
-        self.trunc = trunc
-        self.coeffs = {k: v for k, v in coeffs.items()
-                       if k <= trunc and not v.is_zero()}
-
-    @classmethod
-    def zero(cls, trunc: int) -> "ULaurent":
-        return cls(trunc, {})
+    _scalars = (int, Fraction, FieldElement, HbarLaurent)
 
     @classmethod
     def from_hbar(cls, h: HbarLaurent, trunc: int, power: int = 0) -> "ULaurent":
@@ -622,13 +591,6 @@ class ULaurent:
     @classmethod
     def one(cls, u_trunc: int, h_trunc: int, level: int = 4) -> "ULaurent":
         return cls.from_hbar(HbarLaurent.one(h_trunc, level), u_trunc)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def low(self):
-        return min(self.coeffs) if self.coeffs else _INF
 
     def coefficient(self, k: int) -> HbarLaurent:
         if k > self.trunc:
@@ -655,100 +617,24 @@ class ULaurent:
             return ULaurent.from_hbar(h, self.trunc)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        trunc = min(self.trunc, o.trunc)
-        out = dict(self.coeffs)
-        for k, v in o.coeffs.items():
-            cur = out.get(k)
-            out[k] = v if cur is None else cur + v
-        return ULaurent(trunc, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ULaurent(self.trunc, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+    __add__ = __radd__ = Sparse.__add__
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement, HbarLaurent)):
-            return ULaurent(self.trunc,
-                            {k: v * other for k, v in self.coeffs.items()})
-        if not isinstance(other, ULaurent):
-            return NotImplemented
-        trunc = _min_trunc(self.trunc, self.low, other.trunc, other.low)
-        out: dict[int, HbarLaurent] = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                k = i + j
-                if k > trunc:
-                    continue
-                cur = out.get(k)
-                p = a * b
-                out[k] = p if cur is None else cur + p
-        return ULaurent(trunc, out)
+        if isinstance(other, ULaurent):
+            trunc = _min_trunc(self.trunc, self.low, other.trunc, other.low)
+            return self._pairwise(other, trunc)
+        return Sparse.__mul__(self, other)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ULaurent(self.trunc,
-                            {k: v / other for k, v in self.coeffs.items()})
-        if isinstance(other, FieldElement):
-            return self * other.inv_monomial()
-        return NotImplemented
-
-    def shift_u(self, k: int) -> "ULaurent":
-        return ULaurent(self.trunc + k, {e + k: v for e, v in self.coeffs.items()})
-
     def shift_hbar(self, k: int) -> "ULaurent":
         return ULaurent(self.trunc, {e: v.shift(k) for e, v in self.coeffs.items()})
-
-    def truncate_u(self, trunc: int) -> "ULaurent":
-        return ULaurent(min(trunc, self.trunc),
-                        {k: v for k, v in self.coeffs.items() if k <= trunc})
 
     def window(self, lo: int, hi: int) -> "ULaurent":
         """Restrict to u-powers in [lo, hi] (used by the cyclic/negative
         complex selectors)."""
         return ULaurent(min(hi, self.trunc),
                         {k: v for k, v in self.coeffs.items() if lo <= k <= hi})
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        common = min(self.trunc, o.trunc)
-        keys = {k for k in self.coeffs if k <= common} | \
-               {k for k in o.coeffs if k <= common}
-        for k in keys:
-            a = self.coeffs.get(k)
-            b = o.coeffs.get(k)
-            if a is None:
-                if not b.is_zero():
-                    return False
-            elif b is None:
-                if not a.is_zero():
-                    return False
-            elif a != b:
-                return False
-        return True
-
-    def __hash__(self):
-        raise TypeError("ULaurent is unhashable (window-relative equality)")
 
     def __repr__(self):
         return f"ULaurent({to_text(self)!r}, u_trunc={self.trunc})"

@@ -34,8 +34,8 @@ from .cyclic import (ChainContext, CyclicChain, chern_character,
                      coinvariants_to_homogeneous, d_map,
                      homogeneous_to_coinvariants, q_map)
 from .forms import hkr, mu_normalization_chain
-from .group_coh import (GroupCochain, equivariant_ahat, equivariant_theta,
-                        phi_pair, tr_xi, trace_pair)
+from .group_coh import (GroupCochain, TraceFunctional, equivariant_ahat,
+                        equivariant_theta, phi_pair, trace_pair)
 from .groups import CyclicGroup
 from .lie_gf import (InvariantConnection, LieCochain, a_hat_series,
                      gf_form, lie_differential, theta_hat_cochain)
@@ -522,7 +522,7 @@ def _suite_trace_cocycles(cfg: ScenarioConfig, rng) -> list:
     act = cfg.action()
     ctx = ChainContext.crossed(act, h_trunc=cfg.h_trunc, u_trunc=cfg.u_trunc)
     xi = cfg.group_cochain()
-    T = tr_xi(xi, act)
+    T = TraceFunctional(xi, act)
     t0 = time.monotonic()
     trials = 20
     fails = 0
@@ -555,7 +555,7 @@ def _suite_forms(cfg: ScenarioConfig, rng) -> list:
                 cfg.u_trunc, rng.randint(-1, 1))
         x = CyclicChain(sym, coeffs)
         lhs = hkr(x.mixed_boundary())
-        rhs = hkr(x).d_hat().shift_u(1).truncate_u(cfg.u_trunc)
+        rhs = hkr(x).d_hat().shift(1).truncate(cfg.u_trunc)
         if lhs != rhs:
             fails += 1
         if not hkr(x.boundary()).is_zero():
@@ -688,7 +688,7 @@ def index_check(cfg: ScenarioConfig) -> Report:
     checks = []
     if crossed:
         xi = cfg.group_cochain()
-        lhs = tr_xi(xi, act).pair(ch)
+        lhs = TraceFunctional(xi, act).pair(ch)
         rhs = phi_pair(classes, xi, ch)
         law = "equivariant-index-pairing"
     else:

@@ -21,6 +21,7 @@ from functools import lru_cache
 
 from .groups import CyclicGroup
 from .scalars import FieldElement, HbarLaurent, _as_field, hbar_exp
+from .sparse import Filtered, Sparse, _acc
 from .weyl import WeylElement
 
 
@@ -41,20 +42,30 @@ def _star_phase(pairing: int, trunc: int) -> HbarLaurent:
     return hbar_exp(arg)
 
 
+# the scalars every element over torus coefficients is multiplied by
+_SCALARS = (int, Fraction, FieldElement, HbarLaurent)
+
+
 def omega_pairing(m, n) -> int:
     """<m, n> = m_xi . n_x - m_x . n_xi for modes of equal even length."""
     d = len(m) // 2
     return sum(m[d + i] * n[i] - m[i] * n[d + i] for i in range(d))
 
 
-class TorusElement:
+class TorusElement(Sparse):
     """Sparse combination of plane waves with hbar-Laurent coefficients."""
 
-    __slots__ = ("dim", "coeffs")
+    __slots__ = ("dim",)
+
+    _scalars = _SCALARS
 
     def __init__(self, dim: int, coeffs: dict[tuple[int, ...], HbarLaurent]):
         self.dim = dim
         self.coeffs = {m: c for m, c in coeffs.items() if not c.is_zero()}
+
+    def _spawn(self, coeffs, other=None):
+        assert other is None or other.dim == self.dim
+        return TorusElement(self.dim, coeffs)
 
     # -- constructors ------------------------------------------------------
 
@@ -79,56 +90,14 @@ class TorusElement:
 
     # -- queries -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coefficient(self, mode) -> HbarLaurent:
         c = self.coeffs.get(tuple(mode))
         if c is not None:
             return c
-        return HbarLaurent.zero(self.min_trunc())
-
-    def min_trunc(self) -> int:
-        if not self.coeffs:
-            return 0
-        return min(c.trunc for c in self.coeffs.values())
+        return HbarLaurent.zero(self.global_window() or 0)
 
     def modes(self):
         return sorted(self.coeffs)
-
-    # -- linear structure --------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        assert other.dim == self.dim
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            cur = out.get(m)
-            out[m] = c if cur is None else cur + c
-        return TorusElement(self.dim, out)
-
-    def __neg__(self):
-        return TorusElement(self.dim, {m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement, HbarLaurent)):
-            return TorusElement(self.dim,
-                                {m: c * other for m, c in self.coeffs.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement)):
-            return TorusElement(self.dim,
-                                {m: c / other for m, c in self.coeffs.items()})
-        return NotImplemented
 
     # -- products ----------------------------------------------------------
 
@@ -141,9 +110,7 @@ class TorusElement:
                 p = omega_pairing(m, n)
                 if p:
                     c = c * _star_phase(p, c.trunc)
-                key = tuple(a + b for a, b in zip(m, n))
-                cur = out.get(key)
-                out[key] = c if cur is None else cur + c
+                _acc(out, tuple(a + b for a, b in zip(m, n)), c)
         return TorusElement(self.dim, out)
 
     def symbol_mul(self, other: "TorusElement") -> "TorusElement":
@@ -152,10 +119,7 @@ class TorusElement:
         out: dict = {}
         for m, cm in self.coeffs.items():
             for n, cn in other.coeffs.items():
-                key = tuple(a + b for a, b in zip(m, n))
-                c = cm * cn
-                cur = out.get(key)
-                out[key] = c if cur is None else cur + c
+                _acc(out, tuple(a + b for a, b in zip(m, n)), cm * cn)
         return TorusElement(self.dim, out)
 
     def partial(self, j: int) -> "TorusElement":
@@ -166,11 +130,6 @@ class TorusElement:
                 out[m] = c * (FieldElement.pi_power(1, 2 * m[j])
                               * FieldElement.i_unit())
         return TorusElement(self.dim, out)
-
-    def cap(self, trunc: int) -> "TorusElement":
-        """Truncate every coefficient window to at most trunc."""
-        return TorusElement(self.dim, {m: c.truncate(trunc)
-                                       for m, c in self.coeffs.items()})
 
     def star_inverse(self) -> "TorusElement":
         """Inverse for elements whose lowest hbar order sits on a single
@@ -191,17 +150,18 @@ class TorusElement:
         guess = TorusElement.plane_wave(
             self.dim, neg, window,
             HbarLaurent.from_field(c0.inv_monomial(), window, -low))
-        rem = (guess.star(self) - TorusElement.one(self.dim, window)).cap(window)
+        rem = guess.star(self) - TorusElement.one(self.dim, window)
+        rem = rem.truncate(window)
         # every mode of rem has positive hbar valuation, so the series stops
         acc = TorusElement.one(self.dim, window)
         term = acc
         rounds = 0
         while not term.is_zero():
-            term = term.star(-rem).cap(window)
+            term = term.star(-rem).truncate(window)
             acc = acc + term
             rounds += 1
             assert rounds <= window + 2
-        return acc.star(guess).cap(window)
+        return acc.star(guess).truncate(window)
 
     def trace(self) -> HbarLaurent:
         """Normalized trace: (1/(i hbar))^d times the zero-mode coefficient.
@@ -212,35 +172,9 @@ class TorusElement:
         z = (0,) * (2 * self.dim)
         c = self.coeffs.get(z)
         if c is None:
-            c = HbarLaurent.zero(self.min_trunc())
+            c = HbarLaurent.zero(self.global_window() or 0)
         scale = (FieldElement.i_unit() * (-1)) ** self.dim
         return (c * scale).shift(-self.dim)
-
-    def global_window(self):
-        """Smallest coefficient window, or None when there are no terms;
-        a mode absent from the element counts as zero through this window."""
-        return min((c.trunc for c in self.coeffs.values()), default=None)
-
-    def __eq__(self, other):
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        wa, wb = self.global_window(), other.global_window()
-        keys = set(self.coeffs) | set(other.coeffs)
-        for k in keys:
-            a = self.coeffs.get(k)
-            b = other.coeffs.get(k)
-            if a is None:
-                if not (b if wa is None else b.truncate(wa)).is_zero():
-                    return False
-            elif b is None:
-                if not (a if wb is None else a.truncate(wb)).is_zero():
-                    return False
-            elif a != b:
-                return False
-        return True
-
-    def __hash__(self):
-        raise TypeError("TorusElement is unhashable (window-relative equality)")
 
     def __repr__(self):
         return f"TorusElement<{len(self.coeffs)} waves, dim={self.dim}>"
@@ -355,17 +289,22 @@ class TranslationAction:
                 f"vector={self.vector}, twist={self.twist})")
 
 
-class CrossedElement:
+class CrossedElement(Sparse):
     """Finite sum a_g u_g in the crossed product of the quantized torus by a
     translation action; u_g a u_g^(-1) = (action of g on a)."""
 
-    __slots__ = ("action", "coeffs")
+    __slots__ = ("action",)
+
+    _scalars = _SCALARS
 
     def __init__(self, action: TranslationAction,
                  coeffs: dict[int, TorusElement]):
         self.action = action
         self.coeffs = {action.group.normalize(g): a
                        for g, a in coeffs.items() if not a.is_zero()}
+
+    def _spawn(self, coeffs, other=None):
+        return CrossedElement(self.action, coeffs)
 
     @classmethod
     def pure(cls, action: TranslationAction, g: int,
@@ -376,38 +315,9 @@ class CrossedElement:
     def one(cls, action: TranslationAction, trunc: int) -> "CrossedElement":
         return cls(action, {0: TorusElement.one(action.dim, trunc)})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def component(self, g: int) -> TorusElement:
         return self.coeffs.get(self.action.group.normalize(g),
                                TorusElement.zero(self.action.dim))
-
-    def __add__(self, other):
-        if not isinstance(other, CrossedElement):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for g, a in other.coeffs.items():
-            cur = out.get(g)
-            out[g] = a if cur is None else cur + a
-        return CrossedElement(self.action, out)
-
-    def __neg__(self):
-        return CrossedElement(self.action,
-                              {g: -a for g, a in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, CrossedElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement, HbarLaurent)):
-            return CrossedElement(self.action,
-                                  {g: a * other for g, a in self.coeffs.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def star(self, other: "CrossedElement") -> "CrossedElement":
         assert isinstance(other, CrossedElement)
@@ -416,41 +326,13 @@ class CrossedElement:
         for g, a in self.coeffs.items():
             for h, b in other.coeffs.items():
                 prod = a.star(self.action.apply(g, b))
-                key = grp.compose(g, h)
-                cur = out.get(key)
-                out[key] = prod if cur is None else cur + prod
+                _acc(out, grp.compose(g, h), prod)
         return CrossedElement(self.action, out)
 
     def trace(self) -> HbarLaurent:
         """Trace of the identity-group-component; the other components are
         killed, which is what makes the trace invariant under the action."""
         return self.component(0).trace()
-
-    def global_window(self):
-        wins = [w for a in self.coeffs.values()
-                if (w := a.global_window()) is not None]
-        return min(wins) if wins else None
-
-    def __eq__(self, other):
-        if not isinstance(other, CrossedElement):
-            return NotImplemented
-        wa, wb = self.global_window(), other.global_window()
-        keys = set(self.coeffs) | set(other.coeffs)
-        for k in keys:
-            a = self.coeffs.get(k)
-            b = other.coeffs.get(k)
-            if a is None:
-                if not (b if wa is None else b.cap(wa)).is_zero():
-                    return False
-            elif b is None:
-                if not (a if wb is None else a.cap(wb)).is_zero():
-                    return False
-            elif a != b:
-                return False
-        return True
-
-    def __hash__(self):
-        raise TypeError("CrossedElement is unhashable")
 
     def __repr__(self):
         return f"CrossedElement<components={sorted(self.coeffs)}>"
@@ -481,20 +363,25 @@ def _merge_directions(p: tuple[int, ...], q: tuple[int, ...]):
     return tuple(merged), sign
 
 
-class TorusForm:
+class TorusForm(Sparse):
     """Differential form on the 2d-torus with TorusElement coefficients.
 
     Keys are strictly increasing tuples of directions 0..2d-1; direction j<d
     is dx^(j+1), direction d+j is dxi^(j+1).
     """
 
-    __slots__ = ("dim", "parts")
+    __slots__ = ("dim",)
 
-    def __init__(self, dim: int, parts: dict[tuple[int, ...], TorusElement]):
+    _scalars = _SCALARS
+
+    def __init__(self, dim: int, coeffs: dict[tuple[int, ...], TorusElement]):
         self.dim = dim
-        self.parts = {k: v for k, v in parts.items() if not v.is_zero()}
-        for k in self.parts:
+        self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
+        for k in self.coeffs:
             assert all(x < y for x, y in zip(k, k[1:]))
+
+    def _spawn(self, coeffs, other=None):
+        return TorusForm(self.dim, coeffs)
 
     @classmethod
     def zero(cls, dim: int) -> "TorusForm":
@@ -508,58 +395,28 @@ class TorusForm:
     def basis_form(cls, dim: int, directions, coeff: TorusElement) -> "TorusForm":
         return cls(dim, {tuple(directions): coeff})
 
-    def is_zero(self) -> bool:
-        return not self.parts
-
     def component(self, directions) -> TorusElement:
-        return self.parts.get(tuple(directions), TorusElement.zero(self.dim))
+        return self.coeffs.get(tuple(directions), TorusElement.zero(self.dim))
 
     def degree_part(self, r: int) -> "TorusForm":
         return TorusForm(self.dim,
-                         {k: v for k, v in self.parts.items() if len(k) == r})
-
-    def __add__(self, other):
-        if not isinstance(other, TorusForm):
-            return NotImplemented
-        out = dict(self.parts)
-        for k, v in other.parts.items():
-            cur = out.get(k)
-            out[k] = v if cur is None else cur + v
-        return TorusForm(self.dim, out)
-
-    def __neg__(self):
-        return TorusForm(self.dim, {k: -v for k, v in self.parts.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TorusForm):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement, HbarLaurent)):
-            return TorusForm(self.dim,
-                             {k: v * other for k, v in self.parts.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
+                         {k: v for k, v in self.coeffs.items() if len(k) == r})
 
     def wedge(self, other: "TorusForm") -> "TorusForm":
         assert isinstance(other, TorusForm) and other.dim == self.dim
         out: dict = {}
-        for p, a in self.parts.items():
-            for q, b in other.parts.items():
+        for p, a in self.coeffs.items():
+            for q, b in other.coeffs.items():
                 key, sign = _merge_directions(p, q)
                 if key is None:
                     continue
-                term = a.symbol_mul(b) * sign
-                cur = out.get(key)
-                out[key] = term if cur is None else cur + term
+                _acc(out, key, a.symbol_mul(b) * sign)
         return TorusForm(self.dim, out)
 
     def d(self) -> "TorusForm":
         """Exterior derivative."""
         out: dict = {}
-        for k, v in self.parts.items():
+        for k, v in self.coeffs.items():
             for j in range(2 * self.dim):
                 dv = v.partial(j)
                 if dv.is_zero():
@@ -567,9 +424,7 @@ class TorusForm:
                 key, sign = _merge_directions((j,), k)
                 if key is None:
                     continue
-                term = dv * sign
-                cur = out.get(key)
-                out[key] = term if cur is None else cur + term
+                _acc(out, key, dv * sign)
         return TorusForm(self.dim, out)
 
     def integrate(self) -> HbarLaurent:
@@ -577,48 +432,14 @@ class TorusForm:
         omega^d / d! integrates to 1; only the top component contributes and
         only through its zero mode."""
         d = self.dim
-        top = self.parts.get(tuple(range(2 * d)))
+        top = self.coeffs.get(tuple(range(2 * d)))
         if top is None:
-            return HbarLaurent.zero(self.min_trunc())
-        z = (0,) * (2 * d)
-        c = top.coeffs.get(z)
-        if c is None:
-            c = HbarLaurent.zero(top.min_trunc())
+            return HbarLaurent.zero(self.global_window() or 0)
         sign = (-1) ** d * (-1) ** (d * (d - 1) // 2)
-        return c * sign
-
-    def min_trunc(self) -> int:
-        truncs = [v.min_trunc() for v in self.parts.values()]
-        return min(truncs) if truncs else 0
-
-    def global_window(self):
-        wins = [w for v in self.parts.values()
-                if (w := v.global_window()) is not None]
-        return min(wins) if wins else None
-
-    def __eq__(self, other):
-        if not isinstance(other, TorusForm):
-            return NotImplemented
-        wa, wb = self.global_window(), other.global_window()
-        keys = set(self.parts) | set(other.parts)
-        for k in keys:
-            a = self.parts.get(k)
-            b = other.parts.get(k)
-            if a is None:
-                if not (b if wa is None else b.cap(wa)).is_zero():
-                    return False
-            elif b is None:
-                if not (a if wb is None else a.cap(wb)).is_zero():
-                    return False
-            elif a != b:
-                return False
-        return True
-
-    def __hash__(self):
-        raise TypeError("TorusForm is unhashable")
+        return top.coefficient((0,) * (2 * d)) * sign
 
     def __repr__(self):
-        degs = sorted({len(k) for k in self.parts})
+        degs = sorted({len(k) for k in self.coeffs})
         return f"TorusForm<degrees={degs}, dim={self.dim}>"
 
 
@@ -637,7 +458,7 @@ def symplectic_form(dim: int, trunc: int) -> TorusForm:
 # jets: sections of the fiberwise Weyl algebra
 
 
-class WeylSection:
+class WeylSection(Filtered):
     """Jet-bundle section: polynomial in 2d fiber generators with
     TorusElement coefficients, filtered by fiber degree + 2 (hbar degree).
 
@@ -646,7 +467,10 @@ class WeylSection:
     makes the flat connection below a derivation of the product.
     """
 
-    __slots__ = ("dim", "order", "coeffs")
+    __slots__ = ("dim", "order")
+
+    _scalars = _SCALARS
+    _degree = staticmethod(sum)
 
     def __init__(self, dim: int, order: int,
                  coeffs: dict[tuple[int, ...], TorusElement]):
@@ -663,6 +487,12 @@ class WeylSection:
             if not c.is_zero():
                 cleaned[alpha] = c
         self.coeffs = cleaned
+
+    def _at(self, order, coeffs):
+        return WeylSection(self.dim, order, coeffs)
+
+    def global_window(self) -> int:
+        return self.order
 
     @classmethod
     def zero(cls, dim: int, order: int) -> "WeylSection":
@@ -695,35 +525,6 @@ class WeylSection:
     def component(self, alpha) -> TorusElement:
         return self.coeffs.get(tuple(alpha), TorusElement.zero(self.dim))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        if not isinstance(other, WeylSection):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            cur = out.get(k)
-            out[k] = v if cur is None else cur + v
-        return WeylSection(self.dim, min(self.order, other.order), out)
-
-    def __neg__(self):
-        return WeylSection(self.dim, self.order,
-                           {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, WeylSection):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement, HbarLaurent)):
-            return WeylSection(self.dim, self.order,
-                               {k: v * other for k, v in self.coeffs.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def star(self, other: "WeylSection") -> "WeylSection":
         assert isinstance(other, WeylSection) and other.dim == self.dim
         d = self.dim
@@ -739,11 +540,7 @@ class WeylSection:
                 for (a, b, k), scal in wa.star(wb).coeffs.items():
                     gamma = a + b
                     term = base * scal
-                    if k:
-                        term = TorusElement(
-                            d, {m: c.shift(k) for m, c in term.coeffs.items()})
-                    cur = out.get(gamma)
-                    out[gamma] = term if cur is None else cur + term
+                    _acc(out, gamma, term.shift(k) if k else term)
         return WeylSection(d, order, out)
 
     def nabla(self) -> list["WeylSection"]:
@@ -758,38 +555,13 @@ class WeylSection:
             for alpha, c in self.coeffs.items():
                 dc = c.partial(j)
                 if not dc.is_zero():
-                    cur = comp.get(alpha)
-                    comp[alpha] = dc if cur is None else cur + dc
+                    _acc(comp, alpha, dc)
                 if alpha[j]:
                     down = tuple(a - 1 if t == j else a
                                  for t, a in enumerate(alpha))
-                    term = c * (-alpha[j])
-                    cur = comp.get(down)
-                    comp[down] = term if cur is None else cur + term
+                    _acc(comp, down, c * (-alpha[j]))
             out.append(WeylSection(self.dim, self.order - 1, comp))
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, WeylSection):
-            return NotImplemented
-        common = min(self.order, other.order)
-        keys = {k for k in self.coeffs if sum(k) <= common} | \
-               {k for k in other.coeffs if sum(k) <= common}
-        for k in keys:
-            a = self.coeffs.get(k)
-            b = other.coeffs.get(k)
-            if a is None:
-                if not b.is_zero():
-                    return False
-            elif b is None:
-                if not a.is_zero():
-                    return False
-            elif a != b:
-                return False
-        return True
-
-    def __hash__(self):
-        raise TypeError("WeylSection is unhashable")
 
     def __repr__(self):
         return f"WeylSection<{len(self.coeffs)} fiber terms, order={self.order}>"
@@ -819,7 +591,5 @@ def jet(f: TorusElement, order: int) -> WeylSection:
                 continue
             fe = FieldElement.pi_power(tot, q * 2 ** tot) * \
                 FieldElement.i_unit() ** tot
-            term = TorusElement(d, {m: c * fe})
-            cur = out.get(alpha)
-            out[alpha] = term if cur is None else cur + term
+            _acc(out, alpha, TorusElement(d, {m: c * fe}))
     return WeylSection(d, order, out)

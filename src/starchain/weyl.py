@@ -23,6 +23,7 @@ import math
 from fractions import Fraction
 
 from .scalars import FieldElement, HbarLaurent, _as_field, _min_trunc
+from .sparse import Filtered, _acc
 
 
 def _falling(n: int, j: int) -> int:
@@ -47,10 +48,13 @@ def _deg(key) -> int:
     return sum(a) + sum(b) + 2 * k
 
 
-class WeylElement:
+class WeylElement(Filtered):
     """Sparse element of the formal Weyl algebra, keyed by Weyl symbols."""
 
-    __slots__ = ("dim", "order", "coeffs")
+    __slots__ = ("dim", "order")
+
+    _scalars = (int, Fraction, FieldElement)
+    _degree = staticmethod(_deg)
 
     def __init__(self, dim: int, order: int,
                  coeffs: dict[tuple[tuple[int, ...], tuple[int, ...], int], FieldElement]):
@@ -58,6 +62,16 @@ class WeylElement:
         self.order = order
         self.coeffs = {k: v for k, v in coeffs.items()
                        if _deg(k) <= order and not v.is_zero()}
+
+    def _at(self, order, coeffs):
+        return WeylElement(self.dim, order, coeffs)
+
+    def _spawn(self, coeffs, other=None):
+        assert other is None or other.dim == self.dim
+        return Filtered._spawn(self, coeffs, other)
+
+    def global_window(self) -> int:
+        return self.order
 
     # -- constructors ------------------------------------------------------
 
@@ -106,13 +120,6 @@ class WeylElement:
 
     # -- queries -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def low(self):
-        return min(_deg(k) for k in self.coeffs) if self.coeffs else None
-
     def coefficient(self, a, b, hbar_pow: int = 0) -> FieldElement:
         return self.coeffs.get((tuple(a), tuple(b), hbar_pow), FieldElement.zero())
 
@@ -137,43 +144,10 @@ class WeylElement:
 
     # -- linear structure --------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        assert other.dim == self.dim
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            cur = out.get(k)
-            out[k] = v if cur is None else cur + v
-        return WeylElement(self.dim, min(self.order, other.order), out)
-
-    def __neg__(self):
-        return WeylElement(self.dim, self.order,
-                           {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Scalar action; use star() or poly_mul() for algebra products."""
-        if isinstance(other, (int, Fraction, FieldElement)):
-            fe = other if isinstance(other, FieldElement) else _as_field(other, 4)
-            return WeylElement(self.dim, self.order,
-                               {k: v * fe for k, v in self.coeffs.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return WeylElement(self.dim, self.order,
-                               {k: v / q for k, v in self.coeffs.items()})
-        if isinstance(other, FieldElement):
-            return self * other.inv_monomial()
-        return NotImplemented
+    def _scalar(self, s):
+        """Scalars act as FieldElements; use star() or poly_mul() for
+        algebra products."""
+        return _as_field(s, 4) if isinstance(s, self._scalars) else None
 
     def divide_hbar(self, m: int = 1) -> "WeylElement":
         """Exact division by hbar^m; every term must carry at least hbar^m."""
@@ -182,13 +156,13 @@ class WeylElement:
             if k < m:
                 raise ValueError("element is not divisible by hbar^%d" % m)
             out[(a, b, k - m)] = v
-        return WeylElement(self.dim, self.order - 2 * m, out)
+        return self._at(self.order - 2 * m, out)
 
     def shift_hbar(self, m: int) -> "WeylElement":
         if m < 0:
             return self.divide_hbar(-m)
         out = {(a, b, k + m): v for (a, b, k), v in self.coeffs.items()}
-        return WeylElement(self.dim, self.order + 2 * m, out)
+        return self._at(self.order + 2 * m, out)
 
     # -- products ----------------------------------------------------------
 
@@ -232,9 +206,7 @@ class WeylElement:
                             * _i_pow(st)
                         a = tuple(a1[i] + a2[i] - s[i] - t[i] for i in range(dim))
                         b = tuple(b1[i] + b2[i] - s[i] - t[i] for i in range(dim))
-                        key = (a, b, k1 + k2 + st)
-                        cur = out.get(key)
-                        out[key] = coeff if cur is None else cur + coeff
+                        _acc(out, (a, b, k1 + k2 + st), coeff)
         return WeylElement(dim, order, out)
 
     def poly_mul(self, other: "WeylElement") -> "WeylElement":
@@ -249,9 +221,7 @@ class WeylElement:
                 key = (a, b, k1 + k2)
                 if _deg(key) > order:
                     continue
-                p = c1 * c2
-                cur = out.get(key)
-                out[key] = p if cur is None else cur + p
+                _acc(out, key, c1 * c2)
         return WeylElement(self.dim, order, out)
 
     def partial_x(self, i: int) -> "WeylElement":
@@ -269,22 +239,6 @@ class WeylElement:
                 b2 = tuple(e - 1 if j == i else e for j, e in enumerate(b))
                 out[(a, b2, k)] = v * b[i]
         return WeylElement(self.dim, self.order - 1, out)
-
-    def truncate(self, order: int) -> "WeylElement":
-        return WeylElement(self.dim, min(order, self.order), self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        common = min(self.order, other.order)
-        a = {k: v for k, v in self.coeffs.items() if _deg(k) <= common}
-        b = {k: v for k, v in other.coeffs.items() if _deg(k) <= common}
-        if set(a) != set(b):
-            return False
-        return all(a[k] == b[k] for k in a)
-
-    def __hash__(self):
-        raise TypeError("WeylElement is unhashable (window-relative equality)")
 
     def __repr__(self):
         parts = []

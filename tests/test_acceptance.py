@@ -19,7 +19,7 @@ from starchain.cyclic import (ChainContext, CyclicChain, EquivariantChain,
                               homogeneous_to_coinvariants, q_map)
 from starchain.forms import FormalForm, hkr, j_shift, mu_normalization_chain
 from starchain.group_coh import (GroupCochain, equivariant_ahat,
-                                 equivariant_theta, phi_pair, tr_xi,
+                                 equivariant_theta, phi_pair, TraceFunctional,
                                  trace_pair)
 from starchain.groups import CyclicGroup
 from starchain.lie_gf import (InvariantConnection, LieCochain, a_hat_series,
@@ -323,7 +323,7 @@ def test_criterion_06_character_cycles():
 
 def test_criterion_07_twisted_trace_cocycle():
     xi = GroupCochain.polynomial(Z, 1, {(1,): 1})
-    T = tr_xi(xi, Z_ACT)
+    T = TraceFunctional(xi, Z_ACT)
     ctx = ChainContext.crossed(Z_ACT, h_trunc=H, u_trunc=U)
     rng = random.Random(107)
     for _ in range(100):
@@ -362,7 +362,7 @@ def test_criterion_09_equivariant_pairings():
     xi1 = GroupCochain.polynomial(Z, 1, {(1,): 1})
     cls = equivariant_ahat(Z_ACT, h_t).cup(
         equivariant_theta(Z_ACT, h_t).exponential())
-    assert tr_xi(xi1, Z_ACT).pair(ch_const).is_zero()
+    assert TraceFunctional(xi1, Z_ACT).pair(ch_const).is_zero()
     assert phi_pair(cls, xi1, ch_const).is_zero()
 
     # (b) trivial cochain degenerates to the plain pairing value
@@ -372,7 +372,7 @@ def test_criterion_09_equivariant_pairings():
     ch = chern_character(e, u_t)
     xi0 = GroupCochain.constant(Z, 1)
     want = ULaurent.from_hbar(inv_i_hbar(h_t), u_t)
-    lhs = tr_xi(xi0, Z_ACT).pair(ch)
+    lhs = TraceFunctional(xi0, Z_ACT).pair(ch)
     rhs = phi_pair(cls, xi0, ch)
     assert lhs == want
     assert rhs == want
@@ -457,7 +457,7 @@ def test_criterion_11_forms_bridge():
             c = rand_chain(ctx, rng, rng.randint(1, 3), terms=2)
             assert hkr(c.boundary()).is_zero()
             assert hkr(c.mixed_boundary()) == \
-                hkr(c).d_hat().shift_u(1).truncate_u(ctx.u_trunc)
+                hkr(c).d_hat().shift(1).truncate(ctx.u_trunc)
 
     def rand_form(r, dim=2, terms=3):
         out = FormalForm.zero(dim)
@@ -475,7 +475,7 @@ def test_criterion_11_forms_bridge():
 
     for _ in range(20):
         phi = rand_form(rng)
-        assert j_shift(phi.d_hat().shift_u(1)) == j_shift(phi).d_hat()
+        assert j_shift(phi.d_hat().shift(1)) == j_shift(phi).d_hat()
 
     mu1 = mu_normalization_chain(1, h_trunc=H, u_trunc=U)
     assert len(mu1.coeffs) == 2

@@ -133,7 +133,7 @@ def test_hkr_chain_map_to_u_scaled_derivative():
                 c = rand_sym_chain(rng, ctx, degree)
                 assert hkr(c.boundary()).is_zero()
                 lhs = hkr(c.mixed_boundary())
-                rhs = hkr(c).d_hat().shift_u(1).truncate_u(ctx.u_trunc)
+                rhs = hkr(c).d_hat().shift(1).truncate(ctx.u_trunc)
                 assert lhs == rhs
 
 
@@ -148,9 +148,9 @@ def test_sym_vocabulary_closure():
 def test_j_shift_windows_at_d1():
     c = rand_coeff(random.Random(16))
     zero_form = FormalForm.scalar(1, c)
-    assert j_shift(zero_form).terms[(((0,), (0,)), ())] == c.shift_u(-1)
+    assert j_shift(zero_form).coeffs[(((0,), (0,)), ())] == c.shift(-1)
     two_form = FormalForm.monomial(1, (0,), (0,), (0, 1), c)
-    assert j_shift(two_form).terms[(((0,), (0,)), (0, 1))] == c.shift_u(-3)
+    assert j_shift(two_form).coeffs[(((0,), (0,)), (0, 1))] == c.shift(-3)
     assert j_shift(two_form).shifted
 
 
@@ -158,7 +158,7 @@ def test_j_shift_intertwines_derivatives():
     rng = random.Random(17)
     for _ in range(20):
         phi = rand_form(rng)
-        lhs = j_shift(phi.d_hat().shift_u(1))
+        lhs = j_shift(phi.d_hat().shift(1))
         rhs = j_shift(phi).d_hat()
         assert lhs == rhs
 

@@ -5,7 +5,7 @@ import pytest
 
 from starchain.cyclic import ChainContext, CyclicChain, chern_character
 from starchain.group_coh import (GroupCochain, equivariant_ahat,
-                                 equivariant_theta, phi_pair, tr_xi)
+                                 equivariant_theta, phi_pair, TraceFunctional)
 from starchain.groups import CyclicGroup
 from starchain.lie_gf import (TRACE, InvariantConnection, LieCochain,
                               a_hat_series, chern_weil, curvature, gf_form,
@@ -208,7 +208,7 @@ def test_tau_t_functional():
     val = tau_t_pair(CyclicChain.word(tctx, word))
     want = ULaurent.from_hbar(
         HbarLaurent.from_field(FieldElement.pi_power(2, 2), H),
-        U).shift_u(-1)
+        U).shift(-1)
     assert val == want
     # modes off balance: zero mode of the product vanishes
     assert tau_t_pair(CyclicChain.word(
@@ -236,7 +236,7 @@ def test_i_xi_matches_twisted_traces():
                 GroupCochain.polynomial(Z, 1, {(1,): 1}),
                 GroupCochain.polynomial(Z, 2, {(1, 1): 1})]
     for k, xi in enumerate(cochains):
-        T = tr_xi(xi, ACT)
+        T = TraceFunctional(xi, ACT)
         for _ in range(6):
             c = rand_chain(k)
             assert i_xi(TRACE, xi, c) == T.pair(c)

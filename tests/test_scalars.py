@@ -464,7 +464,7 @@ def test_u_ring_axioms():
 
 def test_u_shift_and_window():
     x = ULaurent.from_hbar(HbarLaurent.one(4), 3, power=-1)
-    assert x.shift_u(2).low == 1 and x.shift_u(2).trunc == 5
+    assert x.shift(2).low == 1 and x.shift(2).trunc == 5
     y = x + ULaurent.from_hbar(HbarLaurent.one(4), 3, power=2)
     assert y.window(0, 3).low == 2
     assert y.window(-1, 1).low == -1
@@ -477,6 +477,58 @@ def test_u_scalar_action():
     assert (x / 3) == ULaurent.one(2, 4)
     i = FieldElement.i_unit()
     assert (x * i) / i == x
+
+
+# oracle for the u product: the pairwise sum of HbarLaurent products.  The
+# operands carry negative u powers and hbar coefficients with their own
+# windows, so every output coefficient's window comes from its own pairs.
+
+
+@st.composite
+def u_series(draw, level=None):
+    trunc = draw(st.integers(-1, 3))
+    powers = draw(st.lists(st.integers(-2, trunc), min_size=1, max_size=3,
+                           unique=True))
+    if level is None:
+        level = draw(st.sampled_from((4, 12)))
+    return ULaurent(trunc, {k: draw(hbar_series(level)) for k in powers})
+
+
+def pairwise_u_product(x, y):
+    trunc = min(x.trunc + y.low, y.trunc + x.low)
+    out = {}
+    for i, a in x.coeffs.items():
+        for j, b in y.coeffs.items():
+            if i + j <= trunc:
+                p = a * b
+                out[i + j] = p if i + j not in out else out[i + j] + p
+    return ULaurent(trunc, out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(u_series(), u_series())
+def test_u_product_against_pairwise_oracle(x, y):
+    got, want = x * y, pairwise_u_product(x, y)
+    assert got.trunc == want.trunc
+    assert to_text(got) == to_text(want)
+    assert {k: v.trunc for k, v in got.coeffs.items()} == \
+        {k: v.trunc for k, v in want.coeffs.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((4, 12)).flatmap(
+    lambda lev: st.tuples(u_series(lev), u_series(lev), u_series(lev))))
+def test_u_product_laws_on_common_window(xyz):
+    x, y, z = xyz
+    left, right = (x * y) * z, x * (y * z)
+    window = min(left.trunc, right.trunc)
+    # the window holds the lowest u term of the product, so it decides
+    assert window >= x.low + y.low + z.low
+    assert left.truncate(window) == right.truncate(window)
+    left, right = x * (y + z), x * y + x * z
+    window = min(left.trunc, right.trunc)
+    assert window >= x.low + min(y.low, z.low)
+    assert left.truncate(window) == right.truncate(window)
 
 
 # ---------------------------------------------------------------------------
