@@ -35,7 +35,7 @@ class FormalForm(Sparse):
 
     __slots__ = ("dim", "order", "shifted")
 
-    _scalars = (int, Fraction, FieldElement, HbarLaurent, ULaurent)
+    _scalars = (ULaurent, HbarLaurent, FieldElement, int, Fraction)
 
     def __init__(self, dim: int, coeffs, order: int = 16,
                  shifted: bool = False):

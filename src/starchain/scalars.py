@@ -16,6 +16,19 @@ denominator, the numerators are multiplied through the zeta rows of that
 level, and each output power is normalised once.  Otherwise the product is
 the pairwise sum of FieldElement products, so each output coefficient sits
 at the lcm level of its own pairs.  Both give the same normal form.
+
+A product by a one-term monomial u hbar^k, u = (n/d) zeta^a pi^b, is a
+relabelling, not a series product; most scalars the chain operators meet
+are such phases (exactly 1, or +-zeta^a).  Each coefficient has its
+exponent shifted by k, is embedded at lcm(level, u.level) only when u's
+level does not divide its own, and has its numerators moved through the
+zeta rows by the single entry (a, b).  zeta^a is a unit of Z[zeta], so
+multiplying by it is an invertible integer matrix on the numerators of
+each pi-degree, and pi^b only moves the pi-degree: the numerators' gcd
+is kept, the result is already in lowest terms when n/d = +-1, and the
+gcd runs only otherwise.  A product by 1 at a dividing level returns the
+coefficient itself.  Levels follow the lcm rule of the pairwise product,
+so the printed form is the same.
 """
 
 from __future__ import annotations
@@ -103,12 +116,13 @@ def _mul_into(out: dict[tuple[int, int], int],
 
 
 def _normal(level: int, num: dict[tuple[int, int], int],
-            den: int) -> "FieldElement":
+            den: int, content: bool = True) -> "FieldElement":
     """FieldElement with numerators num over den > 0, brought to normal
-    form: zero numerators dropped, then one gcd to put it in lowest terms."""
+    form: zero numerators dropped, then one gcd to put it in lowest terms;
+    content=False skips the gcd for a caller that knows it is 1."""
     if not all(num.values()):
         num = {k: v for k, v in num.items() if v}
-    if den != 1:
+    if content and den != 1:
         g = math.gcd(den, *num.values())
         if g != 1:
             den //= g
@@ -210,6 +224,19 @@ class FieldElement:
         lev = self.common_level(self, other)
         return self.embed(lev), other.embed(lev)
 
+    def _descend(self, level: int):
+        """self at level, a divisor of self.level, when every stored zeta
+        exponent is a multiple of step = self.level // level; else None.
+        Each quotient is then below phi(level), since phi(self.level) <=
+        phi(level) * step, so the result is in the power basis."""
+        step = self.level // level
+        num = {}
+        for (a, b), c in self.num.items():
+            if a % step:
+                return None
+            num[(a // step, b)] = c
+        return _normal(level, num, self.den, content=False)
+
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -249,7 +276,7 @@ class FieldElement:
 
     def __neg__(self):
         return _normal(self.level, {k: -v for k, v in self.num.items()},
-                       self.den)
+                       self.den, content=False)
 
     def __sub__(self, other):
         o = _as_field(other, self.level)
@@ -268,26 +295,44 @@ class FieldElement:
         return _normal(self.level, {k: v * n for k, v in self.num.items()},
                        self.den * d)
 
+    def _times_term(self, n: int, d: int, a: int, b: int,
+                    lu: int) -> "FieldElement":
+        """self * (n/d) zeta_lu^a pi^b for integers n != 0 and d > 0, at
+        lcm(self.level, lu) as the general product gives it: one relabelling
+        of the numerators, with the gcd only when n/d is not +-1 (see the
+        module docstring).  A product by 1 at a level dividing self.level
+        is self."""
+        x, lev = self, self.level
+        if lev % lu:
+            x = self.embed(math.lcm(lev, lu))
+            lev = x.level
+        if not (a or b):
+            return x if n == d else x._scaled(n, d)
+        out: dict[tuple[int, int], int] = {}
+        _mul_into(out, x.num, {(a * (lev // lu), b): n}, lev)
+        return _normal(lev, out, x.den * d,
+                       content=not (d == 1 and (n == 1 or n == -1)))
+
     def __mul__(self, other):
+        if isinstance(other, FieldElement):
+            x, y = self._aligned(other)
+            out: dict[tuple[int, int], int] = {}
+            _mul_into(out, x.num, y.num, x.level)
+            return _normal(x.level, out, x.den * y.den)
         if isinstance(other, (int, Fraction)):
             return self._scaled(other.numerator, other.denominator)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        x, y = self._aligned(other)
-        out: dict[tuple[int, int], int] = {}
-        _mul_into(out, x.num, y.num, x.level)
-        return _normal(x.level, out, x.den * y.den)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, FieldElement):
+            return self * other.inv_monomial()
         if isinstance(other, (int, Fraction)):
             n, d = other.numerator, other.denominator
             if n == 0:
                 raise ZeroDivisionError("FieldElement division by zero")
             return self._scaled(-d, -n) if n < 0 else self._scaled(d, n)
-        if isinstance(other, FieldElement):
-            return self * other.inv_monomial()
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -323,10 +368,19 @@ class FieldElement:
         x, y = self, other
         # a rational has the same (num, den) at every level
         if x.level != y.level and not (x.is_rational() and y.is_rational()):
-            try:
-                x, y = x._aligned(y)
-            except LevelOverflow:
-                return False
+            lev = math.lcm(x.level, y.level)
+            if lev <= MAX_CYCLOTOMIC_LEVEL:
+                x, y = x.embed(lev), y.embed(lev)
+            else:
+                # no common level: compare both at the gcd level, when both
+                # are written there
+                g = math.gcd(x.level, y.level)
+                x, y = x._descend(g), y._descend(g)
+                if x is None or y is None:
+                    raise LevelOverflow(
+                        f"lcm level {lev} exceeds bound "
+                        f"{MAX_CYCLOTOMIC_LEVEL} and the elements do not "
+                        f"descend to level {g}")
         return x.den == y.den and x.num == y.num
 
     def __hash__(self):
@@ -362,6 +416,15 @@ def _min_trunc(a_trunc, a_low, b_trunc, b_low):
     if not cands:
         return min(a_trunc, b_trunc)
     return min(cands)
+
+
+def _term(fe: FieldElement):
+    """(n, d, a, b, level) when fe is the one term (n/d) zeta^a pi^b, else
+    None."""
+    if len(fe.num) != 1:
+        return None
+    ((a, b), n), = fe.num.items()
+    return n, fe.den, a, b, fe.level
 
 
 def _shared_level(coeffs: dict[int, FieldElement]):
@@ -440,10 +503,10 @@ class _Laurent(Filtered):
         return self._at(trunc, out)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._spawn({k: v / other for k, v in self.coeffs.items()})
         if isinstance(other, FieldElement):
             return self * other.inv_monomial()
+        if isinstance(other, (int, Fraction)):
+            return self._spawn({k: v / other for k, v in self.coeffs.items()})
         return NotImplemented
 
     def shift(self, k: int):
@@ -485,32 +548,45 @@ class HbarLaurent(_Laurent):
     def _coerce(self, other):
         if isinstance(other, HbarLaurent):
             return other
-        if isinstance(other, (int, Fraction, FieldElement)):
-            fe = _as_field(other, 4)
-            return HbarLaurent.from_field(fe, self.trunc)
-        return None
+        fe = _as_field(other, 4)
+        if fe is NotImplemented:
+            return None
+        return HbarLaurent.from_field(fe, self.trunc)
 
     # bound in each series class's own body: perfbench/tracer.py times
     # HbarLaurent.__add__ and ULaurent.__add__ as separate entries
     __add__ = __radd__ = Sparse.__add__
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement)):
-            fe = _as_field(other, 4)
-            if fe.is_zero():
+        if isinstance(other, HbarLaurent):
+            trunc = _min_trunc(self.trunc, self.low, other.trunc, other.low)
+            for x, y in ((self, other), (other, self)):
+                if len(y.coeffs) == 1:
+                    (k, fe), = y.coeffs.items()
+                    term = _term(fe)
+                    if term is not None:
+                        return x._times_term(k, term, trunc)
+            if len(self.coeffs) > 1 and len(other.coeffs) > 1:
+                lev = _shared_level(self.coeffs)
+                if lev is not None and lev == _shared_level(other.coeffs):
+                    return self._convolve(other, lev, trunc)
+            # one coefficient has no sums to fuse; with mixed levels each
+            # output coefficient sits at the lcm of its own pairs' levels
+            return self._pairwise(other, trunc)
+        if isinstance(other, FieldElement):
+            if other.is_zero():
                 return HbarLaurent.zero(self.trunc)
-            return HbarLaurent(self.trunc,
-                               {k: v * fe for k, v in self.coeffs.items()})
-        if not isinstance(other, HbarLaurent):
+            term = _term(other)
+            if term is None:
+                return HbarLaurent(self.trunc, {k: v * other
+                                                for k, v in self.coeffs.items()})
+        elif isinstance(other, (int, Fraction)):
+            if not other:
+                return HbarLaurent.zero(self.trunc)
+            term = (other.numerator, other.denominator, 0, 0, 4)
+        else:
             return NotImplemented
-        trunc = _min_trunc(self.trunc, self.low, other.trunc, other.low)
-        if len(self.coeffs) > 1 and len(other.coeffs) > 1:
-            lev = _shared_level(self.coeffs)
-            if lev is not None and lev == _shared_level(other.coeffs):
-                return self._convolve(other, lev, trunc)
-        # one term has no sums to fuse; with mixed levels each output
-        # coefficient sits at the lcm of its own pairs' levels
-        return self._pairwise(other, trunc)
+        return self._times_term(0, term, self.trunc)
 
     __rmul__ = __mul__
 
@@ -534,6 +610,18 @@ class HbarLaurent(_Laurent):
         den = xden * yden
         return HbarLaurent(trunc, {k: _normal(lev, num, den)
                                    for k, num in acc.items()})
+
+    def _times_term(self, k: int, term, trunc: int) -> "HbarLaurent":
+        """self * (n/d) zeta_lu^a pi^b hbar^k through trunc, for term =
+        (n, d, a, b, lu): one relabelling per coefficient
+        (FieldElement._times_term) instead of a series product."""
+        out = object.__new__(HbarLaurent)
+        out.trunc = trunc
+        # already cut at trunc, and Q(zeta)[pi] has no zero divisors, so
+        # there is nothing for __init__ to drop
+        out.coeffs = {e + k: v._times_term(*term)
+                      for e, v in self.coeffs.items() if e + k <= trunc}
+        return out
 
     def invert(self) -> "HbarLaurent":
         """Inverse when the lowest coefficient is a monomial scalar."""
@@ -582,7 +670,7 @@ class ULaurent(_Laurent):
 
     __slots__ = ()
 
-    _scalars = (int, Fraction, FieldElement, HbarLaurent)
+    _scalars = (HbarLaurent, FieldElement, int, Fraction)
 
     @classmethod
     def from_hbar(cls, h: HbarLaurent, trunc: int, power: int = 0) -> "ULaurent":
@@ -605,17 +693,16 @@ class ULaurent(_Laurent):
     def _coerce(self, other):
         if isinstance(other, ULaurent):
             return other
-        if isinstance(other, (int, Fraction, FieldElement, HbarLaurent)):
-            if isinstance(other, HbarLaurent):
-                return ULaurent.from_hbar(other, self.trunc)
-            h = None
-            for v in self.coeffs.values():
-                h = HbarLaurent.from_field(_as_field(other, 4), v.trunc)
-                break
-            if h is None:
-                h = HbarLaurent.from_field(_as_field(other, 4), 0)
-            return ULaurent.from_hbar(h, self.trunc)
-        return None
+        if isinstance(other, HbarLaurent):
+            return ULaurent.from_hbar(other, self.trunc)
+        fe = _as_field(other, 4)
+        if fe is NotImplemented:
+            return None
+        htr = 0
+        for v in self.coeffs.values():
+            htr = v.trunc
+            break
+        return ULaurent.from_hbar(HbarLaurent.from_field(fe, htr), self.trunc)
 
     __add__ = __radd__ = Sparse.__add__
 

@@ -43,7 +43,7 @@ def _star_phase(pairing: int, trunc: int) -> HbarLaurent:
 
 
 # the scalars every element over torus coefficients is multiplied by
-_SCALARS = (int, Fraction, FieldElement, HbarLaurent)
+_SCALARS = (FieldElement, HbarLaurent, int, Fraction)
 
 
 def omega_pairing(m, n) -> int:

@@ -26,23 +26,6 @@ from .scalars import FieldElement, HbarLaurent, _as_field, _min_trunc
 from .sparse import Filtered, _acc
 
 
-def _falling(n: int, j: int) -> int:
-    out = 1
-    for t in range(j):
-        out *= n - t
-    return out
-
-
-_I4 = None
-
-
-def _i_pow(m: int) -> FieldElement:
-    global _I4
-    if _I4 is None:
-        _I4 = tuple(FieldElement.i_unit(4) ** r for r in range(4))
-    return _I4[m % 4]
-
-
 def _deg(key) -> int:
     a, b, k = key
     return sum(a) + sum(b) + 2 * k
@@ -53,7 +36,7 @@ class WeylElement(Filtered):
 
     __slots__ = ("dim", "order")
 
-    _scalars = (int, Fraction, FieldElement)
+    _scalars = (FieldElement, int, Fraction)
     _degree = staticmethod(_deg)
 
     def __init__(self, dim: int, order: int,
@@ -190,20 +173,23 @@ class WeylElement(Filtered):
                 s_bounds = [min(b1[i], a2[i]) for i in range(dim)]
                 t_bounds = [min(a1[i], b2[i]) for i in range(dim)]
                 for s in itertools.product(*(range(m + 1) for m in s_bounds)):
-                    num_s = Fraction(1)
+                    num_s = den_s = 1
                     for i in range(dim):
-                        num_s *= Fraction(
-                            _falling(b1[i], s[i]) * _falling(a2[i], s[i]),
-                            math.factorial(s[i]))
+                        num_s *= math.perm(b1[i], s[i]) * math.perm(a2[i], s[i])
+                        den_s *= math.factorial(s[i])
                     for t in itertools.product(*(range(m + 1) for m in t_bounds)):
-                        num = num_s
+                        num, den = num_s, den_s
                         for i in range(dim):
-                            num *= Fraction(
-                                _falling(a1[i], t[i]) * _falling(b2[i], t[i]),
-                                math.factorial(t[i]))
+                            num *= math.perm(a1[i], t[i]) * math.perm(b2[i], t[i])
+                            den *= math.factorial(t[i])
                         st = sum(s) + sum(t)
-                        coeff = cc * num * Fraction((-1) ** sum(t), 2 ** st) \
-                            * _i_pow(st)
+                        # (i/2)^st (-1)^|t| = +-zeta_4^(st mod 2) / 2^st,
+                        # with i^st = (-1)^(st // 2) zeta_4^(st mod 2)
+                        if (sum(t) + st // 2) % 2:
+                            num = -num
+                        den <<= st
+                        g = math.gcd(num, den)
+                        coeff = cc._times_term(num // g, den // g, st % 2, 0, 4)
                         a = tuple(a1[i] + a2[i] - s[i] - t[i] for i in range(dim))
                         b = tuple(b1[i] + b2[i] - s[i] - t[i] for i in range(dim))
                         _acc(out, (a, b, k1 + k2 + st), coeff)

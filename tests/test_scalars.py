@@ -163,6 +163,15 @@ def test_level_guard():
     # rationals compare by value, with no common level to overflow
     assert big == other
     assert big != FieldElement.rational(2, 8)
+    # without a common level, elements written at the gcd level (here 4)
+    # compare there: both of these are i
+    i_big = FieldElement(999_996, {(249_999, 0): 1})
+    assert i_big == FieldElement.i_unit(8)
+    assert i_big != -FieldElement.i_unit(8)
+    assert i_big != FieldElement.pi_power(1, level=8) * FieldElement.i_unit(8)
+    # zeta_999996 is not written at level 4: no answer, rather than False
+    with pytest.raises(LevelOverflow):
+        FieldElement(999_996, {(1, 0): 1}) == FieldElement.i_unit(8)
 
 
 def test_hash_agrees_with_equality_across_levels():
@@ -306,11 +315,11 @@ def nonzero_field(draw, level):
 
 
 @st.composite
-def hbar_series(draw, shared=None):
+def hbar_series(draw, shared=None, mixed=False):
     trunc = draw(st.integers(-1, 5))
     powers = draw(st.lists(st.integers(-3, trunc), min_size=1, max_size=4,
                            unique=True))
-    if shared is None:
+    if shared is None and not mixed:
         shared = draw(st.sampled_from((4, 12, 60, None)))
     coeffs = {}
     for k in powers:
@@ -330,16 +339,74 @@ def pairwise_product(x, y):
     return HbarLaurent(trunc, out)
 
 
-@settings(max_examples=100, deadline=None)
-@given(hbar_series(), hbar_series())
-def test_hbar_product_against_pairwise_oracle(x, y):
-    got, want = x * y, pairwise_product(x, y)
+def assert_same_product(got, want):
     assert got.trunc == want.trunc
     assert to_text(got) == to_text(want)
     assert {k: v.level for k, v in got.coeffs.items()} == \
         {k: v.level for k, v in want.coeffs.items()}
     for v in got.coeffs.values():
         assert_normal(v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hbar_series(), hbar_series())
+def test_hbar_product_against_pairwise_oracle(x, y):
+    assert_same_product(x * y, pairwise_product(x, y))
+
+
+# A product by a one-term monomial u hbar^k, u = (n/d) zeta^a pi^b, is a
+# relabelling of each coefficient; it must agree with the general pairwise
+# product of the same operands in window, text, levels and normal form.
+
+def one_term_field(draw, level):
+    """(n/d) zeta^a pi^b at level, a a power-basis index."""
+    m = len(cyclotomic_polynomial(level)) - 1
+    a = draw(st.integers(0, m - 1))
+    b = draw(st.integers(0, 2))
+    q = draw(st.fractions(min_value=-9, max_value=9,
+                          max_denominator=12).filter(bool))
+    return FieldElement(level, {(a, b): q})
+
+
+@st.composite
+def one_term_operands(draw):
+    """A one-term series u hbar^k, or a one-term scalar (int, Fraction or
+    FieldElement)."""
+    kind = draw(st.sampled_from(("one", "root", "term", "int", "fraction")))
+    if kind == "int":
+        return draw(st.integers(-5, 5).filter(bool))
+    if kind == "fraction":
+        return draw(st.fractions(min_value=-9, max_value=9,
+                                 max_denominator=12).filter(bool))
+    if kind == "one":
+        u = FieldElement.rational(1, draw(st.sampled_from((4, 12))))
+    elif kind == "root":
+        level = draw(st.sampled_from((4, 12, 20, 60)))
+        m = len(cyclotomic_polynomial(level)) - 1
+        u = FieldElement(level, {(draw(st.integers(0, m - 1)), 0):
+                                 draw(st.sampled_from((1, -1)))})
+    else:
+        u = one_term_field(draw, draw(st.sampled_from(LEVELS)))
+    if draw(st.booleans()):
+        return u
+    trunc = draw(st.integers(-2, 5))
+    return HbarLaurent(trunc, {draw(st.integers(-3, trunc)): u})
+
+
+@settings(max_examples=200, deadline=None)
+@given(hbar_series(mixed=True), one_term_operands())
+def test_one_term_product_against_pairwise(x, m):
+    if isinstance(m, HbarLaurent):
+        trunc = min(x.trunc + m.low, m.trunc + x.low)
+        want = x._pairwise(m, trunc)
+        assert_same_product(x * m, want)
+        assert_same_product(m * x, want)
+        return
+    fe = m if isinstance(m, FieldElement) else FieldElement.rational(m)
+    # a scalar keeps x's window
+    want = x._pairwise(HbarLaurent.from_field(fe, 0), x.trunc)
+    assert_same_product(x * m, want)
+    assert_same_product(m * x, want)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -105,6 +107,58 @@ def test_star_against_bidifferential_oracle():
             u = rand_weyl(rng, dim, order=14)
             v = rand_weyl(rng, dim, order=14)
             assert u.star(v) == moyal_oracle(u, v, 14)
+
+
+def fraction_star(u: WeylElement, v: WeylElement) -> WeylElement:
+    """Reference: the same monomial expansion as WeylElement.star, with each
+    term's factor a product of Fractions times a power of i."""
+    dim = u.dim
+    order = u._window(v)
+    out = {}
+    for (a1, b1, k1), c1 in u.coeffs.items():
+        for (a2, b2, k2), c2 in v.coeffs.items():
+            if sum(a1) + sum(b1) + 2 * k1 + sum(a2) + sum(b2) + 2 * k2 > order:
+                continue
+            cc = c1 * c2
+            s_bounds = [min(b1[i], a2[i]) for i in range(dim)]
+            t_bounds = [min(a1[i], b2[i]) for i in range(dim)]
+            for s in itertools.product(*(range(m + 1) for m in s_bounds)):
+                num_s = Fraction(1)
+                for i in range(dim):
+                    num_s *= Fraction(
+                        math.perm(b1[i], s[i]) * math.perm(a2[i], s[i]),
+                        math.factorial(s[i]))
+                for t in itertools.product(*(range(m + 1) for m in t_bounds)):
+                    num = num_s
+                    for i in range(dim):
+                        num *= Fraction(
+                            math.perm(a1[i], t[i]) * math.perm(b2[i], t[i]),
+                            math.factorial(t[i]))
+                    st = sum(s) + sum(t)
+                    coeff = cc * num * Fraction((-1) ** sum(t), 2 ** st) \
+                        * I ** st
+                    a = tuple(a1[i] + a2[i] - s[i] - t[i] for i in range(dim))
+                    b = tuple(b1[i] + b2[i] - s[i] - t[i] for i in range(dim))
+                    key = (a, b, k1 + k2 + st)
+                    out[key] = coeff if key not in out else out[key] + coeff
+    return WeylElement(dim, order, out)
+
+
+def test_star_against_fraction_formula():
+    rng = random.Random(4711)
+    for dim in (1, 2):
+        for _ in range(40):
+            u, v = (rand_weyl(rng, dim, order=16, terms=1, max_exp=4)
+                    for _ in range(2))
+            if rng.random() < 0.5:
+                u = u * FieldElement.zeta(12, rng.randrange(12))
+            got, want = u.star(v), fraction_star(u, v)
+            assert got.order == want.order
+            assert got.coeffs.keys() == want.coeffs.keys()
+            for key, c in got.coeffs.items():
+                assert c.level == want.coeffs[key].level
+                assert c.num == want.coeffs[key].num
+                assert c.den == want.coeffs[key].den
 
 
 def test_star_associative_random():
