@@ -1,29 +1,76 @@
 """Group cochains and their pairings with equivariant chains.
 
-The cochains here are scalar-valued functions on tuples of group
-elements.  Over the infinite cyclic group they are stored as integer
+The cochains here are functions on tuples of group elements, valued in
+scalars (GroupCochain) or in torus forms (EquivariantClassCocycle, the
+class data).  Over the infinite cyclic group both are stored as integer
 polynomials, so coboundary identities can be certified exactly on a
 finite grid (a polynomial of bounded degree vanishing on enough lattice
-points vanishes identically); over a finite cyclic group they are
-stored as exhaustive tables.  Opaque callables are also accepted, with
-grid checks that are then honest samples rather than proofs.
+points vanishes identically); over a finite cyclic group scalar
+cochains are stored as exhaustive tables and grids run over the whole
+group.  Opaque callables are also accepted, with grid checks that are
+then honest samples rather than proofs.
+
+The two kinds share one polynomial evaluator (`_poly_eval`), one
+inhomogeneous coboundary (`_coboundary`, with the first argument acting
+trivially on scalars and by pullback on forms) and one certifying grid
+(`_grid`).  Class data is a flat sparse sum: an exponent tuple of length
+p maps to a torus form, and a form term with q legs makes a term of
+bidegree (p, q) in the bicomplex of group cochains valued in forms.
 
 On top of the cochains sit the cap against the leading group legs of an
 equivariant chain, the twisted trace functionals on crossed-product
-chains, the characteristic-class data living in the (group cochain,
-torus form) bicomplex, and the transposed pairing that integrates a
-capped chain against such class data with the degree-halving u-weights.
+chains, and the transposed pairing that integrates a capped chain
+against class data with the degree-halving u-weights.
 """
 
+import math
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 from .cyclic import CyclicChain, EquivariantChain, d_map
 from .groups import CyclicGroup
 from .scalars import FieldElement, HbarLaurent, ULaurent, _as_field
-from .sparse import _acc
-from .torus import (TorusElement, TorusForm, TranslationAction,
+from .sparse import Sparse, _acc
+from .torus import (_SCALARS, TorusElement, TorusForm, TranslationAction,
                     omega_pairing, symplectic_form)
+
+
+def _poly_eval(terms, args, zero):
+    """Sum of c * prod_i args[i]**exps[i] over the (exps, c) terms."""
+    out = zero
+    for exps, c in terms:
+        m = 1
+        for g, e in zip(args, exps):
+            m *= g ** e
+        out = out + c * m
+    return out
+
+
+def _coboundary(evaluate, group: CyclicGroup, args, front=None):
+    """Inhomogeneous coboundary of a cochain, evaluated at args: the first
+    argument acts on the value at the rest (through front(g, value), or
+    trivially when front is None), neighbours merge with alternating
+    signs, and the back drops with the last sign."""
+    k = len(args) - 1
+    out = evaluate(args[1:])
+    if front is not None:
+        out = front(args[0], out)
+    for i in range(1, k + 1):
+        merged = args[:i - 1] + (group.compose(args[i - 1], args[i]),) \
+            + args[i + 1:]
+        val = evaluate(merged)
+        out = out + (val * (-1) if i % 2 else val)
+    tail = evaluate(args[:k])
+    return out + (tail * (-1) if (k + 1) % 2 else tail)
+
+
+def _grid(group: CyclicGroup, span: int):
+    """Certifying grid: the whole group when it is finite, else
+    [-span, span]."""
+    if group.order is not None:
+        return range(group.order)
+    return range(-span, span + 1)
 
 
 class GroupCochain:
@@ -43,8 +90,8 @@ class GroupCochain:
 
     @classmethod
     def constant(cls, group: CyclicGroup, value) -> "GroupCochain":
-        fe = value if isinstance(value, FieldElement) else _as_field(value, 4)
-        return cls(group, 0, "polynomial", {(): fe}, normalized=True)
+        return cls(group, 0, "polynomial", {(): _as_field(value, 4)},
+                   normalized=True)
 
     @classmethod
     def polynomial(cls, group: CyclicGroup, degree: int,
@@ -57,7 +104,7 @@ class GroupCochain:
         for exps, c in coeffs.items():
             exps = tuple(exps)
             assert len(exps) == degree
-            fe = c if isinstance(c, FieldElement) else _as_field(c, 4)
+            fe = _as_field(c, 4)
             if fe.is_zero():
                 continue
             data[exps] = fe
@@ -73,7 +120,7 @@ class GroupCochain:
         for args, c in mapping.items():
             args = tuple(group.normalize(g) for g in args)
             assert len(args) == degree
-            data[args] = c if isinstance(c, FieldElement) else _as_field(c, 4)
+            data[args] = _as_field(c, 4)
         norm = all(v.is_zero() for a, v in data.items()
                    if any(group.is_identity(g) for g in a))
         return cls(group, degree, "table", data, normalized=norm)
@@ -89,13 +136,7 @@ class GroupCochain:
         args = tuple(self.group.normalize(g) for g in args)
         assert len(args) == self.degree
         if self.kind == "polynomial":
-            out = FieldElement.zero()
-            for exps, c in self.data.items():
-                m = 1
-                for g, e in zip(args, exps):
-                    m *= g ** e
-                out = out + c * m
-            return out
+            return _poly_eval(self.data.items(), args, FieldElement.zero())
         if self.kind == "table":
             return self.data.get(args, FieldElement.zero())
         return self.data(args)
@@ -106,43 +147,21 @@ class GroupCochain:
     # -- differential ------------------------------------------------------
 
     def coboundary(self) -> "GroupCochain":
-        """Inhomogeneous coboundary: drop the front, merge neighbours with
-        alternating signs, drop the back with the last sign."""
-        k = self.degree
-        G = self.group
-
-        def fn(args):
-            out = self.evaluate(args[1:])
-            for i in range(1, k + 1):
-                merged = args[:i - 1] + (G.compose(args[i - 1], args[i]),) \
-                    + args[i + 1:]
-                val = self.evaluate(merged)
-                out = out + (val * (-1) if i % 2 else val)
-            tail = self.evaluate(args[:k])
-            out = out + (tail * (-1) if (k + 1) % 2 else tail)
-            return out
-
-        return GroupCochain.from_function(G, k + 1, fn,
-                                          normalized=self.normalized)
-
-    def _grid(self, span: int | None = None):
-        if self.group.order is not None:
-            return range(self.group.order)
-        if span is None:
-            if self.kind == "polynomial":
-                top = max((sum(e) for e in self.data), default=0)
-                span = top + 1
-            else:
-                span = 3
-        return range(-span, span + 1)
+        """Inhomogeneous coboundary, with the trivial action on scalars."""
+        return GroupCochain.from_function(
+            self.group, self.degree + 1,
+            lambda args: _coboundary(self.evaluate, self.group, args),
+            normalized=self.normalized)
 
     def cocycle_witness(self, span: int | None = None):
         """None when the coboundary vanishes on the certifying grid,
         otherwise one offending (arguments, value) pair.  Exact for the
         polynomial and table kinds, sampled for opaque callables."""
+        if span is None:
+            span = 3 if self.kind != "polynomial" else \
+                max((sum(e) for e in self.data), default=0) + 1
         delta = self.coboundary()
-        pts = self._grid(span)
-        for args in product(pts, repeat=delta.degree):
+        for args in product(_grid(self.group, span), repeat=delta.degree):
             v = delta.evaluate(args)
             if not v.is_zero():
                 return args, v
@@ -172,80 +191,54 @@ def form_pullback(action: TranslationAction, g: int,
     return TorusForm(form.dim, out)
 
 
-class EquivariantClassCocycle:
-    """Bigraded class datum: for each (group degree p, form degree q) a
-    polynomial family of torus forms indexed by exponent tuples, the
-    same storage convention as the scalar cochains above."""
+class EquivariantClassCocycle(Sparse):
+    """Class datum: a polynomial family of torus forms on the group, stored
+    flat as {exponent tuple: TorusForm}.  A tuple of length p and a form
+    term with q legs make a term of bidegree (p, q); the value at
+    (g_1, ..., g_p) is the sum of the forms times their monomials, the
+    storage convention of the polynomial scalar cochains above.  Sums,
+    scalar multiples, windows and equality come from the sparse
+    container; the group coboundary is the one the scalar cochains use,
+    with the first argument acting by pullback."""
 
-    __slots__ = ("action", "components")
+    __slots__ = ("action",)
 
-    def __init__(self, action: TranslationAction, components):
+    _scalars = _SCALARS
+
+    def __init__(self, action: TranslationAction, coeffs):
         self.action = action
-        self.components = {}
-        for (p, q), fam in components.items():
-            fam = {tuple(e): f for e, f in fam.items() if not f.is_zero()}
-            for exps, f in fam.items():
-                assert len(exps) == p
-                assert all(len(k) == q for k in f.coeffs)
-            if fam:
-                self.components[(p, q)] = fam
+        self.coeffs = {tuple(e): f for e, f in coeffs.items()
+                       if not f.is_zero()}
+
+    def _spawn(self, coeffs, other=None):
+        return EquivariantClassCocycle(self.action, coeffs)
 
     @classmethod
     def constant(cls, action: TranslationAction,
                  form: TorusForm) -> "EquivariantClassCocycle":
-        comps = {}
-        for q in sorted({len(k) for k in form.coeffs}):
-            comps[(0, q)] = {(): form.degree_part(q)}
-        return cls(action, comps)
-
-    def is_zero(self) -> bool:
-        return not self.components
+        return cls(action, {(): form})
 
     def bidegrees(self):
-        return sorted(self.components)
+        return sorted({(len(e), len(k))
+                       for e, f in self.coeffs.items() for k in f.coeffs})
 
     def evaluate(self, p: int, q: int, args) -> TorusForm:
         args = tuple(self.action.group.normalize(g) for g in args)
         assert len(args) == p
-        fam = self.components.get((p, q))
-        out = TorusForm.zero(self.action.dim)
-        if fam is None:
-            return out
-        for exps, f in fam.items():
-            m = 1
-            for g, e in zip(args, exps):
-                m *= g ** e
-            if m:
-                out = out + f * m
-        return out
-
-    def __add__(self, other):
-        if not isinstance(other, EquivariantClassCocycle):
-            return NotImplemented
-        out = {pq: dict(fam) for pq, fam in self.components.items()}
-        for pq, fam in other.components.items():
-            tgt = out.setdefault(pq, {})
-            for e, f in fam.items():
-                _acc(tgt, e, f)
-        return EquivariantClassCocycle(self.action, out)
-
-    def scale(self, s) -> "EquivariantClassCocycle":
-        return EquivariantClassCocycle(
-            self.action,
-            {pq: {e: f * s for e, f in fam.items()}
-             for pq, fam in self.components.items()})
+        return _poly_eval(((e, f.degree_part(q))
+                           for e, f in self.coeffs.items() if len(e) == p),
+                          args, TorusForm.zero(self.action.dim))
 
     def cup(self, other: "EquivariantClassCocycle") -> "EquivariantClassCocycle":
-        """Cup on the group slots, wedge on the forms, with the usual sign
-        for moving the second factor's group slots past the first form."""
+        """Cup on the group slots, wedge on the forms, with the Koszul sign
+        (-1)^(q1 p2) for moving the second factor's p2 group slots past
+        the first form's degree-q1 part."""
         out: dict = {}
-        for (p1, q1), fam1 in self.components.items():
-            for (p2, q2), fam2 in other.components.items():
-                sign = -1 if (q1 * p2) % 2 else 1
-                tgt = out.setdefault((p1 + p2, q1 + q2), {})
-                for e1, f1 in fam1.items():
-                    for e2, f2 in fam2.items():
-                        _acc(tgt, e1 + e2, f1.wedge(f2) * sign)
+        for e1, f1 in self.coeffs.items():
+            odd = TorusForm(f1.dim, {k: -v if len(k) % 2 else v
+                                     for k, v in f1.coeffs.items()})
+            for e2, f2 in other.coeffs.items():
+                _acc(out, e1 + e2, (odd if len(e2) % 2 else f1).wedge(f2))
         return EquivariantClassCocycle(self.action, out)
 
     def exponential(self) -> "EquivariantClassCocycle":
@@ -254,14 +247,14 @@ class EquivariantClassCocycle:
         dim = self.action.dim
         unit = EquivariantClassCocycle.constant(
             self.action,
-            TorusForm.from_function(TorusElement.one(dim, self._window())))
+            TorusForm.from_function(
+                TorusElement.one(dim, self.global_window() or 0)))
         acc = unit
         term = unit
         k = 0
         while True:
             k += 1
-            term = term.cup(self)
-            term = term.scale(Fraction(1, k))
+            term = term.cup(self) * Fraction(1, k)
             if term.is_zero():
                 break
             if k > 4 * dim + 4:
@@ -269,43 +262,26 @@ class EquivariantClassCocycle:
             acc = acc + term
         return acc
 
-    def _window(self) -> int:
-        wins = [f.global_window() for fam in self.components.values()
-                for f in fam.values()]
-        return min(wins) if wins else 0
-
-    def _delta_eval(self, p: int, q: int, args) -> TorusForm:
-        """Group coboundary of the (p, q) component, evaluated."""
-        G = self.action.group
-        out = form_pullback(self.action, args[0],
-                            self.evaluate(p, q, args[1:]))
-        for i in range(1, p + 1):
-            merged = args[:i - 1] + (G.compose(args[i - 1], args[i]),) \
-                + args[i + 1:]
-            val = self.evaluate(p, q, merged)
-            out = out + (val * (-1) if i % 2 else val)
-        tail = self.evaluate(p, q, args[:p])
-        out = out + (tail * (-1) if (p + 1) % 2 else tail)
-        return out
-
     def total_cocycle_witness(self, span: int = 2):
         """Checks d(c_{P,Q-1}) + (-1)^Q delta(c_{P-1,Q}) = 0 for every
-        bidegree on a grid; exact for component families of per-argument
+        bidegree on a grid; exact for families of per-argument
         polynomial degree below the grid span."""
-        if not self.components:
+        if self.is_zero():
             return None
-        G = self.action.group
-        pts = range(G.order) if G.order is not None \
-            else range(-span, span + 1)
-        max_p = max(p for p, _ in self.components)
-        max_q = max(q for _, q in self.components)
+        pts = _grid(self.action.group, span)
+        degs = self.bidegrees()
+        max_p = max(p for p, _ in degs)
+        max_q = max(q for _, q in degs)
+        pull = partial(form_pullback, self.action)
         for P in range(max_p + 2):
             for Q in range(max_q + 2):
                 for args in product(pts, repeat=P):
                     acc = self.evaluate(P, Q - 1, args).d() if Q >= 1 \
                         else TorusForm.zero(self.action.dim)
                     if P >= 1:
-                        delta = self._delta_eval(P - 1, Q, args)
+                        delta = _coboundary(
+                            lambda a: self.evaluate(P - 1, Q, a),
+                            self.action.group, args, pull)
                         acc = acc + (delta * (-1) if Q % 2 else delta)
                     if not acc.is_zero():
                         return (P, Q), args, acc
@@ -325,7 +301,7 @@ def equivariant_theta(action: TranslationAction,
     dim = action.dim
     inv_i_hbar = HbarLaurent.from_field(FieldElement.i_unit() * (-1),
                                         h_trunc, power=-1)
-    comps: dict = {(0, 2): {(): symplectic_form(dim, h_trunc) * inv_i_hbar}}
+    fams = {(): symplectic_form(dim, h_trunc) * inv_i_hbar}
     if action.twist is not None:
         w = action.twist
         assert omega_pairing(w, w) == 0
@@ -334,9 +310,8 @@ def equivariant_theta(action: TranslationAction,
             if wj:
                 parts[(j,)] = TorusElement.one(dim, h_trunc) * (
                     FieldElement.pi_power(1, -2 * wj) * FieldElement.i_unit())
-        if parts:
-            comps[(1, 1)] = {(1,): TorusForm(dim, parts)}
-    return EquivariantClassCocycle(action, comps)
+        fams[(1,)] = TorusForm(dim, parts)
+    return EquivariantClassCocycle(action, fams)
 
 
 def equivariant_ahat(action: TranslationAction,
@@ -372,9 +347,6 @@ def cap(chain: EquivariantChain, xi: GroupCochain,
 
 def word_to_form(dim: int, word, h_trunc: int) -> TorusForm:
     """(1/n!) w0 dw1 ^ ... ^ dwn on plane-wave symbols."""
-    fact = 1
-    for t in range(2, len(word)):
-        fact *= t
     acc = TorusForm.from_function(
         TorusElement.plane_wave(dim, word[0], h_trunc))
     for m in word[1:]:
@@ -383,7 +355,7 @@ def word_to_form(dim: int, word, h_trunc: int) -> TorusForm:
                 TorusElement.plane_wave(dim, m, h_trunc)).d())
         if acc.is_zero():
             return acc
-    return acc * Fraction(1, fact)
+    return acc * Fraction(1, math.factorial(len(word) - 1))
 
 
 class TraceFunctional:

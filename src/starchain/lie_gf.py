@@ -35,10 +35,6 @@ class LieCochain:
         self.fn = fn
 
     @classmethod
-    def from_function(cls, arity: int, fn) -> "LieCochain":
-        return cls(arity, fn)
-
-    @classmethod
     def coefficient_product(cls, keys) -> "LieCochain":
         """Antisymmetrized product of representative-coefficient
         extractions; the workhorse for randomized cochains in tests."""
@@ -322,7 +318,7 @@ def gelfand_fuks_equivariant(action: TranslationAction, h_trunc: int = 8,
     if order is None:
         order = 2 * h_trunc + 2
     conn = InvariantConnection(dim, order)
-    comps: dict = {(0, 2): {(): gf_form(theta_hat_cochain(), conn, h_trunc)}}
+    fams = {(): gf_form(theta_hat_cochain(), conn, h_trunc)}
     if action.twist is not None:
         w = action.twist
         wave = WeylSection.fiber_wave(dim, w, order)
@@ -341,9 +337,8 @@ def gelfand_fuks_equivariant(action: TranslationAction, h_trunc: int = 8,
             if series.is_zero():
                 continue
             parts[(j,)] = one * series
-        if parts:
-            comps[(1, 1)] = {(1,): TorusForm(dim, parts)}
-    return EquivariantClassCocycle(action, comps)
+        fams[(1,)] = TorusForm(dim, parts)
+    return EquivariantClassCocycle(action, fams)
 
 
 # -- trace-side pairings ---------------------------------------------------

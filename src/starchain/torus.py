@@ -80,8 +80,7 @@ class TorusElement(Sparse):
         if isinstance(coeff, HbarLaurent):
             c = coeff.truncate(trunc)
         else:
-            fe = coeff if isinstance(coeff, FieldElement) else _as_field(coeff, 4)
-            c = HbarLaurent.from_field(fe, trunc)
+            c = HbarLaurent.from_field(_as_field(coeff, 4), trunc)
         return cls(dim, {mode: c})
 
     @classmethod
@@ -280,9 +279,6 @@ class TranslationAction:
         if pairing and g:
             c = c * _star_phase(2 * g * pairing, trunc)
         return c
-
-    def untwisted(self) -> "TranslationAction":
-        return TranslationAction(self.dim, self.group, self.vector, None)
 
     def __repr__(self):
         return (f"TranslationAction(dim={self.dim}, group={self.group}, "
@@ -506,21 +502,10 @@ class WeylSection(Filtered):
     def fiber_wave(cls, dim: int, w, order: int) -> "WeylSection":
         """exp(2 pi i w . yhat): the base-constant fiber plane wave of an
         integer vector w, expanded through the fiber filtration."""
-        w = tuple(w)
-        out: dict = {}
-        for alpha in _fiber_indices(2 * dim, order):
-            c = Fraction(1)
-            fe = FieldElement.rational(1)
-            tot = sum(alpha)
-            for wj, aj in zip(w, alpha):
-                c *= Fraction(wj ** aj, math.factorial(aj))
-            if c == 0 and tot > 0:
-                continue
-            fe = FieldElement.pi_power(tot, c * 2 ** tot) * \
-                FieldElement.i_unit() ** tot
-            cap = (order - tot) // 2
-            out[alpha] = TorusElement.one(dim, cap) * fe
-        return cls(dim, order, out)
+        assert len(w) == 2 * dim
+        return cls(dim, order,
+                   {alpha: TorusElement.one(dim, (order - sum(alpha)) // 2) * fe
+                    for alpha, fe in _fiber_terms(w, order)})
 
     def component(self, alpha) -> TorusElement:
         return self.coeffs.get(tuple(alpha), TorusElement.zero(self.dim))
@@ -576,20 +561,26 @@ def _fiber_indices(slots: int, max_total: int):
             yield (head,) + tail
 
 
+def _fiber_terms(v, order: int):
+    """(alpha, coefficient) for the terms of prod_j exp(2 pi i v_j yhat_j)
+    through fiber degree order: (2 pi i)^|alpha| v^alpha / alpha!, with
+    the vanishing ones skipped."""
+    for alpha in _fiber_indices(len(v), order):
+        tot = sum(alpha)
+        q = Fraction(1)
+        for vj, aj in zip(v, alpha):
+            q *= Fraction(vj ** aj, math.factorial(aj))
+        if q:
+            yield alpha, FieldElement.pi_power(tot, q * 2 ** tot) * \
+                FieldElement.i_unit() ** tot
+
+
 def jet(f: TorusElement, order: int) -> WeylSection:
     """Taylor expansion along the fiber: e_m goes to
     e_m * prod_j exp(2 pi i m_j yhat_j), expanded through the filtration."""
     d = f.dim
     out: dict = {}
     for m, c in f.coeffs.items():
-        for alpha in _fiber_indices(2 * d, order):
-            tot = sum(alpha)
-            q = Fraction(1)
-            for mj, aj in zip(m, alpha):
-                q *= Fraction(mj ** aj, math.factorial(aj))
-            if q == 0 and tot > 0:
-                continue
-            fe = FieldElement.pi_power(tot, q * 2 ** tot) * \
-                FieldElement.i_unit() ** tot
+        for alpha, fe in _fiber_terms(m, order):
             _acc(out, alpha, TorusElement(d, {m: c * fe}))
     return WeylSection(d, order, out)

@@ -67,8 +67,7 @@ class WeylElement(Filtered):
                  order: int = 16) -> "WeylElement":
         a, b = tuple(a), tuple(b)
         assert len(a) == dim and len(b) == dim
-        return cls(dim, order, {(a, b, hbar_pow): _as_field(coeff, 4)
-                                if not isinstance(coeff, FieldElement) else coeff})
+        return cls(dim, order, {(a, b, hbar_pow): _as_field(coeff, 4)})
 
     @classmethod
     def one(cls, dim: int, order: int = 16) -> "WeylElement":

@@ -185,6 +185,52 @@ def test_cup_associative():
             assert left.evaluate(*pq, args) == right.evaluate(*pq, args)
 
 
+def test_cup_koszul_sign():
+    # two (1, 1) classes with different legs: moving the second factor's
+    # group slot past the first factor's 1-form costs a sign, so at
+    # (g1, g2) the (2, 2) part of the cup is -g1 g2 l1 ^ l2
+    one = TorusElement.one(1, H)
+    l1 = TorusForm.basis_form(1, (0,), one)
+    l2 = TorusForm.basis_form(1, (1,), one * 3)
+    a = EquivariantClassCocycle(ACT, {(1,): l1})
+    b = EquivariantClassCocycle(ACT, {(1,): l2})
+    assert a.bidegrees() == b.bidegrees() == [(1, 1)]
+    ab, ba = a.cup(b), b.cup(a)
+    assert ab.bidegrees() == ba.bidegrees() == [(2, 2)]
+    for g1, g2 in [(2, 3), (-1, 4), (5, 1)]:
+        assert ab.evaluate(2, 2, (g1, g2)) == l1.wedge(l2) * (-g1 * g2)
+        assert ba.evaluate(2, 2, (g1, g2)) == l2.wedge(l1) * (-g1 * g2)
+        assert ba.evaluate(2, 2, (g1, g2)) == l1.wedge(l2) * (g1 * g2)
+    # an even number of group slots moves past the form with no sign
+    c = EquivariantClassCocycle(ACT, {(1, 1): TorusForm.from_function(one)})
+    assert a.cup(c).evaluate(3, 1, (1, 2, 3)) == l1 * 6
+
+
+def test_scalar_and_form_coboundaries_agree():
+    # g^2 fails the cocycle condition; as the only family of a class, times
+    # a constant 0-form (which the translations fix), the total-cocycle
+    # check must fail at the same arguments with the value times the form
+    form = TorusForm.from_function(TorusElement.one(1, H) * 3)
+    cls = EquivariantClassCocycle(ACT, {(2,): form})
+    for span in (1, 2, 3):
+        args, val = GroupCochain.polynomial(Z, 1, {(2,): 1}) \
+            .cocycle_witness(span)
+        bideg, cls_args, acc = cls.total_cocycle_witness(span)
+        assert bideg == (2, 0)
+        assert cls_args == args
+        assert acc == form * val
+
+
+def test_form_coboundary_acts_by_pullback():
+    # a closed top form on a moving plane wave: d passes it, and the group
+    # coboundary g^*f - f is the first failure
+    f = TorusForm.basis_form(1, (0, 1), TorusElement.plane_wave(1, (1, 0), H))
+    cls = EquivariantClassCocycle(ACT, {(): f})
+    bideg, args, acc = cls.total_cocycle_witness()
+    assert (bideg, args) == ((1, 2), (-2,))
+    assert acc == form_pullback(ACT, -2, f) - f
+
+
 # -- cap and the twisted traces --------------------------------------------
 
 def test_cap_drops_leading_legs():

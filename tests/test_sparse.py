@@ -8,6 +8,7 @@ import pytest
 from starchain.cyclic import (ChainContext, CyclicChain, EquivariantChain,
                               TensorSplitChain)
 from starchain.forms import FormalForm
+from starchain.group_coh import EquivariantClassCocycle
 from starchain.groups import CyclicGroup
 from starchain.scalars import FieldElement, HbarLaurent, ULaurent
 from starchain.torus import (CrossedElement, TorusElement, TorusForm,
@@ -58,6 +59,9 @@ BUILD = {
                          (((1, 0), (-1, 0)), (k, 1)): u(3, w + 1)}),
     TensorSplitChain: lambda w, k: TensorSplitChain(
         CTX, {(((0, 0),), (0,)): u(1, w), (((1, 0),), (k, 1)): u(2, w + 1)}),
+    EquivariantClassCocycle: lambda w, k: EquivariantClassCocycle(
+        ACT, {(): TorusForm(1, {(): torus(w, k)}),
+              (1 + k,): TorusForm(1, {(0,): torus(w + 1, 0)})}),
 }
 
 CLASSES = pytest.mark.parametrize("cls", list(BUILD), ids=lambda c: c.__name__)
