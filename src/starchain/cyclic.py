@@ -45,11 +45,17 @@ The homogeneous form keeps p+1 group slots modulo the diagonal action
 (stored in the free normal form: inner part canonical, group word free);
 the non-homogeneous form keeps p independent group slots, dropping any
 word that contains the identity.  The total boundary is the inner one
-plus (-1)^(inner degree) times the group-word one.
+plus (-1)^(inner degree) times the group-word one.  The front/back
+splitting of an honest diagonal chain is one over torus words.
+
+Every operator is linear, given by its value on one word as a list of
+(word, value) pairs that `Chain._map` sums over the chain; both chain
+classes keep their terms through `Chain._store`.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import accumulate
 
 from .scalars import HbarLaurent, ULaurent, _as_field
 from .sparse import Chain, _acc
@@ -222,45 +228,45 @@ def _deg_key(ctx, key, i):
     return [(key[:i + 1] + (_unit_label(ctx),) + key[i + 1:], None)]
 
 
-def _rot_key(ctx, key):
+def _rotate_key(ctx, key, k):
+    """Rotate a word k places: (x_0, ..., x_n) to (x_k, ..., x_n, x_0,
+    ..., x_(k-1)); k may be negative or exceed the length."""
     if ctx.kind == "diag":
         alg, grp = key
-        return (alg[1:] + alg[:1], grp[1:] + grp[:1])
-    return key[1:] + key[:1]
+        k %= len(alg)
+        return (alg[k:] + alg[:k], grp[k:] + grp[:k])
+    k %= len(key)
+    return key[k:] + key[:k]
 
 
-def _rot_inv_key(ctx, key):
+def _translate(ctx, action, g, key, gw=()):
+    """Act by g^-1 on an inner word of ctx and on a group word gw.
+
+    Modes never move, so the word only picks up the eigenvalue of g^-1 on
+    its modes; the group half of a diagonal word and gw are left-translated
+    by g^-1.  Returns (key, gw, phase)."""
+    G = action.group
+    ginv = G.inverse(g)
+    gw = tuple(G.compose(ginv, x) for x in gw)
     if ctx.kind == "diag":
         alg, grp = key
-        return (alg[-1:] + alg[:-1], grp[-1:] + grp[:-1])
-    return key[-1:] + key[:-1]
+        return ((alg, tuple(G.compose(ginv, x) for x in grp)), gw,
+                action.word_phase(ginv, alg, ctx.h_trunc))
+    return key, gw, action.word_phase(ginv, key, ctx.h_trunc)
 
 
-def _canon_diag(ctx, key):
-    """Canonical orbit representative: first group slot the identity.
-
-    Returns (key, scalar or None); the scalar collects the eigenvalue of
-    the action on every algebra slot (modes never move)."""
-    alg, grp = key
-    h = grp[0]
-    if ctx.group.is_identity(h):
-        return key, None
-    hinv = ctx.group.inverse(h)
-    grp2 = tuple(ctx.group.compose(hinv, g) for g in grp)
-    return (alg, grp2), ctx.action.word_phase(hinv, alg, ctx.h_trunc)
+def _scaled(c, pairs):
+    """c times the scalar of each (key, scalar-or-None) pair."""
+    return [(k, c if s is None else c * s) for k, s in pairs]
 
 
 def _raw_boundary_terms(ctx, key, coeff):
     """Alternating face sum of one word; degree 0 contributes nothing."""
     n = _key_degree(ctx, key)
     out = []
-    if n == 0:
-        return out
-    for i in range(n + 1):
-        sign = -1 if i % 2 else 1
-        for k2, s in _face_key(ctx, key, i):
-            v = coeff if s is None else coeff * s
-            out.append((k2, -v if sign < 0 else v))
+    for i in range(n + 1 if n else 0):
+        for k2, v in _scaled(coeff, _face_key(ctx, key, i)):
+            out.append((k2, -v if i % 2 else v))
     return out
 
 
@@ -268,16 +274,13 @@ def _raw_connes_terms(ctx, key, coeff):
     """Degree-raising boundary of one word (no u factor attached)."""
     n = _key_degree(ctx, key)
     out = []
-    cur = key
     for i in range(n + 1):
-        sg = -1 if (i * n) % 2 else 1
-        for k1, s1 in _deg_key(ctx, cur, n):
-            v = coeff if s1 is None else coeff * s1
-            if sg < 0:
+        cur = _rotate_key(ctx, key, i)
+        for k1, v in _scaled(coeff, _deg_key(ctx, cur, n)):
+            if (i * n) % 2:
                 v = -v
-            out.append((_rot_inv_key(ctx, k1), v))
+            out.append((_rotate_key(ctx, k1, -1), v))
             out.append((k1, -v if n % 2 else v))
-        cur = _rot_key(ctx, cur)
     return out
 
 
@@ -292,17 +295,17 @@ class CyclicChain(Chain):
 
     def __init__(self, ctx: ChainContext, coeffs):
         self.ctx = ctx
-        clean: dict = {}
-        canon = ctx.kind == "diag" and ctx.coinvariant
-        for k, v in coeffs.items():
-            if v.is_zero():
-                continue
-            if canon:
-                k, extra = _canon_diag(ctx, k)
-                if extra is not None:
-                    v = v * extra
-            _acc(clean, k, v)
-        self.coeffs = {k: v for k, v in clean.items() if not v.is_zero()}
+        self._store(coeffs)
+
+    def _admit(self, key, value):
+        """A coinvariant diagonal word moves to its orbit representative,
+        the one whose first group slot is the identity."""
+        ctx = self.ctx
+        if ctx.kind == "diag" and ctx.coinvariant \
+                and not ctx.group.is_identity(key[1][0]):
+            key, _, s = _translate(ctx, ctx.action, key[1][0], key)
+            value = value * s
+        return key, value
 
     @classmethod
     def zero(cls, ctx):
@@ -323,47 +326,21 @@ class CyclicChain(Chain):
         return sorted({_key_degree(self.ctx, k) for k in self.coeffs})
 
     def face(self, i: int) -> "CyclicChain":
-        out: dict = {}
-        for key, c in self.coeffs.items():
-            for k2, s in _face_key(self.ctx, key, i):
-                _acc(out, k2, c if s is None else c * s)
-        return CyclicChain(self.ctx, out)
+        return self._map(lambda k, c: _scaled(c, _face_key(self.ctx, k, i)))
 
     def degeneracy(self, i: int) -> "CyclicChain":
-        out: dict = {}
-        for key, c in self.coeffs.items():
-            for k2, s in _deg_key(self.ctx, key, i):
-                _acc(out, k2, c if s is None else c * s)
-        return CyclicChain(self.ctx, out)
+        return self._map(lambda k, c: _scaled(c, _deg_key(self.ctx, k, i)))
 
     def rotate(self, power: int = 1) -> "CyclicChain":
-        out: dict = {}
-        for key, c in self.coeffs.items():
-            k2 = key
-            if power >= 0:
-                for _ in range(power):
-                    k2 = _rot_key(self.ctx, k2)
-            else:
-                for _ in range(-power):
-                    k2 = _rot_inv_key(self.ctx, k2)
-            _acc(out, k2, c)
-        return CyclicChain(self.ctx, out)
+        return self._map(lambda k, c: [(_rotate_key(self.ctx, k, power), c)])
 
     def boundary(self) -> "CyclicChain":
         """Simplicial boundary b (alternating face sum)."""
-        out: dict = {}
-        for key, c in self.coeffs.items():
-            for k2, v in _raw_boundary_terms(self.ctx, key, c):
-                _acc(out, k2, v)
-        return CyclicChain(self.ctx, out)
+        return self._map(partial(_raw_boundary_terms, self.ctx))
 
     def connes_boundary(self) -> "CyclicChain":
         """Degree-raising boundary B (no u factor; mixed_boundary adds it)."""
-        out: dict = {}
-        for key, c in self.coeffs.items():
-            for k2, v in _raw_connes_terms(self.ctx, key, c):
-                _acc(out, k2, v)
-        return CyclicChain(self.ctx, out)
+        return self._map(partial(_raw_connes_terms, self.ctx))
 
     def mixed_boundary(self) -> "CyclicChain":
         """Simplicial boundary plus u times the degree-raising one, kept
@@ -386,9 +363,8 @@ def homogeneous_projection(c: CyclicChain) -> CyclicChain:
     if c.ctx.kind != "crossed":
         raise ValueError("homogeneous_projection expects a crossed chain")
     G = c.ctx.group
-    keep = {k: v for k, v in c.coeffs.items()
-            if G.is_identity(G.compose_all(g for _, g in k))}
-    return CyclicChain(c.ctx, keep)
+    return c._map(lambda k, v: [(k, v)]
+                  if G.is_identity(G.compose_all(g for _, g in k)) else [])
 
 
 def homogeneous_to_coinvariants(c: CyclicChain) -> CyclicChain:
@@ -400,23 +376,22 @@ def homogeneous_to_coinvariants(c: CyclicChain) -> CyclicChain:
     if c.ctx.kind != "crossed":
         raise ValueError("expected a crossed chain")
     ctx = c.ctx
-    dctx = ctx.as_diagonal(coinvariant=True)
     G, act = ctx.group, ctx.action
-    out: dict = {}
-    for key, v in c.coeffs.items():
+
+    def terms(key, v):
         labels = [g for _, g in key]
         if not G.is_identity(G.compose_all(labels)):
             raise ValueError("chain has a word outside the identity-product "
                              "component; project first")
         modes = tuple(m for m, _ in key)
-        prefix = [G.identity]
-        for g in labels[1:]:
-            prefix.append(G.compose(prefix[-1], g))
+        prefix = list(accumulate(labels[1:], G.compose, initial=G.identity))
         s = v * act.mode_phase(G.inverse(labels[0]), modes[0], ctx.h_trunc)
         for j in range(1, len(modes)):
             s = s * act.mode_phase(prefix[j - 1], modes[j], ctx.h_trunc)
-        _acc(out, (modes, tuple(prefix)), s)
-    return CyclicChain(dctx, out)
+        return [((modes, tuple(prefix)), s)]
+
+    return c._map(terms, partial(CyclicChain,
+                                 ctx.as_diagonal(coinvariant=True)))
 
 
 def coinvariants_to_homogeneous(c: CyclicChain) -> CyclicChain:
@@ -428,20 +403,19 @@ def coinvariants_to_homogeneous(c: CyclicChain) -> CyclicChain:
     if c.ctx.kind != "diag" or not c.ctx.coinvariant:
         raise ValueError("expected a coinvariant diagonal chain")
     ctx = c.ctx
-    xctx = ChainContext.crossed(ctx.action, ctx.h_trunc, ctx.u_trunc)
     G, act = ctx.group, ctx.action
-    out: dict = {}
-    for (modes, grp), v in c.coeffs.items():
-        n = len(modes) - 1
+
+    def terms(key, s):
+        modes, grp = key
         slots = []
-        s = v
-        for j in range(n + 1):
-            prev = grp[n] if j == 0 else grp[j - 1]
-            pinv = G.inverse(prev)
+        for j in range(len(modes)):
+            pinv = G.inverse(grp[j - 1])
             s = s * act.mode_phase(pinv, modes[j], ctx.h_trunc)
             slots.append((modes[j], G.compose(pinv, grp[j])))
-        _acc(out, tuple(slots), s)
-    return CyclicChain(xctx, out)
+        return [(tuple(slots), s)]
+
+    xctx = ChainContext.crossed(ctx.action, ctx.h_trunc, ctx.u_trunc)
+    return c._map(terms, partial(CyclicChain, xctx))
 
 
 def project_algebra_factor(c: CyclicChain) -> CyclicChain:
@@ -449,11 +423,8 @@ def project_algebra_factor(c: CyclicChain) -> CyclicChain:
     word and the coefficient unchanged."""
     if c.ctx.kind != "diag":
         raise ValueError("expected a diagonal chain")
-    tctx = c.ctx.as_torus()
-    out: dict = {}
-    for (alg, _grp), v in c.coeffs.items():
-        _acc(out, alg, v)
-    return CyclicChain(tctx, out)
+    return c._map(lambda k, v: [(k[0], v)],
+                  partial(CyclicChain, c.ctx.as_torus()))
 
 
 # -- equivariant chains ----------------------------------------------------
@@ -476,18 +447,17 @@ class EquivariantChain(Chain):
         self.inner_ctx = inner_ctx
         self.action = action
         self.homogeneous = homogeneous
-        G = action.group
-        clean: dict = {}
-        for (ik, gw), v in coeffs.items():
-            if v.is_zero():
-                continue
-            if homogeneous:
-                if not gw:
-                    raise ValueError("homogeneous keys need one group slot")
-            elif any(G.is_identity(g) for g in gw):
-                continue
-            _acc(clean, (ik, gw), v)
-        self.coeffs = {k: v for k, v in clean.items() if not v.is_zero()}
+        self._store(coeffs)
+
+    def _admit(self, key, value):
+        """Drop a non-homogeneous word with an identity entry."""
+        gw = key[1]
+        if self.homogeneous:
+            if not gw:
+                raise ValueError("homogeneous keys need one group slot")
+        elif any(self.action.group.is_identity(g) for g in gw):
+            return None
+        return key, value
 
     def _spawn(self, coeffs, other=None):
         if other is not None and other.homogeneous != self.homogeneous:
@@ -505,87 +475,68 @@ class EquivariantChain(Chain):
 
     # -- inner (coefficient complex) operators -----------------------------
 
-    def _inner_act(self, g, ik):
-        """Right action of g on an inner word: eigenvalue phases only."""
-        ctx, act = self.inner_ctx, self.action
-        ginv = act.group.inverse(g)
-        modes = ik[0] if ctx.kind == "diag" else ik
-        s = act.word_phase(ginv, modes, ctx.h_trunc)
-        if ctx.kind == "diag":
-            ik = (ik[0], tuple(act.group.compose(ginv, x) for x in ik[1]))
-        return ik, s
-
     def inner_boundary(self, mode: str = "mixed") -> "EquivariantChain":
         """Boundary of the inner part; in free normal form the produced
         representatives are re-canonicalised and the correction left-
         translates the group word."""
-        ctx = self.inner_ctx
-        G = self.action.group
-        out: dict = {}
-        for (ik, gw), c in self.coeffs.items():
-            terms = _raw_boundary_terms(ctx, ik, c)
+        if mode not in ("mixed", "hochschild"):
+            raise ValueError(f"unknown boundary mode {mode!r}")
+        ctx, act = self.inner_ctx, self.action
+        canon = ctx.kind == "diag" and ctx.coinvariant
+
+        def terms(key, c):
+            ik, gw = key
+            raw = _raw_boundary_terms(ctx, ik, c)
             if mode == "mixed":
-                terms += [(k2, v.shift(1).truncate(ctx.u_trunc))
-                          for k2, v in _raw_connes_terms(ctx, ik, c)]
-            elif mode != "hochschild":
-                raise ValueError(f"unknown boundary mode {mode!r}")
-            for k2, v in terms:
+                raw += [(k2, v.shift(1).truncate(ctx.u_trunc))
+                        for k2, v in _raw_connes_terms(ctx, ik, c)]
+            out = []
+            for k2, v in raw:
                 gw2 = gw
-                if ctx.kind == "diag" and ctx.coinvariant:
-                    h = k2[1][0]
-                    if not G.is_identity(h):
-                        k2, extra = _canon_diag(ctx, k2)
-                        if extra is not None:
-                            v = v * extra
-                        hinv = G.inverse(h)
-                        gw2 = tuple(G.compose(hinv, x) for x in gw)
-                _acc(out, (k2, gw2), v)
-        return self._spawn(out)
+                if canon and not act.group.is_identity(k2[1][0]):
+                    k2, gw2, s = _translate(ctx, act, k2[1][0], k2, gw)
+                    v = v * s
+                out.append(((k2, gw2), v))
+            return out
+
+        return self._map(terms)
 
     # -- group-word operators ----------------------------------------------
 
-    def _group_terms(self, ik, gw):
-        """Alternating boundary of the group word, as (key, scalar-mult)."""
+    def _group_terms(self, key, c, odd=0):
+        """Alternating boundary of the group word of one word with
+        coefficient c, every sign flipped when odd is 1."""
+        ik, gw = key
         G = self.action.group
-        terms = []
+        faces = []                      # (key, sign parity, scalar or None)
         if self.homogeneous:
-            p = len(gw) - 1
-            if p == 0:
-                return terms
-            for i in range(p + 1):
-                sg = -1 if i % 2 else 1
-                terms.append(((ik, gw[:i] + gw[i + 1:]), sg, None))
-            return terms
-        p = len(gw)
-        if p == 0:
-            return terms
-        ik0, s0 = self._inner_act(gw[0], ik)
-        terms.append(((ik0, gw[1:]), 1, s0))
-        for i in range(1, p):
-            sg = -1 if i % 2 else 1
-            gw2 = gw[:i - 1] + (G.compose(gw[i - 1], gw[i]),) + gw[i + 1:]
-            terms.append(((ik, gw2), sg, None))
-        terms.append(((ik, gw[:-1]), -1 if p % 2 else 1, None))
-        return terms
+            if len(gw) > 1:
+                faces = [((ik, gw[:i] + gw[i + 1:]), i % 2, None)
+                         for i in range(len(gw))]
+        elif gw:
+            p = len(gw)
+            ik0, _, s0 = _translate(self.inner_ctx, self.action, gw[0], ik)
+            faces.append(((ik0, gw[1:]), 0, s0))
+            for i in range(1, p):
+                gw2 = gw[:i - 1] + (G.compose(gw[i - 1], gw[i]),) + gw[i + 1:]
+                faces.append(((ik, gw2), i % 2, None))
+            faces.append(((ik, gw[:-1]), p % 2, None))
+        out = []
+        for k2, sg, s in faces:
+            v = c if s is None else c * s
+            out.append((k2, -v if sg != odd else v))
+        return out
 
     def group_boundary(self) -> "EquivariantChain":
-        out: dict = {}
-        for (ik, gw), c in self.coeffs.items():
-            for key, sg, s in self._group_terms(ik, gw):
-                v = c if s is None else c * s
-                _acc(out, key, -v if sg < 0 else v)
-        return self._spawn(out)
+        return self._map(self._group_terms)
 
     def total_boundary(self, mode: str = "mixed") -> "EquivariantChain":
         """Inner boundary plus (-1)^(inner degree) group-word boundary."""
         out = dict(self.inner_boundary(mode).coeffs)
-        for (ik, gw), c in self.coeffs.items():
-            n = _key_degree(self.inner_ctx, ik)
-            for key, sg, s in self._group_terms(ik, gw):
-                v = c if s is None else c * s
-                if (sg < 0) != (n % 2 == 1):
-                    v = -v
-                _acc(out, key, v)
+        for key, c in self.coeffs.items():
+            odd = _key_degree(self.inner_ctx, key[0]) % 2
+            for k2, v in self._group_terms(key, c, odd):
+                _acc(out, k2, v)
         return self._spawn(out)
 
     def prepend_unit(self) -> "EquivariantChain":
@@ -594,8 +545,7 @@ class EquivariantChain(Chain):
         if not self.homogeneous:
             raise ValueError("the homotopy lives on homogeneous chains")
         e = self.action.group.identity
-        return self._spawn({(ik, (e,) + gw): v
-                            for (ik, gw), v in self.coeffs.items()})
+        return self._map(lambda k, v: [((k[0], (e,) + k[1]), v)])
 
     # -- coordinate changes -------------------------------------------------
 
@@ -604,11 +554,9 @@ class EquivariantChain(Chain):
         if not (self.homogeneous and self.inner_ctx.kind == "diag"):
             raise ValueError("expects homogeneous chains with diagonal "
                              "inner words")
-        tctx = self.inner_ctx.as_torus()
-        out: dict = {}
-        for ((alg, _g), gw), v in self.coeffs.items():
-            _acc(out, (alg, gw), v)
-        return EquivariantChain(tctx, self.action, True, out)
+        return self._map(lambda k, v: [((k[0][0], k[1]), v)],
+                         partial(EquivariantChain, self.inner_ctx.as_torus(),
+                                 self.action, True))
 
     def to_nonhomogeneous(self) -> "EquivariantChain":
         """Divide out the diagonal action: act on the inner word by the
@@ -618,26 +566,29 @@ class EquivariantChain(Chain):
         if self.inner_ctx.kind != "torus":
             raise ValueError("convert after dropping the group half")
         G = self.action.group
-        out: dict = {}
-        for (ik, gw), v in self.coeffs.items():
-            ik2, s = self._inner_act(gw[0], ik)
+
+        def terms(key, v):
+            ik, gw = key
+            ik2, _, s = _translate(self.inner_ctx, self.action, gw[0], ik)
             word = tuple(G.compose(G.inverse(gw[i]), gw[i + 1])
                          for i in range(len(gw) - 1))
-            _acc(out, (ik2, word), v * s)
-        return EquivariantChain(self.inner_ctx, self.action, False, out)
+            return [((ik2, word), v * s)]
+
+        return self._map(terms, partial(EquivariantChain, self.inner_ctx,
+                                        self.action, False))
 
     def to_homogeneous(self) -> "EquivariantChain":
         """Section of to_nonhomogeneous with identity leading slot."""
         if self.homogeneous:
             return self
         G = self.action.group
-        out: dict = {}
-        for (ik, word), v in self.coeffs.items():
-            gw = [G.identity]
-            for h in word:
-                gw.append(G.compose(gw[-1], h))
-            _acc(out, (ik, tuple(gw)), v)
-        return EquivariantChain(self.inner_ctx, self.action, True, out)
+
+        def terms(key, v):
+            gw = accumulate(key[1], G.compose, initial=G.identity)
+            return [((key[0], tuple(gw)), v)]
+
+        return self._map(terms, partial(EquivariantChain, self.inner_ctx,
+                                        self.action, True))
 
 
 def equivariant_embed(f: CyclicChain) -> EquivariantChain:
@@ -646,8 +597,8 @@ def equivariant_embed(f: CyclicChain) -> EquivariantChain:
     if f.ctx.kind != "diag" or not f.ctx.coinvariant:
         raise ValueError("expected a coinvariant diagonal chain")
     e = f.ctx.group.identity
-    return EquivariantChain(f.ctx, f.ctx.action, True,
-                            {(k, (e,)): v for k, v in f.coeffs.items()})
+    return f._map(lambda k, v: [((k, (e,)), v)],
+                  partial(EquivariantChain, f.ctx, f.ctx.action, True))
 
 
 def _signed_prepend(x: EquivariantChain) -> EquivariantChain:
@@ -655,12 +606,9 @@ def _signed_prepend(x: EquivariantChain) -> EquivariantChain:
     total complex: prepend the identity, weighted by the parity of the
     inner word."""
     e = x.action.group.identity
-    out: dict = {}
-    for (ik, gw), v in x.coeffs.items():
-        if _key_degree(x.inner_ctx, ik) % 2:
-            v = -v
-        _acc(out, (ik, (e,) + gw), v)
-    return EquivariantChain(x.inner_ctx, x.action, True, out)
+    return x._map(lambda k, v: [((k[0], (e,) + k[1]),
+                                 -v if _key_degree(x.inner_ctx, k[0]) % 2
+                                 else v)])
 
 
 def q_map(f: CyclicChain, mode: str = "mixed") -> EquivariantChain:
@@ -696,75 +644,37 @@ def q_map(f: CyclicChain, mode: str = "mixed") -> EquivariantChain:
 
 # -- front/back splitting and the localisation composite -------------------
 
-class TensorSplitChain(Chain):
-    """Sum of (algebra word) x (group word) pairs with independent
-    lengths; the boundary is the algebra one plus (-1)^(algebra degree)
-    times the omission boundary of the group word."""
-
-    __slots__ = ("ctx",)
-
-    def __init__(self, ctx: ChainContext, coeffs):
-        self.ctx = ctx
-        clean: dict = {}
-        for k, v in coeffs.items():
-            if not v.is_zero():
-                _acc(clean, k, v)
-        self.coeffs = {k: v for k, v in clean.items() if not v.is_zero()}
-
-    def _spawn(self, coeffs, other=None):
-        return TensorSplitChain(self.ctx, coeffs)
-
-    def _scalar(self, s):
-        return self.ctx.scalar(s)
-
-    def total_boundary(self) -> "TensorSplitChain":
-        tctx = self.ctx.as_torus()
-        out: dict = {}
-        for (alg, gw), c in self.coeffs.items():
-            na = len(alg) - 1
-            for k2, v in _raw_boundary_terms(tctx, alg, c):
-                _acc(out, (k2, gw), v)
-            if len(gw) >= 2:
-                for i in range(len(gw)):
-                    sg = -1 if i % 2 else 1
-                    v = c if (sg > 0) == (na % 2 == 0) else -c
-                    _acc(out, (alg, gw[:i] + gw[i + 1:]), v)
-        return TensorSplitChain(self.ctx, out)
-
-
-def alexander_whitney(c: CyclicChain) -> TensorSplitChain:
+def alexander_whitney(c: CyclicChain) -> EquivariantChain:
     """Front faces of the algebra half against back faces of the group
-    half of an honest diagonal chain."""
+    half of an honest diagonal chain, as a homogeneous equivariant chain
+    over torus words; its Hochschild total boundary is the algebra
+    boundary plus (-1)^(algebra degree) times the omission boundary of
+    the group word."""
     if c.ctx.kind != "diag" or c.ctx.coinvariant:
         raise ValueError("expected an honest (non-coinvariant) diagonal "
                          "chain")
     tctx = c.ctx.as_torus()
-    out: dict = {}
-    for (alg, grp), v in c.coeffs.items():
-        n = len(alg) - 1
+
+    def terms(key, v):
+        alg, grp = key
+        out = []
         fronts = [(alg, v)]
-        for p in range(n, -1, -1):
-            for w, s in fronts:
-                _acc(out, (w, grp[p:]), s)
+        for p in range(len(alg) - 1, -1, -1):
+            out += [((w, grp[p:]), s) for w, s in fronts]
             if p:
-                nxt = []
-                for w, s in fronts:
-                    for w2, ph in _alg_face(tctx, w, len(w) - 1):
-                        nxt.append((w2, s if ph is None else s * ph))
-                fronts = nxt
-    return TensorSplitChain(c.ctx, out)
+                fronts = [t for w, s in fronts
+                          for t in _scaled(s, _alg_face(tctx, w, len(w) - 1))]
+        return out
+
+    return c._map(terms, partial(EquivariantChain, tctx, c.ctx.action, True))
 
 
-def augmentation_cap(t: TensorSplitChain) -> CyclicChain:
+def augmentation_cap(t: EquivariantChain) -> CyclicChain:
     """Evaluate the single-slot part of each group word at 1 and keep the
     algebra word; on front/back splittings this recovers the plain
     projection onto the algebra half."""
-    tctx = t.ctx.as_torus()
-    out: dict = {}
-    for (alg, gw), v in t.coeffs.items():
-        if len(gw) == 1:
-            _acc(out, alg, v)
-    return CyclicChain(tctx, out)
+    return t._map(lambda k, v: [(k[0], v)] if len(k[1]) == 1 else [],
+                  partial(CyclicChain, t.inner_ctx))
 
 
 def d_map(c: CyclicChain, mode: str = "mixed") -> EquivariantChain:

@@ -332,17 +332,24 @@ def cap(chain: EquivariantChain, xi: GroupCochain,
     are reported through the optional mismatch list."""
     assert not chain.homogeneous
     k = xi.degree
-    out: dict = {}
-    for (ik, gw), v in chain.coeffs.items():
+
+    def terms(key, v):
+        ik, gw = key
         if len(gw) < k:
             if mismatches is not None:
-                mismatches.append(((ik, gw), "group degree below cochain"))
-            continue
+                mismatches.append((key, "group degree below cochain"))
+            return []
         val = xi.evaluate(gw[:k])
-        if val.is_zero():
-            continue
-        _acc(out, (ik, gw[k:]), v * val)
-    return EquivariantChain(chain.inner_ctx, chain.action, False, out)
+        return [] if val.is_zero() else [((ik, gw[k:]), v * val)]
+
+    return chain._map(terms)
+
+
+def _series_sum(terms: list, u_trunc: int) -> ULaurent:
+    """The terms added in order, starting from the first; the zero series
+    at u_trunc when there are none.  A zero start would cut every term to
+    the u window u_trunc, while a shifted term may reach above it."""
+    return sum(terms[1:], terms[0]) if terms else ULaurent.zero(u_trunc)
 
 
 def word_to_form(dim: int, word, h_trunc: int) -> TorusForm:
@@ -387,7 +394,7 @@ class TraceFunctional:
         G = act.group
         k = self.xi.degree
         h = chain.ctx.h_trunc
-        res = None
+        terms = []
         for key, coeff in chain.coeffs.items():
             if len(key) - 1 != k:
                 continue
@@ -403,34 +410,26 @@ class TraceFunctional:
                 t = t.star(act.apply(running,
                                      TorusElement.plane_wave(act.dim, m, h)))
                 running = G.compose(running, g)
-            term = coeff * (t.trace() * val)
-            res = term if res is None else res + term
-        if res is None:
-            res = ULaurent.zero(chain.ctx.u_trunc)
-        return res
+            terms.append(coeff * (t.trace() * val))
+        return _series_sum(terms, chain.ctx.u_trunc)
 
 
 def trace_pair(chain: CyclicChain) -> ULaurent:
     """Plain trace against the degree-0 part of a torus or crossed chain."""
-    kind = chain.ctx.kind
-    assert kind in ("torus", "crossed")
-    res = None
+    ctx = chain.ctx
+    assert ctx.kind in ("torus", "crossed")
+    terms = []
     for key, coeff in chain.coeffs.items():
         if len(key) != 1:
             continue
-        if kind == "torus":
-            t = TorusElement.plane_wave(chain.ctx.dim, key[0],
-                                        chain.ctx.h_trunc)
-        else:
-            m, g = key[0]
-            if not chain.ctx.group.is_identity(g):
+        m = key[0]
+        if ctx.kind == "crossed":
+            m, g = m
+            if not ctx.group.is_identity(g):
                 continue
-            t = TorusElement.plane_wave(chain.ctx.dim, m, chain.ctx.h_trunc)
-        term = coeff * t.trace()
-        res = term if res is None else res + term
-    if res is None:
-        res = ULaurent.zero(chain.ctx.u_trunc)
-    return res
+        t = TorusElement.plane_wave(ctx.dim, m, ctx.h_trunc)
+        terms.append(coeff * t.trace())
+    return _series_sum(terms, ctx.u_trunc)
 
 
 def phi_pair(classes: EquivariantClassCocycle, xi: GroupCochain,
@@ -457,7 +456,7 @@ def phi_pair(classes: EquivariantClassCocycle, xi: GroupCochain,
     else:
         dec = cap(d_map(chain), xi, mismatches)
         items = list(dec.coeffs.items())
-    res = None
+    terms = []
     for (ik, gw), v in items:
         p = len(gw)
         form = word_to_form(dim, ik, h)
@@ -474,8 +473,5 @@ def phi_pair(classes: EquivariantClassCocycle, xi: GroupCochain,
             tot = val.wedge(form).integrate()
             if tot.is_zero():
                 continue
-            term = (v * tot).shift((P + Q) // 2 - dim)
-            res = term if res is None else res + term
-    if res is None:
-        res = ULaurent.zero(chain.ctx.u_trunc)
-    return res
+            terms.append((v * tot).shift((P + Q) // 2 - dim))
+    return _series_sum(terms, chain.ctx.u_trunc)

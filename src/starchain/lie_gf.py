@@ -17,11 +17,11 @@ from itertools import combinations, permutations
 
 from .cyclic import CyclicChain, d_map
 from .forms import _perm_sign
-from .group_coh import (EquivariantClassCocycle, GroupCochain, phi_pair,
-                        word_to_form)
+from .group_coh import (EquivariantClassCocycle, GroupCochain, _series_sum,
+                        phi_pair, word_to_form)
 from .scalars import FieldElement, HbarLaurent, ULaurent
 from .torus import TorusElement, TorusForm, TranslationAction, WeylSection
-from .weyl import Derivation, WeylElement, commutator, extension_defect
+from .weyl import Derivation, WeylElement, extension_defect
 
 
 class LieCochain:
@@ -353,16 +353,13 @@ def tau_t_pair(chain: CyclicChain) -> ULaurent:
     top degree survive the integral."""
     assert chain.ctx.kind == "torus"
     dim = chain.ctx.dim
-    res = None
+    terms = []
     for key, v in chain.coeffs.items():
         total = word_to_form(dim, key, chain.ctx.h_trunc).integrate()
         if total.is_zero():
             continue
-        term = (v * total).shift(-dim)
-        res = term if res is None else res + term
-    if res is None:
-        res = ULaurent.zero(chain.ctx.u_trunc)
-    return res
+        terms.append((v * total).shift(-dim))
+    return _series_sum(terms, chain.ctx.u_trunc)
 
 
 def i_xi(lam, xi: GroupCochain, chain: CyclicChain,
@@ -383,7 +380,7 @@ def i_xi(lam, xi: GroupCochain, chain: CyclicChain,
     dim = chain.ctx.dim
     h = chain.ctx.h_trunc
     dec = d_map(chain)
-    res = None
+    terms = []
     for (ik, gw), v in dec.coeffs.items():
         if len(gw) != k or len(ik) != 1:
             continue
@@ -391,8 +388,5 @@ def i_xi(lam, xi: GroupCochain, chain: CyclicChain,
         if val.is_zero():
             continue
         tr = TorusElement.plane_wave(dim, ik[0], h).trace()
-        term = v * (tr * val)
-        res = term if res is None else res + term
-    if res is None:
-        res = ULaurent.zero(chain.ctx.u_trunc)
-    return res
+        terms.append(v * (tr * val))
+    return _series_sum(terms, chain.ctx.u_trunc)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Union
 
 from .sparse import Filtered, Sparse, _acc
 
@@ -49,6 +49,14 @@ Rat = Union[int, Fraction]
 class LevelOverflow(ValueError):
     """Raised when a least-common-multiple of cyclotomic levels would exceed
     MAX_CYCLOTOMIC_LEVEL."""
+
+
+def _check_level(level: int) -> None:
+    """Reject a level before anything is built at it."""
+    if level < 4 or level % 4 != 0:
+        raise ValueError("cyclotomic level must be a multiple of 4")
+    if level > MAX_CYCLOTOMIC_LEVEL:
+        raise LevelOverflow(f"level {level} exceeds bound {MAX_CYCLOTOMIC_LEVEL}")
 
 
 def _poly_divide(num: list[int], den: list[int]) -> list[int]:
@@ -148,10 +156,7 @@ class FieldElement:
     __slots__ = ("level", "num", "den")
 
     def __init__(self, level: int, coeffs: dict[tuple[int, int], Rat]):
-        if level < 4 or level % 4 != 0:
-            raise ValueError("cyclotomic level must be a multiple of 4")
-        if level > MAX_CYCLOTOMIC_LEVEL:
-            raise LevelOverflow(f"level {level} exceeds bound {MAX_CYCLOTOMIC_LEVEL}")
+        _check_level(level)
         coeffs = {k: Fraction(v) for k, v in coeffs.items() if v != 0}
         # over the lcm of reduced denominators the numerators are coprime
         den = math.lcm(*(v.denominator for v in coeffs.values()))
@@ -178,7 +183,9 @@ class FieldElement:
     @classmethod
     def zeta(cls, level: int, k: int = 1) -> "FieldElement":
         """zeta_level^k, reduced to the power basis."""
-        return cls(level, {(a, 0): c for a, c in _zeta_rows(level)[k % level]})
+        _check_level(level)
+        row = _zeta_rows(level)[k % level]
+        return _normal(level, {(a, 0): c for a, c in row}, 1, content=False)
 
     @classmethod
     def i_unit(cls, level: int = 4) -> "FieldElement":
@@ -198,8 +205,7 @@ class FieldElement:
             return self
         if level % self.level != 0:
             raise ValueError("can only embed into a multiple of the current level")
-        if level > MAX_CYCLOTOMIC_LEVEL:
-            raise LevelOverflow(f"level {level} exceeds bound {MAX_CYCLOTOMIC_LEVEL}")
+        _check_level(level)
         step = level // self.level
         rows = _zeta_rows(level)
         out: dict[tuple[int, int], int] = {}

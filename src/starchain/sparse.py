@@ -7,7 +7,9 @@ Sparse writes their linear structure once.  A sum merges the two dicts, a
 zero coefficient is never stored, and negation and scalar multiples act
 coefficient by coefficient.  A subclass keeps its metadata slots and
 rebuilds itself through `_spawn(coeffs, other=None)`; a sum passes its
-second operand as `other`, so the two windows combine.
+second operand as `other`, so the two windows combine.  Chains add the one
+operator kernel: `Chain._map` sums an operator's values on single words,
+and `Chain._store` keeps one canonical representative per word.
 
 Equality is decided on a window, by one of three rules:
 
@@ -180,9 +182,38 @@ class Filtered(Sparse):
 
 class Chain(Sparse):
     """Sum of words with the difference equality: a word on one side only
-    makes the two chains unequal."""
+    makes the two chains unequal.
+
+    Every chain operator is linear and given by its value on one word, so
+    `_map` holds the one loop they all share.  `_store` is the one way a
+    chain keeps its terms."""
 
     __slots__ = ()
+
+    def _store(self, coeffs):
+        """Keep coeffs as this chain's terms.  Zero coefficients are
+        dropped; each other word passes through the subclass hook
+        `_admit(key, value)`, which returns the canonical (key, value) or
+        None to drop the word; words with one representative are summed in
+        order."""
+        clean: dict = {}
+        for k, v in coeffs.items():
+            if v.is_zero():
+                continue
+            kv = self._admit(k, v)
+            if kv is not None:
+                _acc(clean, *kv)
+        self.coeffs = {k: v for k, v in clean.items() if not v.is_zero()}
+
+    def _map(self, terms, build=None):
+        """The linear map with value terms(key, coeff), a list of (key,
+        value) pairs, on each word: the values summed per key over the
+        words in storage order, then built by `build` (default `_spawn`)."""
+        out: dict = {}
+        for key, c in self.coeffs.items():
+            for k2, v in terms(key, c):
+                _acc(out, k2, v)
+        return (build or self._spawn)(out)
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -295,7 +295,7 @@ def test_criterion_05_rewrites_and_chain_maps():
         for _ in range(50):
             x = rand_chain(nctx, rng, rng.randint(1, 3))
             assert alexander_whitney(x.boundary()) == \
-                alexander_whitney(x).total_boundary()
+                alexander_whitney(x).total_boundary("hochschild")
 
     for act in (Z_ACT, FIN_ACT):
         xctx = ChainContext.crossed(act, h_trunc=small_h, u_trunc=small_u)

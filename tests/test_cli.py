@@ -6,7 +6,7 @@ import random
 import pytest
 
 from starchain.cli import main
-from starchain.scalars import FieldElement, HbarLaurent, ULaurent
+from starchain.scalars import FieldElement, HbarLaurent, ULaurent, _zeta_rows
 from starchain.scenarios import (CheckRecord, ConfigError, Report,
                                  ScenarioConfig, available_suites,
                                  emit_fixtures, emit_report, index_check,
@@ -70,6 +70,19 @@ def test_config_field_diagnostics():
 
     with pytest.raises(ConfigError, match="suite"):
         ScenarioConfig(suites=["all", "made-up"])
+
+
+def test_phase_level_bound_builds_no_table():
+    before = _zeta_rows.cache_info().currsize
+    # phase level 4 * 249989 = 999956 passes MAX_CYCLOTOMIC_LEVEL, but its
+    # root-of-unity table cannot be built in practice
+    with pytest.raises(ConfigError, match="phase level 999956"):
+        ScenarioConfig.from_dict({"shifts": ["1/249989", "0"],
+                                  "level": 249989})
+    with pytest.raises(ConfigError, match="phase level 1204"):
+        ScenarioConfig(shifts=["1/301", "0"], level=301)
+    assert ScenarioConfig(shifts=["1/300", "0"], level=300).level == 300
+    assert _zeta_rows.cache_info().currsize == before
 
 
 def test_config_file_roundtrip(tmp_path):

@@ -1,10 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from starchain.groups import CyclicGroup
-from starchain.scalars import HbarLaurent, ULaurent
+from starchain.scalars import HbarLaurent, ULaurent, to_text
 from starchain.torus import CrossedElement, TorusElement, TranslationAction
 from starchain.cyclic import (
     ChainContext,
@@ -35,6 +36,8 @@ FIN_ACT = TranslationAction(1, CyclicGroup(4), (Fraction(1, 4), Fraction(1, 2)))
 CTXS = [
     ("torus", ChainContext.torus(1, h_trunc=H, u_trunc=U)),
     ("weyl", ChainContext.weyl(1, h_trunc=H, u_trunc=U)),
+    ("sym", ChainContext.sym(1, h_trunc=H, u_trunc=U)),
+    ("group-z", ChainContext.group_labels(CyclicGroup(), u_trunc=U)),
     ("group-z4", ChainContext.group_labels(CyclicGroup(4), u_trunc=U)),
     ("crossed-z", ChainContext.crossed(Z_ACT, h_trunc=H, u_trunc=U)),
     ("crossed-z4", ChainContext.crossed(FIN_ACT, h_trunc=H, u_trunc=U)),
@@ -62,7 +65,7 @@ def rand_key(ctx, rng, degree):
     k = ctx.kind
     if k == "torus":
         return tuple(rand_mode(ctx, rng) for _ in range(degree + 1))
-    if k == "weyl":
+    if k in ("weyl", "sym"):
         return tuple(
             (tuple(rng.randint(0, 1) for _ in range(ctx.dim)),
              tuple(rng.randint(0, 1) for _ in range(ctx.dim)))
@@ -328,7 +331,7 @@ def test_front_back_splitting_is_a_chain_map(act):
     for deg in (1, 2, 3):
         x = rand_chain(ctx, rng, deg, terms=2)
         assert alexander_whitney(x.boundary()) == \
-            alexander_whitney(x).total_boundary()
+            alexander_whitney(x).total_boundary("hochschild")
 
 
 @pytest.mark.parametrize("act", [Z_ACT, FIN_ACT], ids=["z", "z4"])
@@ -386,6 +389,48 @@ def test_localisation_degree_one_component():
         {((mm,), (g,)): -ULaurent.from_hbar(hl, U)
          for mm, hl in w.coeffs.items()})
     assert part == want
+
+
+# -- the levels the split maps produce --------------------------------------
+#
+# Chain equality embeds both sides at a common level, so it cannot see the
+# cyclotomic level an operator leaves its coefficients at, and the reports
+# see one only where a value is printed.  These records pin the printed
+# form and the level of every coefficient of q_map(f) and d_map(c) on one
+# fixed degree-1 word each (term count, levels met, digest of the sorted
+# "key | to_text | levels" lines).  A change in one means that an operator
+# changed the order or the arithmetic of its terms.
+
+SPLIT_LEVELS = {
+    ("z-twisted", "q"): (23, [4, 60], "91e7c1ed51a29aec"),
+    ("z-twisted", "d"): (7, [12, 60], "996935831d8a69a1"),
+    ("z4", "q"): (23, [4, 16], "9eb126cba7e5a6f4"),
+    ("z4", "d"): (7, [16], "3be3106217ea3c06"),
+}
+
+
+def _level_record(chain):
+    levels = set()
+    lines = []
+    for key, v in chain.coeffs.items():
+        lv = sorted({fe.level for h in v.coeffs.values()
+                     for fe in h.coeffs.values()})
+        levels.update(lv)
+        lines.append(f"{key!r} | {to_text(v)} | {lv}")
+    blob = "\n".join(sorted(lines)).encode()
+    return len(lines), sorted(levels), hashlib.sha256(blob).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("act", [TW_ACT, FIN_ACT], ids=["z-twisted", "z4"])
+def test_split_maps_keep_their_levels(act):
+    name = "z4" if act is FIN_ACT else "z-twisted"
+    G = act.group
+    dctx = ChainContext.diagonal(act, 1, 1, coinvariant=True)
+    xctx = ChainContext.crossed(act, h_trunc=1, u_trunc=1)
+    f = CyclicChain.word(dctx, (((1, 0), (0, 1)), (G.identity, 1)))
+    c = CyclicChain.word(xctx, (((1, 0), 1), ((0, 1), G.inverse(1))))
+    assert _level_record(q_map(f)) == SPLIT_LEVELS[(name, "q")]
+    assert _level_record(d_map(c)) == SPLIT_LEVELS[(name, "d")]
 
 
 # -- idempotent character --------------------------------------------------

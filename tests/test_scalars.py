@@ -15,6 +15,7 @@ from starchain.scalars import (
     cyclotomic_polynomial,
     hbar_exp,
     to_text,
+    _zeta_rows,
 )
 
 
@@ -172,6 +173,15 @@ def test_level_guard():
     # zeta_999996 is not written at level 4: no answer, rather than False
     with pytest.raises(LevelOverflow):
         FieldElement(999_996, {(1, 0): 1}) == FieldElement.i_unit(8)
+
+
+def test_rejected_zeta_level_builds_no_table():
+    before = _zeta_rows.cache_info().currsize
+    with pytest.raises(LevelOverflow):
+        FieldElement.zeta(MAX_CYCLOTOMIC_LEVEL + 4)
+    with pytest.raises(ValueError, match="multiple of 4"):
+        FieldElement.zeta(6)
+    assert _zeta_rows.cache_info().currsize == before
 
 
 def test_hash_agrees_with_equality_across_levels():

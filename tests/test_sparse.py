@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from starchain.cyclic import (ChainContext, CyclicChain, EquivariantChain,
-                              TensorSplitChain)
+from starchain.cyclic import ChainContext, CyclicChain, EquivariantChain
 from starchain.forms import FormalForm
 from starchain.group_coh import EquivariantClassCocycle
 from starchain.groups import CyclicGroup
@@ -57,8 +56,6 @@ BUILD = {
     EquivariantChain: lambda w, k: EquivariantChain(
         CTX, ACT, True, {(((0, 0),), (0,)): u(1, w),
                          (((1, 0), (-1, 0)), (k, 1)): u(3, w + 1)}),
-    TensorSplitChain: lambda w, k: TensorSplitChain(
-        CTX, {(((0, 0),), (0,)): u(1, w), (((1, 0),), (k, 1)): u(2, w + 1)}),
     EquivariantClassCocycle: lambda w, k: EquivariantClassCocycle(
         ACT, {(): TorusForm(1, {(): torus(w, k)}),
               (1 + k,): TorusForm(1, {(0,): torus(w + 1, 0)})}),
