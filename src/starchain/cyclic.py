@@ -51,6 +51,15 @@ splitting of an honest diagonal chain is one over torus words.
 Every operator is linear, given by its value on one word as a list of
 (word, value) pairs that `Chain._map` sums over the chain; both chain
 classes keep their terms through `Chain._store`.
+
+The inner boundary of an equivariant chain depends only on the inner word:
+it acts on the group word by a left translation and on the coefficient by
+one scalar per output word.  Each inner word's boundary is therefore built
+once per chain context and mode, as a plan of (target inner word, g^-1 or
+None, scalar or None, u shift) entries whose scalars fold together the
+face sign, the star phase and the translation phase, and applied to every
+group word that carries that inner word.  The plans live on the context,
+so they are cut at its own hbar and u windows and live no longer than it.
 """
 
 from fractions import Fraction
@@ -71,7 +80,7 @@ class ChainContext:
     uses (h_trunc for hbar series, u_trunc for u series)."""
 
     __slots__ = ("kind", "dim", "group", "action", "h_trunc", "u_trunc",
-                 "coinvariant")
+                 "coinvariant", "_plans")
 
     def __init__(self, kind, dim=None, group=None, action=None,
                  h_trunc=8, u_trunc=6, coinvariant=False):
@@ -84,6 +93,8 @@ class ChainContext:
         self.h_trunc = h_trunc
         self.u_trunc = u_trunc
         self.coinvariant = coinvariant
+        # (inner word, mode) -> inner boundary plan; see _boundary_plan
+        self._plans = {}
 
     @classmethod
     def torus(cls, dim, h_trunc=8, u_trunc=6):
@@ -127,12 +138,15 @@ class ChainContext:
     def one(self) -> ULaurent:
         return ULaurent.one(self.u_trunc, self.h_trunc)
 
-    def scalar(self, s) -> ULaurent:
+    def scalar(self, s) -> ULaurent | None:
+        """s as a chain coefficient, or None when s is not a scalar."""
         if isinstance(s, ULaurent):
             return s
         if isinstance(s, HbarLaurent):
             return ULaurent.from_hbar(s, self.u_trunc)
         fe = _as_field(s, 4)
+        if fe is NotImplemented:
+            return None
         return ULaurent.from_hbar(HbarLaurent.from_field(fe, self.h_trunc),
                                   self.u_trunc)
 
@@ -239,25 +253,29 @@ def _rotate_key(ctx, key, k):
     return key[k:] + key[:k]
 
 
-def _translate(ctx, action, g, key, gw=()):
-    """Act by g^-1 on an inner word of ctx and on a group word gw.
+def _translate(ctx, action, g, key):
+    """Act by g^-1 on an inner word of ctx.
 
     Modes never move, so the word only picks up the eigenvalue of g^-1 on
-    its modes; the group half of a diagonal word and gw are left-translated
-    by g^-1.  Returns (key, gw, phase)."""
+    its modes; the group half of a diagonal word is left-translated by
+    g^-1.  Returns (key, phase)."""
     G = action.group
     ginv = G.inverse(g)
-    gw = tuple(G.compose(ginv, x) for x in gw)
     if ctx.kind == "diag":
         alg, grp = key
-        return ((alg, tuple(G.compose(ginv, x) for x in grp)), gw,
+        return ((alg, tuple(G.compose(ginv, x) for x in grp)),
                 action.word_phase(ginv, alg, ctx.h_trunc))
-    return key, gw, action.word_phase(ginv, key, ctx.h_trunc)
+    return key, action.word_phase(ginv, key, ctx.h_trunc)
 
 
 def _scaled(c, pairs):
     """c times the scalar of each (key, scalar-or-None) pair."""
     return [(k, c if s is None else c * s) for k, s in pairs]
+
+
+def _signed(v, odd):
+    """v with its sign flipped when odd is 1 (or True)."""
+    return -v if odd else v
 
 
 def _raw_boundary_terms(ctx, key, coeff):
@@ -266,7 +284,7 @@ def _raw_boundary_terms(ctx, key, coeff):
     out = []
     for i in range(n + 1 if n else 0):
         for k2, v in _scaled(coeff, _face_key(ctx, key, i)):
-            out.append((k2, -v if i % 2 else v))
+            out.append((k2, _signed(v, i % 2)))
     return out
 
 
@@ -277,11 +295,63 @@ def _raw_connes_terms(ctx, key, coeff):
     for i in range(n + 1):
         cur = _rotate_key(ctx, key, i)
         for k1, v in _scaled(coeff, _deg_key(ctx, cur, n)):
-            if (i * n) % 2:
-                v = -v
+            v = _signed(v, (i * n) % 2)
             out.append((_rotate_key(ctx, k1, -1), v))
-            out.append((k1, -v if n % 2 else v))
+            out.append((k1, _signed(v, n % 2)))
     return out
+
+
+def _low(s):
+    """Lowest hbar power of a plan scalar (an int counts as power 0), or
+    None when it is zero."""
+    if isinstance(s, int):
+        return 0 if s else None
+    return s.low
+
+
+def _boundary_plan(ctx, ik, mode):
+    """The inner boundary of the inner word ik of ctx as a list of (target
+    inner word, g^-1 or None, scalar or None, u shift) entries.
+
+    The faces (u shift 0) and, in mixed mode, the degree-raising terms (u
+    shift 1) are taken on the coefficient 1, so each scalar is a sign times
+    a star phase: an int or an hbar series.  A coinvariant target whose
+    first group slot g is not the identity moves to its representative,
+    which multiplies the scalar by the translation phase and marks the
+    entry to left-translate the group word by g^-1.
+
+    The scalars of one (target, g^-1, u shift) are summed and a zero sum is
+    dropped.  When the sum starts at a higher hbar power than its summands
+    (two star phases whose constant terms cancel), its product would be
+    known through more powers than the separate products were, so those
+    entries stay apart and every window stays the per-face one.  A scalar 1
+    (an int: a product by a series can narrow a window) becomes None."""
+    raw = [(k2, s, 0) for k2, s in _raw_boundary_terms(ctx, ik, 1)]
+    if mode == "mixed":
+        raw += [(k2, s, 1) for k2, s in _raw_connes_terms(ctx, ik, 1)]
+    G = ctx.group
+    canon = ctx.kind == "diag" and ctx.coinvariant
+    parts: dict = {}
+    for k2, s, shift in raw:
+        ginv = None
+        if canon and not G.is_identity(k2[1][0]):
+            ginv = G.inverse(k2[1][0])
+            k2, phase = _translate(ctx, ctx.action, k2[1][0], k2)
+            s = s * phase
+        parts.setdefault((k2, ginv, shift), []).append(s)
+    plan = []
+    for (k2, ginv, shift), ss in parts.items():
+        total = sum(ss[1:], ss[0])
+        low = _low(total)
+        if low is None:
+            continue
+        if low > min(map(_low, ss)):
+            plan += [(k2, ginv, s, shift) for s in ss]
+            continue
+        if isinstance(total, int) and total == 1:
+            total = None
+        plan.append((k2, ginv, total, shift))
+    return plan
 
 
 class CyclicChain(Chain):
@@ -303,7 +373,7 @@ class CyclicChain(Chain):
         ctx = self.ctx
         if ctx.kind == "diag" and ctx.coinvariant \
                 and not ctx.group.is_identity(key[1][0]):
-            key, _, s = _translate(ctx, ctx.action, key[1][0], key)
+            key, s = _translate(ctx, ctx.action, key[1][0], key)
             value = value * s
         return key, value
 
@@ -313,8 +383,11 @@ class CyclicChain(Chain):
 
     @classmethod
     def word(cls, ctx, key, coeff=None):
-        return cls(ctx, {key: ctx.one() if coeff is None
-                         else ctx.scalar(coeff)})
+        c = ctx.one() if coeff is None else ctx.scalar(coeff)
+        if c is None:
+            raise TypeError(f"a {type(coeff).__name__} is not a chain "
+                            f"coefficient")
+        return cls(ctx, {key: c})
 
     def _spawn(self, coeffs, other=None):
         return CyclicChain(self.ctx, coeffs)
@@ -478,24 +551,33 @@ class EquivariantChain(Chain):
     def inner_boundary(self, mode: str = "mixed") -> "EquivariantChain":
         """Boundary of the inner part; in free normal form the produced
         representatives are re-canonicalised and the correction left-
-        translates the group word."""
+        translates the group word.
+
+        The boundary of each inner word is planned once per inner context
+        and mode (`_boundary_plan`) and kept on the context.  Per word this
+        leaves one product by each entry's scalar (none for a scalar 1),
+        one shared u shift and cut for the degree-raising entries, and the
+        left translation of the group word.  The translation phases come
+        from the action of the diagonal inner context."""
         if mode not in ("mixed", "hochschild"):
             raise ValueError(f"unknown boundary mode {mode!r}")
-        ctx, act = self.inner_ctx, self.action
-        canon = ctx.kind == "diag" and ctx.coinvariant
+        ctx = self.inner_ctx
+        plans, ut = ctx._plans, ctx.u_trunc
+        G = self.action.group
 
         def terms(key, c):
             ik, gw = key
-            raw = _raw_boundary_terms(ctx, ik, c)
-            if mode == "mixed":
-                raw += [(k2, v.shift(1).truncate(ctx.u_trunc))
-                        for k2, v in _raw_connes_terms(ctx, ik, c)]
+            plan = plans.get((ik, mode))
+            if plan is None:
+                plan = plans[(ik, mode)] = _boundary_plan(ctx, ik, mode)
+            raised = c.shift(1).truncate(ut) if mode == "mixed" else None
             out = []
-            for k2, v in raw:
-                gw2 = gw
-                if canon and not act.group.is_identity(k2[1][0]):
-                    k2, gw2, s = _translate(ctx, act, k2[1][0], k2, gw)
+            for k2, ginv, s, shift in plan:
+                v = raised if shift else c
+                if s is not None:
                     v = v * s
+                gw2 = gw if ginv is None else tuple(G.compose(ginv, x)
+                                                    for x in gw)
                 out.append(((k2, gw2), v))
             return out
 
@@ -515,17 +597,14 @@ class EquivariantChain(Chain):
                          for i in range(len(gw))]
         elif gw:
             p = len(gw)
-            ik0, _, s0 = _translate(self.inner_ctx, self.action, gw[0], ik)
+            ik0, s0 = _translate(self.inner_ctx, self.action, gw[0], ik)
             faces.append(((ik0, gw[1:]), 0, s0))
             for i in range(1, p):
                 gw2 = gw[:i - 1] + (G.compose(gw[i - 1], gw[i]),) + gw[i + 1:]
                 faces.append(((ik, gw2), i % 2, None))
             faces.append(((ik, gw[:-1]), p % 2, None))
-        out = []
-        for k2, sg, s in faces:
-            v = c if s is None else c * s
-            out.append((k2, -v if sg != odd else v))
-        return out
+        return [(k2, _signed(c if s is None else c * s, sg != odd))
+                for k2, sg, s in faces]
 
     def group_boundary(self) -> "EquivariantChain":
         return self._map(self._group_terms)
@@ -569,7 +648,7 @@ class EquivariantChain(Chain):
 
         def terms(key, v):
             ik, gw = key
-            ik2, _, s = _translate(self.inner_ctx, self.action, gw[0], ik)
+            ik2, s = _translate(self.inner_ctx, self.action, gw[0], ik)
             word = tuple(G.compose(G.inverse(gw[i]), gw[i + 1])
                          for i in range(len(gw) - 1))
             return [((ik2, word), v * s)]
@@ -601,14 +680,15 @@ def equivariant_embed(f: CyclicChain) -> EquivariantChain:
                   partial(EquivariantChain, f.ctx, f.ctx.action, True))
 
 
-def _signed_prepend(x: EquivariantChain) -> EquivariantChain:
+def _signed_prepend(x: EquivariantChain, flip: int = 0) -> EquivariantChain:
     """The free homotopy adapted to the signed group differential of the
     total complex: prepend the identity, weighted by the parity of the
-    inner word."""
+    inner word, every sign flipped when flip is 1 (the homotopy of -x
+    without a negated copy of x)."""
     e = x.action.group.identity
     return x._map(lambda k, v: [((k[0], (e,) + k[1]),
-                                 -v if _key_degree(x.inner_ctx, k[0]) % 2
-                                 else v)])
+                                 _signed(v, _key_degree(x.inner_ctx, k[0]) % 2
+                                         != flip))])
 
 
 def q_map(f: CyclicChain, mode: str = "mixed") -> EquivariantChain:
@@ -636,8 +716,8 @@ def q_map(f: CyclicChain, mode: str = "mixed") -> EquivariantChain:
         if rounds > limit:
             raise ArithmeticError("equivariant splitting series did not "
                                   "stabilise within its degree bound")
-        V = _signed_prepend(W - V.inner_boundary(mode))
-        W = -_signed_prepend(W.inner_boundary(mode))
+        V = _signed_prepend(W) + _signed_prepend(V.inner_boundary(mode), 1)
+        W = _signed_prepend(W.inner_boundary(mode), 1)
         out = out + V
     return out
 

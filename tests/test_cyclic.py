@@ -11,6 +11,9 @@ from starchain.cyclic import (
     ChainContext,
     CyclicChain,
     EquivariantChain,
+    _raw_boundary_terms,
+    _raw_connes_terms,
+    _translate,
     alexander_whitney,
     augmentation_cap,
     chern_character,
@@ -137,6 +140,13 @@ def test_boundary_operators_square_to_zero(ctx):
         assert (x.boundary().connes_boundary()
                 + x.connes_boundary().boundary()).is_zero()
         assert x.mixed_boundary().mixed_boundary().is_zero()
+
+
+def test_non_scalar_coefficient_raises_type_error():
+    ctx = ChainContext.torus(1, h_trunc=H, u_trunc=U)
+    for bad in (1.5, "x"):
+        with pytest.raises(TypeError):
+            CyclicChain.word(ctx, ((1, 0),), bad)
 
 
 def test_boundary_kills_degree_zero():
@@ -315,6 +325,120 @@ def test_splitting_sections_the_projection():
                             {k: v for k, v in out.coeffs.items()
                              if len(k[1]) == 1})
     assert head == equivariant_embed(f)
+
+
+# -- the inner boundary against a per-term reference ------------------------
+#
+# inner_boundary applies a plan built once per (inner word, mode) on the
+# inner context.  The reference below expands every term on its own: the
+# raw faces and degree-raising terms of the inner word times the term's
+# coefficient, then each output moved to its representative and the group
+# word left-translated.  `_exact` also compares the u and hbar windows,
+# which chain equality reads through the smaller window: the plan must
+# leave every coefficient known through exactly the reference's powers.
+
+def reference_inner_boundary(x, mode):
+    ctx, act = x.inner_ctx, x.action
+    G = act.group
+    canon = ctx.kind == "diag" and ctx.coinvariant
+    out = {}
+    for (ik, gw), c in x.coeffs.items():
+        raw = _raw_boundary_terms(ctx, ik, c)
+        if mode == "mixed":
+            raw += [(k2, v.shift(1).truncate(ctx.u_trunc))
+                    for k2, v in _raw_connes_terms(ctx, ik, c)]
+        for k2, v in raw:
+            gw2 = gw
+            if canon and not G.is_identity(k2[1][0]):
+                g = k2[1][0]
+                k2, phase = _translate(ctx, act, g, k2)
+                v = v * phase
+                gw2 = tuple(G.compose(G.inverse(g), h) for h in gw)
+            key = (k2, gw2)
+            out[key] = v if key not in out else out[key] + v
+    return EquivariantChain(ctx, act, x.homogeneous, out)
+
+
+def _exact(chain):
+    return {k: (v.trunc, {e: h.trunc for e, h in v.coeffs.items()})
+            for k, v in chain.coeffs.items()}
+
+
+def assert_matches_reference(x, mode):
+    got, want = x.inner_boundary(mode), reference_inner_boundary(x, mode)
+    assert got == want
+    assert _exact(got) == _exact(want)
+
+
+def shared_inner_words(ctx, act, rng, homogeneous, inner_keys, words=3):
+    """An equivariant chain in which each inner key carries several group
+    words with non-identity labels."""
+    G = act.group
+    out = {}
+    for ik in inner_keys:
+        for _ in range(words):
+            n = 2 if homogeneous else 1
+            gw = tuple(rand_nonidentity(G, rng) for _ in range(n))
+            out[(ik, gw)] = rand_scalar(ctx, rng)
+    return EquivariantChain(ctx, act, homogeneous, out)
+
+
+@pytest.mark.parametrize("act", [Z_ACT, TW_ACT, FIN_ACT],
+                         ids=["z", "z-twisted", "z4"])
+@pytest.mark.parametrize("order", [("hochschild", "mixed"),
+                                   ("mixed", "hochschild")],
+                         ids=["hochschild-first", "mixed-first"])
+def test_inner_boundary_plan_matches_reference(act, order):
+    # coinvariant diagonal inner words whose faces and degree-raising
+    # terms leave non-identity first group labels, so most outputs move
+    # to a representative and left-translate the group word
+    rng = random.Random(9973)
+    G = act.group
+    dctx = ChainContext.diagonal(act, H, U, coinvariant=True)
+    keys = [rand_coinv_inner_key(dctx, rng, q) for q in (0, 1, 2, 2)]
+    keys.append((((1, 0), (0, 1), (1, 1)),
+                 (G.identity, rand_nonidentity(G, rng), G.identity)))
+    x = shared_inner_words(dctx, act, rng, True, keys)
+    for mode in order + order:              # the second pass reuses plans
+        assert_matches_reference(x, mode)
+
+
+@pytest.mark.parametrize("act", [Z_ACT, FIN_ACT], ids=["z", "z4"])
+@pytest.mark.parametrize("order", [("hochschild", "mixed"),
+                                   ("mixed", "hochschild")],
+                         ids=["hochschild-first", "mixed-first"])
+def test_inner_boundary_plan_on_torus_words(act, order):
+    # alexander_whitney of words with one algebra word and several group
+    # words: every front face is an inner word shared by several group words
+    rng = random.Random(271828)
+    ctx = ChainContext.diagonal(act, H, U, coinvariant=False)
+    G = act.group
+    x = CyclicChain.zero(ctx)
+    for deg in (1, 2):
+        alg = tuple(rand_mode(ctx, rng) for _ in range(deg + 1))
+        for _ in range(3):
+            grp = tuple(G.sample(rng, 2) for _ in range(deg + 1))
+            x = x + CyclicChain.word(ctx, (alg, grp), rand_scalar(ctx, rng))
+    t = alexander_whitney(x)
+    assert len({ik for ik, _ in t.coeffs}) < len(t.coeffs)
+    for mode in order + order:
+        assert_matches_reference(t, mode)
+
+
+@pytest.mark.parametrize("field", ["h_trunc", "u_trunc"])
+def test_inner_boundary_plans_stay_with_their_context(field):
+    # one inner word on contexts that differ only in one window, the
+    # narrower first: each result must carry its own context's windows
+    ik = (((1, 0), (0, 1), (-1, 1)), (0, 1, 3))
+    for act in (TW_ACT, FIN_ACT):
+        for trunc in (1, 3, 2):
+            windows = {"h_trunc": H, "u_trunc": U, field: trunc}
+            ctx = ChainContext.diagonal(act, windows["h_trunc"],
+                                        windows["u_trunc"], coinvariant=True)
+            rng = random.Random(trunc)
+            x = shared_inner_words(ctx, act, rng, True, [ik])
+            for mode in ("mixed", "hochschild"):
+                assert_matches_reference(x, mode)
 
 
 def test_splitting_of_zero_is_zero():

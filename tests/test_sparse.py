@@ -94,6 +94,16 @@ def test_unit_scalar(cls):
 
 
 @CLASSES
+def test_non_scalar_product_raises_type_error(cls):
+    x = BUILD[cls](4, 0)
+    for bad in (1.5, "x"):
+        with pytest.raises(TypeError):
+            x * bad
+        with pytest.raises(TypeError):
+            bad * x
+
+
+@CLASSES
 def test_unhashable(cls):
     with pytest.raises(TypeError):
         hash(BUILD[cls](4, 0))
