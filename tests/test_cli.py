@@ -1,5 +1,6 @@
 """Scenario runner and command line coverage."""
 
+import hashlib
 import json
 import random
 
@@ -123,6 +124,60 @@ def test_report_schema_and_determinism(tmp_path):
     text = p1.read_text(encoding="utf-8")
     assert text.index('"checks"') < text.index('"config_digest"') \
         < text.index('"seed"')
+
+
+# The report bytes of every suite but index-identity on two small configs
+# that neither configs/default.reports.sha256 nor the benchmark record
+# covers: the classical window h_trunc 0, the only one that reaches
+# classical-limit-degeneration, and a twisted quadratic-product config.
+PINNED_CONFIGS = {
+    "classical": dict(h_trunc=0, u_trunc=1, weyl_order=4,
+                      idempotent="diagonal", seed=7),
+    "twisted": dict(h_trunc=2, u_trunc=1, weyl_order=4, twist=[1, 0],
+                    cochain="quadratic-product",
+                    idempotent="crossed-conjugated", seed=11),
+}
+PINNED_REPORTS = {
+    ("classical", "character-cycles"):
+        "f0a2d4d162c5fc7b1ad7ef14ce5951f6a5439e1d459b5c119abc81c65142235b",
+    ("classical", "complex-identities"):
+        "685dc8defd9f581cfdb47cdc4d712e5f8822a5513803f29262c055a609ec3c73",
+    ("classical", "forms-bridge"):
+        "70ffae8b4ee38d66736cdedc92640e4fb13281a7dabc1b121b180721934b3251",
+    ("classical", "lie-cochain-calculus"):
+        "b025c607b12022def0c89b2d24a503f1c0db350d5e13edd3c0bd418f53c0060e",
+    ("classical", "moyal-associativity"):
+        "11d276f7c69b2cab9fda43e214010123075b44bd40454914f7cb730d502d5932",
+    ("classical", "normalization"):
+        "1258a8b6458ca474ab484dc34c5c862850e3322dbfcde0439dc6b8942c36900b",
+    ("classical", "splitting-roundtrips"):
+        "5c21eeb36c782a93d2906c54067d8226ad4fc3de560b0bc0311abdc8d4888850",
+    ("classical", "trace-cocycles"):
+        "ada788102a3cb8d66a07eab61a2bd9bcae1886e7d35b91842649452b09350c76",
+    ("twisted", "character-cycles"):
+        "20331859b527b87ebfea5d628ee4232f9240c81f271f1683d68c83613feb47bd",
+    ("twisted", "complex-identities"):
+        "de79b5c975d08dfbae935450b39acae695970603c781ed2f2054c42629fbbbff",
+    ("twisted", "forms-bridge"):
+        "b96241ad6d3b25f3b44429dd88ec3132856c810944d975f24cc6ba0e1b46c2ad",
+    ("twisted", "lie-cochain-calculus"):
+        "170add442ea8c78e47b21f7b07a1a50c3e4367c8fc34c3d7dc5a0c406a0a7965",
+    ("twisted", "moyal-associativity"):
+        "93b96ba0958820ca834eabdbebc86cbcc609e4c583bfbf22d624ec4cecd28671",
+    ("twisted", "normalization"):
+        "4bd0e7b4390b593745fdafed250afe44ab8069b0408f16ee5877f3253262c2df",
+    ("twisted", "splitting-roundtrips"):
+        "17a134ed5097a778d3350ad011862a2a033c32cfde743655705b0aa490037ab9",
+    ("twisted", "trace-cocycles"):
+        "f012f8b4133df8453064df30e40bbffd022665fa8485fb54ddd7cc57cb4900b9",
+}
+
+
+@pytest.mark.parametrize("label,suite", sorted(PINNED_REPORTS))
+def test_pinned_report_bytes(label, suite):
+    report = run_suite(suite, ScenarioConfig(**PINNED_CONFIGS[label]))
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == PINNED_REPORTS[(label, suite)]
 
 
 def test_all_suites_pass_on_small_config():
