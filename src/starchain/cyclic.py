@@ -80,7 +80,7 @@ class ChainContext:
     uses (h_trunc for hbar series, u_trunc for u series)."""
 
     __slots__ = ("kind", "dim", "group", "action", "h_trunc", "u_trunc",
-                 "coinvariant", "_plans")
+                 "coinvariant", "_plans", "_derived")
 
     def __init__(self, kind, dim=None, group=None, action=None,
                  h_trunc=8, u_trunc=6, coinvariant=False):
@@ -95,6 +95,9 @@ class ChainContext:
         self.coinvariant = coinvariant
         # (inner word, mode) -> inner boundary plan; see _boundary_plan
         self._plans = {}
+        # the as_* contexts, built once so chains derived from one context
+        # share their inner boundary plans
+        self._derived = {}
 
     @classmethod
     def torus(cls, dim, h_trunc=8, u_trunc=6):
@@ -127,13 +130,25 @@ class ChainContext:
     def idem(cls, u_trunc=6):
         return cls("idem", h_trunc=0, u_trunc=u_trunc)
 
+    def _derive(self, key, build):
+        ctx = self._derived.get(key)
+        if ctx is None:
+            ctx = self._derived[key] = build()
+        return ctx
+
     def as_torus(self):
-        return ChainContext("torus", dim=self.dim, h_trunc=self.h_trunc,
-                            u_trunc=self.u_trunc)
+        return self._derive("torus", lambda: ChainContext.torus(
+            self.dim, self.h_trunc, self.u_trunc))
 
     def as_diagonal(self, coinvariant=True):
-        return ChainContext.diagonal(self.action, self.h_trunc, self.u_trunc,
-                                     coinvariant)
+        return self._derive(("diag", coinvariant),
+                            lambda: ChainContext.diagonal(
+                                self.action, self.h_trunc, self.u_trunc,
+                                coinvariant))
+
+    def as_crossed(self):
+        return self._derive("crossed", lambda: ChainContext.crossed(
+            self.action, self.h_trunc, self.u_trunc))
 
     def one(self) -> ULaurent:
         return ULaurent.one(self.u_trunc, self.h_trunc)
@@ -487,8 +502,7 @@ def coinvariants_to_homogeneous(c: CyclicChain) -> CyclicChain:
             slots.append((modes[j], G.compose(pinv, grp[j])))
         return [(tuple(slots), s)]
 
-    xctx = ChainContext.crossed(ctx.action, ctx.h_trunc, ctx.u_trunc)
-    return c._map(terms, partial(CyclicChain, xctx))
+    return c._map(terms, partial(CyclicChain, ctx.as_crossed()))
 
 
 def project_algebra_factor(c: CyclicChain) -> CyclicChain:

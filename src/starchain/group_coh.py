@@ -243,12 +243,14 @@ class EquivariantClassCocycle(Sparse):
 
     def exponential(self) -> "EquivariantClassCocycle":
         """1 + c + c.cup(c)/2 + ...; terminates because every cup power
-        raises the total degree."""
+        raises the total degree.  The unit is exact, so it is built at
+        least through ħ^0 even when c's window is negative (θ = ω/(iħ)
+        at h_trunc 0 has window -1)."""
         dim = self.action.dim
         unit = EquivariantClassCocycle.constant(
             self.action,
             TorusForm.from_function(
-                TorusElement.one(dim, self.global_window() or 0)))
+                TorusElement.one(dim, max(self.global_window() or 0, 0))))
         acc = unit
         term = unit
         k = 0

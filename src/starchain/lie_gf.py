@@ -20,6 +20,7 @@ from .forms import _perm_sign
 from .group_coh import (EquivariantClassCocycle, GroupCochain, _series_sum,
                         phi_pair, word_to_form)
 from .scalars import FieldElement, HbarLaurent, ULaurent
+from .sparse import _acc
 from .torus import TorusElement, TorusForm, TranslationAction, WeylSection
 from .weyl import Derivation, WeylElement, extension_defect
 
@@ -240,12 +241,12 @@ def _series_log_factor(max_weight: int) -> dict:
     for m in range(1, max_weight + 1):
         for k, v in power.items():
             if k <= max_weight:
-                log_g[k] = log_g.get(k, Fraction(0)) + sign * v / m
+                _acc(log_g, k, sign * v / m)
         nxt: dict = {}
         for k1, v1 in power.items():
             for k2, v2 in u.items():
                 if k1 + k2 <= max_weight:
-                    nxt[k1 + k2] = nxt.get(k1 + k2, Fraction(0)) + v1 * v2
+                    _acc(nxt, k1 + k2, v1 * v2)
         power = nxt
         sign = -sign
     # substitute t = x^2/4 and negate: weight m picks up 4^(-m)
@@ -261,7 +262,7 @@ def _power_to_elementary(m: int, max_weight: int) -> dict:
 
         def acc(mono, q):
             if q:
-                out[mono] = out.get(mono, Fraction(0)) + q
+                _acc(out, mono, q)
 
         for i in range(1, k):
             for mono, q in table[k - i].items():
@@ -278,7 +279,7 @@ def _poly_mul(a: dict, b: dict, max_weight: int) -> dict:
             mono = tuple(sorted(ka + kb))
             if sum(mono) > max_weight:
                 continue
-            out[mono] = out.get(mono, Fraction(0)) + va * vb
+            _acc(out, mono, va * vb)
     return {k: v for k, v in out.items() if v}
 
 
@@ -292,7 +293,7 @@ def a_hat_series(max_weight: int) -> dict:
     log_poly: dict = {}
     for m, c in logs.items():
         for mono, q in _power_to_elementary(m, max_weight).items():
-            log_poly[mono] = log_poly.get(mono, Fraction(0)) + c * q
+            _acc(log_poly, mono, c * q)
     out = {(): Fraction(1)}
     term = {(): Fraction(1)}
     for k in range(1, max_weight + 1):
@@ -301,7 +302,7 @@ def a_hat_series(max_weight: int) -> dict:
         if not term:
             break
         for mo, v in term.items():
-            out[mo] = out.get(mo, Fraction(0)) + v
+            _acc(out, mo, v)
     return {mo: v for mo, v in out.items() if v}
 
 

@@ -1,8 +1,15 @@
 """Configuration-driven verification scenarios and JSON reports.
 
 The runner executes named property suites against a single structured
-configuration and produces deterministic reports.  Report JSON schema
-(version 1): top-level keys sorted alphabetically,
+configuration and produces deterministic reports.  `_check` runs and
+records every check of every suite and of index_check: it times a
+function returning (expected, actual, passed).  `_trials` builds the
+randomized checks on it, summing the failures of n trials into "k
+failures in n".  Only a non-idempotent matrix in index_check is recorded
+directly.  Each suite draws from its own random.Random(seed), so its
+records do not depend on which other suites run.
+
+Report JSON schema (version 1): top-level keys sorted alphabetically,
 
     {"checks": [record, ...],
      "config_digest": "<12 hex>",
@@ -29,6 +36,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import partial
 
 from .cyclic import (ChainContext, CyclicChain, chern_character,
                      chern_coefficients, chern_word_chain,
@@ -142,10 +150,8 @@ class ScenarioConfig:
     def from_dict(cls, data) -> "ScenarioConfig":
         if not isinstance(data, dict):
             raise ConfigError([("<root>", "configuration must be an object")])
-        known = {"dim", "h_trunc", "u_trunc", "weyl_order", "level",
-                 "group_order", "shifts", "twist", "cochain", "idempotent",
-                 "suites", "seed"}
-        problems = [(k, "unknown field") for k in sorted(set(data) - known)]
+        problems = [(k, "unknown field")
+                    for k in sorted(set(data) - set(cls.__slots__))]
         if problems:
             raise ConfigError(problems)
         kwargs = dict(data)
@@ -167,15 +173,9 @@ class ScenarioConfig:
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim, "h_trunc": self.h_trunc,
-            "u_trunc": self.u_trunc, "weyl_order": self.weyl_order,
-            "level": self.level, "group_order": self.group_order,
-            "shifts": [str(s) for s in self.shifts],
-            "twist": self.twist, "cochain": self.cochain,
-            "idempotent": self.idempotent, "suites": self.suites,
-            "seed": self.seed,
-        }
+        out = {k: getattr(self, k) for k in self.__slots__}
+        out["shifts"] = [str(s) for s in self.shifts]
+        return out
 
     def digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True,
@@ -283,19 +283,25 @@ def _digest(*parts) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _record(name, law, inputs, expected, actual, passed, t0):
+def _check(name, law, inputs, run) -> CheckRecord:
+    """Run one check: time run(), which returns (expected, actual,
+    passed), and record both sides as text under the digest of inputs."""
+    t0 = time.monotonic()
+    expected, actual, passed = run()
     return CheckRecord(name, law, _digest(*inputs), str(expected),
                        str(actual), bool(passed), time.monotonic() - t0)
 
 
-def _count_record(name, law, inputs, failures, total, t0):
-    return CheckRecord(name, law, _digest(*inputs),
-                       f"0 failures in {total}",
-                       f"{failures} failures in {total}",
-                       failures == 0, time.monotonic() - t0)
+def _trials(name, law, inputs, n, trial) -> CheckRecord:
+    """A check of n random trials; trial() returns its number of failures
+    (a bool counts as 0 or 1)."""
+    def run():
+        fails = sum(trial() for _ in range(n))
+        return f"0 failures in {n}", f"{fails} failures in {n}", fails == 0
+    return _check(name, law, inputs, run)
 
 
-# -- random generators shared by suites ------------------------------------
+# -- random draws shared by suites -----------------------------------------
 
 def _rand_torus(rng, cfg, terms=3, span=3):
     out = TorusElement.zero(cfg.dim)
@@ -309,24 +315,30 @@ def _rand_torus(rng, cfg, terms=3, span=3):
     return out
 
 
+def _rand_monomial(rng, dim):
+    """Weyl exponents a, b in [0, 2]^dim and a nonzero numerator in
+    [-6, 6]."""
+    a = tuple(rng.randint(0, 2) for _ in range(dim))
+    b = tuple(rng.randint(0, 2) for _ in range(dim))
+    return a, b, rng.randint(-6, 6) or 1
+
+
 def _rand_weyl(rng, cfg, terms=3):
     w = WeylElement.zero(cfg.dim, cfg.weyl_order)
     for _ in range(terms):
-        a = tuple(rng.randint(0, 2) for _ in range(cfg.dim))
-        b = tuple(rng.randint(0, 2) for _ in range(cfg.dim))
-        num = rng.randint(-6, 6) or 1
+        a, b, num = _rand_monomial(rng, cfg.dim)
         w = w + WeylElement.monomial(
             cfg.dim, a, b, rng.randint(0, 1),
             Fraction(num, rng.choice([1, 2])), cfg.weyl_order)
     return w
 
 
-def _rand_crossed_chain(rng, ctx, deg, terms=2, span=2):
+def _rand_chain(rng, ctx, word, terms=2):
+    """A chain of `terms` words drawn by word(), each with coefficient
+    n/2 · u^k for a nonzero integer n in [-4, 4] and k in [-1, 1]."""
     coeffs = {}
     for _ in range(terms):
-        key = tuple((tuple(rng.randint(-span, span)
-                           for _ in range(2 * ctx.dim)),
-                     rng.randint(-span, span)) for _ in range(deg + 1))
+        key = word()
         num = rng.randint(-4, 4) or 1
         coeffs[key] = ULaurent.from_hbar(
             HbarLaurent.from_rational(Fraction(num, 2), ctx.h_trunc),
@@ -334,93 +346,90 @@ def _rand_crossed_chain(rng, ctx, deg, terms=2, span=2):
     return CyclicChain(ctx, coeffs)
 
 
-def _rand_chain(rng, ctx, deg, terms=2):
-    if ctx.kind == "crossed":
-        return _rand_crossed_chain(rng, ctx, deg, terms)
-    coeffs = {}
-    for _ in range(terms):
-        if ctx.kind == "torus":
-            key = tuple(tuple(rng.randint(-2, 2)
-                              for _ in range(2 * ctx.dim))
-                        for _ in range(deg + 1))
-        else:
-            key = tuple(rng.randint(-2, 2) for _ in range(deg + 1))
-        num = rng.randint(-4, 4) or 1
-        coeffs[key] = ULaurent.from_hbar(
-            HbarLaurent.from_rational(Fraction(num, 2), ctx.h_trunc),
-            ctx.u_trunc, rng.randint(-1, 1))
-    return CyclicChain(ctx, coeffs)
+def _slot_words(rng, ctx, deg, span=2):
+    """A draw of words of deg + 1 slots over ctx: torus modes, group
+    labels, or (mode, label) pairs for crossed words."""
+    def slot():
+        if ctx.kind == "group":
+            return rng.randint(-span, span)
+        mode = tuple(rng.randint(-span, span) for _ in range(2 * ctx.dim))
+        return (mode, rng.randint(-span, span)) if ctx.kind == "crossed" \
+            else mode
+    return lambda: tuple(slot() for _ in range(deg + 1))
+
+
+def _identity_words(rng, ctx, deg, span=2):
+    """A draw of crossed words of deg + 1 slots whose group labels
+    compose to the identity."""
+    g = ctx.group
+
+    def word():
+        labels = [rng.randint(-span, span) for _ in range(deg)]
+        labels.append(g.inverse(g.compose_all(labels)))
+        return tuple((tuple(rng.randint(-span, span)
+                            for _ in range(2 * ctx.dim)), lab)
+                     for lab in labels)
+    return word
+
+
+def _reciprocal_volume(dim, h_trunc) -> HbarLaurent:
+    """(-i)^dim ħ^-dim, the trace of the unit."""
+    return HbarLaurent.from_field((FieldElement.i_unit() * (-1)) ** dim,
+                                  h_trunc - dim, -dim)
 
 
 # -- suites ----------------------------------------------------------------
 
 def _suite_moyal(cfg: ScenarioConfig, rng) -> list:
-    out = []
-    t0 = time.monotonic()
+    def nonassociative(draw):
+        a, b, c = (draw(rng, cfg) for _ in range(3))
+        return a.star(b).star(c) != a.star(b.star(c))
+
+    def nonclassical():
+        a, b = _rand_torus(rng, cfg), _rand_torus(rng, cfg)
+        return a.star(b) != a.symbol_mul(b)
+
     trials = 40
-    fails = 0
-    for _ in range(trials):
-        a, b, c = (_rand_torus(rng, cfg) for _ in range(3))
-        if a.star(b).star(c) != a.star(b.star(c)):
-            fails += 1
-    out.append(_count_record(
-        "torus-star-associativity", "star-product-associativity",
-        ("torus", cfg.dim, cfg.h_trunc, cfg.seed), fails, trials, t0))
-    t0 = time.monotonic()
-    fails = 0
-    for _ in range(trials):
-        a, b, c = (_rand_weyl(rng, cfg) for _ in range(3))
-        if a.star(b).star(c) != a.star(b.star(c)):
-            fails += 1
-    out.append(_count_record(
-        "weyl-star-associativity", "star-product-associativity",
-        ("weyl", cfg.dim, cfg.weyl_order, cfg.seed), fails, trials, t0))
+    out = [_trials("torus-star-associativity", "star-product-associativity",
+                   ("torus", cfg.dim, cfg.h_trunc, cfg.seed), trials,
+                   lambda: nonassociative(_rand_torus)),
+           _trials("weyl-star-associativity", "star-product-associativity",
+                   ("weyl", cfg.dim, cfg.weyl_order, cfg.seed), trials,
+                   lambda: nonassociative(_rand_weyl))]
     if cfg.h_trunc == 0:
-        t0 = time.monotonic()
-        fails = 0
-        for _ in range(trials):
-            a, b = _rand_torus(rng, cfg), _rand_torus(rng, cfg)
-            if a.star(b) != a.symbol_mul(b):
-                fails += 1
-        out.append(_count_record(
-            "classical-limit-degeneration", "classical-limit",
-            ("torus", cfg.dim, 0, cfg.seed), fails, trials, t0))
+        out.append(_trials("classical-limit-degeneration", "classical-limit",
+                           ("torus", cfg.dim, 0, cfg.seed), trials,
+                           nonclassical))
     return out
 
 
 def _suite_normalization(cfg: ScenarioConfig, rng) -> list:
-    out = []
-    t0 = time.monotonic()
     d, order = cfg.dim, max(cfg.weyl_order, 2)
     i_h = WeylElement.hbar(d, 1, order) * FieldElement.i_unit()
-    fails = 0
-    for j in range(d):
-        x = WeylElement.x_hat(d, j, order)
-        xi = WeylElement.xi_hat(d, j, order)
-        if xi.star(x) - x.star(xi) != i_h:
-            fails += 1
-    out.append(_count_record(
-        "generator-commutator", "canonical-commutation",
-        ("weyl", d, order), fails, d, t0))
-    t0 = time.monotonic()
-    one = TorusElement.one(d, cfg.h_trunc)
-    got = one.trace()
-    want = HbarLaurent.from_field(
-        (FieldElement.i_unit() * (-1)) ** d, cfg.h_trunc - d, -d)
-    out.append(_record("unit-trace", "trace-normalization",
-                       ("torus", d, cfg.h_trunc), want, got,
-                       got == want, t0))
-    t0 = time.monotonic()
-    trials = 25
-    fails = 0
-    for _ in range(trials):
+    generators = ((WeylElement.x_hat(d, j, order),
+                   WeylElement.xi_hat(d, j, order)) for j in range(d))
+
+    def noncanonical():
+        x, xi = next(generators)
+        return xi.star(x) - x.star(xi) != i_h
+
+    def unit_trace():
+        got = TorusElement.one(d, cfg.h_trunc).trace()
+        want = _reciprocal_volume(d, cfg.h_trunc)
+        return want, got, got == want
+
+    def commutator_traced():
         a, b = _rand_torus(rng, cfg), _rand_torus(rng, cfg)
-        if not (a.star(b) - b.star(a)).trace().is_zero():
-            fails += 1
-    out.append(_count_record(
-        "trace-kills-commutators", "trace-property",
-        ("torus", d, cfg.h_trunc, cfg.seed), fails, trials, t0))
-    return out
+        return not (a.star(b) - b.star(a)).trace().is_zero()
+
+    return [
+        _trials("generator-commutator", "canonical-commutation",
+                ("weyl", d, order), d, noncanonical),
+        _check("unit-trace", "trace-normalization",
+               ("torus", d, cfg.h_trunc), unit_trace),
+        _trials("trace-kills-commutators", "trace-property",
+                ("torus", d, cfg.h_trunc, cfg.seed), 25, commutator_traced),
+    ]
 
 
 def _complex_contexts(cfg: ScenarioConfig):
@@ -434,203 +443,153 @@ def _complex_contexts(cfg: ScenarioConfig):
 
 
 def _suite_complexes(cfg: ScenarioConfig, rng) -> list:
-    out = []
-    for ctx in _complex_contexts(cfg):
-        t0 = time.monotonic()
-        trials = 6
-        fails = 0
-        for _ in range(trials):
-            x = _rand_chain(rng, ctx, rng.choice([1, 2, 3]))
-            if not x.boundary().boundary().is_zero():
-                fails += 1
-            if not x.connes_boundary().connes_boundary().is_zero():
-                fails += 1
-            anti = x.boundary().connes_boundary() + \
-                x.connes_boundary().boundary()
-            if not anti.is_zero():
-                fails += 1
-        out.append(_count_record(
-            f"{ctx.kind}-differential-identities", "cyclic-complex-axioms",
-            (ctx.kind, cfg.dim, cfg.seed), fails, trials, t0))
-    return out
+    def axiom_failures(ctx):
+        x = _rand_chain(rng, ctx, _slot_words(rng, ctx,
+                                              rng.choice([1, 2, 3])))
+        b, B = x.boundary(), x.connes_boundary()
+        return sum(not z.is_zero() for z in (
+            b.boundary(), B.connes_boundary(),
+            b.connes_boundary() + B.boundary()))
 
-
-def _rand_identity_chain(rng, ctx, deg, terms=2, span=2):
-    g = ctx.group
-    coeffs = {}
-    for _ in range(terms):
-        labels = [rng.randint(-span, span) for _ in range(deg)]
-        labels.append(g.inverse(g.compose_all(labels)))
-        key = tuple((tuple(rng.randint(-span, span)
-                           for _ in range(2 * ctx.dim)), lab)
-                    for lab in labels)
-        num = rng.randint(-4, 4) or 1
-        coeffs[key] = ULaurent.from_hbar(
-            HbarLaurent.from_rational(Fraction(num, 2), ctx.h_trunc),
-            ctx.u_trunc, rng.randint(-1, 1))
-    return CyclicChain(ctx, coeffs)
+    return [_trials(f"{ctx.kind}-differential-identities",
+                    "cyclic-complex-axioms", (ctx.kind, cfg.dim, cfg.seed),
+                    6, partial(axiom_failures, ctx))
+            for ctx in _complex_contexts(cfg)]
 
 
 def _suite_splittings(cfg: ScenarioConfig, rng) -> list:
-    out = []
-    act = cfg.action()
-    ctx = ChainContext.crossed(act, h_trunc=cfg.h_trunc, u_trunc=cfg.u_trunc)
-    t0 = time.monotonic()
-    trials = 6
-    fails = 0
-    for _ in range(trials):
-        x = _rand_identity_chain(rng, ctx, rng.choice([0, 1, 2]))
+    ctx = ChainContext.crossed(cfg.action(), h_trunc=cfg.h_trunc,
+                               u_trunc=cfg.u_trunc)
+    inputs = ("crossed", cfg.dim, cfg.seed)
+
+    def identity_chain(degrees):
+        return _rand_chain(rng, ctx, _identity_words(rng, ctx,
+                                                     rng.choice(degrees)))
+
+    def roundtrip_failures():
+        x = identity_chain([0, 1, 2])
         f = homogeneous_to_coinvariants(x)
-        if coinvariants_to_homogeneous(f) != x:
-            fails += 1
-        if homogeneous_to_coinvariants(coinvariants_to_homogeneous(f)) != f:
-            fails += 1
-    out.append(_count_record(
-        "coinvariant-roundtrip", "coinvariant-isomorphism",
-        ("crossed", cfg.dim, cfg.seed), fails, trials, t0))
-    t0 = time.monotonic()
-    fails = 0
-    for _ in range(4):
-        x = _rand_identity_chain(rng, ctx, rng.choice([0, 1]))
-        f = homogeneous_to_coinvariants(x)
-        if q_map(f.mixed_boundary()) != q_map(f).total_boundary():
-            fails += 1
-    out.append(_count_record(
-        "splitting-chain-map", "equivariant-splitting",
-        ("crossed", cfg.dim, cfg.seed), fails, 4, t0))
-    t0 = time.monotonic()
-    fails = 0
-    for _ in range(trials):
-        x = _rand_chain(rng, ctx, rng.choice([0, 1, 2]))
-        if d_map(x.mixed_boundary()) != d_map(x).total_boundary():
-            fails += 1
-    out.append(_count_record(
-        "decomposition-chain-map", "chain-decomposition",
-        ("crossed", cfg.dim, cfg.seed), fails, trials, t0))
-    return out
+        back = coinvariants_to_homogeneous(f)
+        return (back != x) + (homogeneous_to_coinvariants(back) != f)
+
+    def unsplit():
+        f = homogeneous_to_coinvariants(identity_chain([0, 1]))
+        return q_map(f.mixed_boundary()) != q_map(f).total_boundary()
+
+    def undecomposed():
+        x = _rand_chain(rng, ctx, _slot_words(rng, ctx,
+                                              rng.choice([0, 1, 2])))
+        return d_map(x.mixed_boundary()) != d_map(x).total_boundary()
+
+    return [
+        _trials("coinvariant-roundtrip", "coinvariant-isomorphism", inputs,
+                6, roundtrip_failures),
+        _trials("splitting-chain-map", "equivariant-splitting", inputs, 4,
+                unsplit),
+        _trials("decomposition-chain-map", "chain-decomposition", inputs, 6,
+                undecomposed),
+    ]
 
 
 def _suite_characters(cfg: ScenarioConfig, rng) -> list:
-    out = []
-    t0 = time.monotonic()
-    ch = chern_word_chain(min(cfg.u_trunc, 2))
-    got = ch.mixed_boundary()
-    out.append(_record(
-        "abstract-character-cycle", "character-cycle",
-        ("idem", cfg.u_trunc), "zero chain",
-        "zero chain" if got.is_zero() else repr(got), got.is_zero(), t0))
-    t0 = time.monotonic()
-    matrix = cfg.idempotent_matrix()
-    ch_e = chern_character(matrix, cfg.u_trunc)
-    got = ch_e.mixed_boundary()
-    out.append(_record(
-        f"{cfg.idempotent}-character-cycle", "character-cycle",
-        (cfg.idempotent, cfg.dim, cfg.h_trunc, cfg.u_trunc), "zero chain",
-        "zero chain" if got.is_zero() else repr(got), got.is_zero(), t0))
-    return out
+    def cycle(chain):
+        got = chain.mixed_boundary()
+        return ("zero chain", "zero chain" if got.is_zero() else repr(got),
+                got.is_zero())
+
+    return [
+        _check("abstract-character-cycle", "character-cycle",
+               ("idem", cfg.u_trunc),
+               lambda: cycle(chern_word_chain(min(cfg.u_trunc, 2)))),
+        _check(f"{cfg.idempotent}-character-cycle", "character-cycle",
+               (cfg.idempotent, cfg.dim, cfg.h_trunc, cfg.u_trunc),
+               lambda: cycle(chern_character(cfg.idempotent_matrix(),
+                                             cfg.u_trunc))),
+    ]
 
 
 def _suite_trace_cocycles(cfg: ScenarioConfig, rng) -> list:
-    out = []
     act = cfg.action()
     ctx = ChainContext.crossed(act, h_trunc=cfg.h_trunc, u_trunc=cfg.u_trunc)
-    xi = cfg.group_cochain()
-    T = TraceFunctional(xi, act)
-    t0 = time.monotonic()
-    trials = 20
-    fails = 0
-    for _ in range(trials):
-        x = _rand_crossed_chain(rng, ctx, rng.choice([0, 1, 2]))
-        if not T.pair(x.mixed_boundary()).is_zero():
-            fails += 1
-    out.append(_count_record(
-        "twisted-trace-cocycle", "twisted-trace-cocycle",
-        (cfg.cochain, cfg.dim, cfg.seed), fails, trials, t0))
-    return out
+    T = TraceFunctional(cfg.group_cochain(), act)
+
+    def noncocycle():
+        x = _rand_chain(rng, ctx, _slot_words(rng, ctx,
+                                              rng.choice([0, 1, 2])))
+        return not T.pair(x.mixed_boundary()).is_zero()
+
+    return [_trials("twisted-trace-cocycle", "twisted-trace-cocycle",
+                    (cfg.cochain, cfg.dim, cfg.seed), 20, noncocycle)]
 
 
 def _suite_forms(cfg: ScenarioConfig, rng) -> list:
-    out = []
     sym = ChainContext.sym(cfg.dim, h_trunc=cfg.h_trunc,
                            u_trunc=cfg.u_trunc)
-    t0 = time.monotonic()
-    trials = 10
-    fails = 0
-    for _ in range(trials):
-        coeffs = {}
-        for _ in range(2):
-            key = tuple((tuple(rng.randint(0, 2) for _ in range(cfg.dim)),
-                         tuple(rng.randint(0, 2) for _ in range(cfg.dim)))
-                        for _ in range(rng.choice([2, 3])))
-            num = rng.randint(-4, 4) or 1
-            coeffs[key] = ULaurent.from_hbar(
-                HbarLaurent.from_rational(Fraction(num, 2), cfg.h_trunc),
-                cfg.u_trunc, rng.randint(-1, 1))
-        x = CyclicChain(sym, coeffs)
+
+    def sym_word():
+        return tuple((tuple(rng.randint(0, 2) for _ in range(cfg.dim)),
+                      tuple(rng.randint(0, 2) for _ in range(cfg.dim)))
+                     for _ in range(rng.choice([2, 3])))
+
+    def bridge_failures():
+        x = _rand_chain(rng, sym, sym_word)
         lhs = hkr(x.mixed_boundary())
         rhs = hkr(x).d_hat().shift(1).truncate(cfg.u_trunc)
-        if lhs != rhs:
-            fails += 1
-        if not hkr(x.boundary()).is_zero():
-            fails += 1
-    out.append(_count_record(
-        "chains-to-forms-chain-map", "derivative-bridge",
-        ("sym", cfg.dim, cfg.seed), fails, trials, t0))
-    t0 = time.monotonic()
-    mu = mu_normalization_chain(cfg.dim, h_trunc=cfg.h_trunc,
-                                u_trunc=cfg.u_trunc)
-    terms = len(mu.coeffs)
-    expected = math.factorial(2 * cfg.dim)
-    out.append(_record(
-        "normalization-chain-size", "order-normalization",
-        ("weyl", cfg.dim), expected, terms, expected == terms, t0))
-    return out
+        return (lhs != rhs) + (not hkr(x.boundary()).is_zero())
+
+    def chain_size():
+        terms = len(mu_normalization_chain(
+            cfg.dim, h_trunc=cfg.h_trunc, u_trunc=cfg.u_trunc).coeffs)
+        expected = math.factorial(2 * cfg.dim)
+        return expected, terms, expected == terms
+
+    return [
+        _trials("chains-to-forms-chain-map", "derivative-bridge",
+                ("sym", cfg.dim, cfg.seed), 10, bridge_failures),
+        _check("normalization-chain-size", "order-normalization",
+               ("weyl", cfg.dim), chain_size),
+    ]
 
 
 def _suite_lie(cfg: ScenarioConfig, rng) -> list:
-    out = []
     order = max(cfg.weyl_order, 10)
-    t0 = time.monotonic()
-    trials = 6
-    fails = 0
-    for _ in range(trials):
+
+    def derivation():
+        w = WeylElement.zero(cfg.dim, order)
+        for _ in range(3):
+            a, b, num = _rand_monomial(rng, cfg.dim)
+            w = w + WeylElement.monomial(cfg.dim, a, b, 0,
+                                         Fraction(num, 2), order)
+        return Derivation(w)
+
+    def nonsquare_zero():
         keys = [((rng.randint(0, 2),) * cfg.dim,
                  (rng.randint(0, 2),) * cfg.dim, rng.randint(0, 1))]
         lam = LieCochain.coefficient_product(keys)
         dd = lie_differential(lie_differential(lam))
-        xs = []
-        for _ in range(3):
-            w = WeylElement.zero(cfg.dim, order)
-            for _ in range(3):
-                a = tuple(rng.randint(0, 2) for _ in range(cfg.dim))
-                b = tuple(rng.randint(0, 2) for _ in range(cfg.dim))
-                num = rng.randint(-6, 6) or 1
-                w = w + WeylElement.monomial(cfg.dim, a, b, 0,
-                                             Fraction(num, 2), order)
-            xs.append(Derivation(w))
-        if not dd.evaluate(tuple(xs)).is_zero():
-            fails += 1
-    out.append(_count_record(
-        "lie-differential-squares", "chevalley-eilenberg",
-        ("weyl", cfg.dim, cfg.seed), fails, trials, t0))
-    t0 = time.monotonic()
-    conn = InvariantConnection(cfg.dim, order)
-    got = gf_form(theta_hat_cochain(), conn, cfg.h_trunc)
-    want = symplectic_form(cfg.dim, cfg.h_trunc) * HbarLaurent.from_field(
-        FieldElement.i_unit() * (-1), cfg.h_trunc, power=-1)
-    out.append(_record(
-        "defect-class-datum", "curvature-class",
-        ("weyl", cfg.dim, order), "scaled area form",
-        "scaled area form" if got == want else repr(got),
-        got == want, t0))
-    t0 = time.monotonic()
-    series = a_hat_series(1)
-    got_c = series.get((1,))
-    out.append(_record(
-        "genus-leading-coefficient", "genus-series",
-        ("series", 1), Fraction(-1, 24), got_c,
-        got_c == Fraction(-1, 24), t0))
-    return out
+        xs = tuple(derivation() for _ in range(3))
+        return not dd.evaluate(xs).is_zero()
+
+    def defect_class():
+        conn = InvariantConnection(cfg.dim, order)
+        got = gf_form(theta_hat_cochain(), conn, cfg.h_trunc)
+        want = symplectic_form(cfg.dim, cfg.h_trunc) * HbarLaurent.from_field(
+            FieldElement.i_unit() * (-1), cfg.h_trunc, power=-1)
+        return ("scaled area form",
+                "scaled area form" if got == want else repr(got), got == want)
+
+    def genus_leading():
+        got = a_hat_series(1).get((1,))
+        return Fraction(-1, 24), got, got == Fraction(-1, 24)
+
+    return [
+        _trials("lie-differential-squares", "chevalley-eilenberg",
+                ("weyl", cfg.dim, cfg.seed), 6, nonsquare_zero),
+        _check("defect-class-datum", "curvature-class",
+               ("weyl", cfg.dim, order), defect_class),
+        _check("genus-leading-coefficient", "genus-series", ("series", 1),
+               genus_leading),
+    ]
 
 
 def _suite_index(cfg: ScenarioConfig, rng) -> list:
@@ -680,7 +639,7 @@ def index_check(cfg: ScenarioConfig) -> Report:
     """Both sides of the pairing identity on the configured idempotent:
     the trace side against the character, and the integral side through
     the class data with the degree-halving weights."""
-    t_start = t0 = time.monotonic()
+    t0 = time.monotonic()
     matrix = cfg.idempotent_matrix()
     act = cfg.action()
     crossed = isinstance(matrix[0][0], CrossedElement)
@@ -693,37 +652,35 @@ def index_check(cfg: ScenarioConfig) -> Report:
             str(exc), False, time.monotonic() - t0)
         return Report([rec], suite="index-check", seed=cfg.seed,
                       config_digest=cfg.digest(),
-                      runtime=time.monotonic() - t_start)
-    classes = equivariant_ahat(act, cfg.h_trunc).cup(
-        equivariant_theta(act, cfg.h_trunc).exponential())
-    checks = []
+                      runtime=time.monotonic() - t0)
     if crossed:
         xi = cfg.group_cochain()
         lhs = TraceFunctional(xi, act).pair(ch)
-        rhs = phi_pair(classes, xi, ch)
         law = "equivariant-index-pairing"
     else:
         xi = GroupCochain.constant(cfg.group(), 1)
         lhs = trace_pair(ch)
-        rhs = phi_pair(classes, xi, ch)
         law = "index-pairing"
-    checks.append(_record(
+
+    def integral_side():
+        classes = equivariant_ahat(act, cfg.h_trunc).cup(
+            equivariant_theta(act, cfg.h_trunc).exponential())
+        rhs = phi_pair(classes, xi, ch)
+        return lhs, rhs, lhs == rhs
+
+    checks = [_check(
         "trace-side-equals-integral-side", law,
         (cfg.idempotent, cfg.cochain, cfg.dim, cfg.h_trunc, cfg.u_trunc),
-        lhs, rhs, lhs == rhs, t0))
+        integral_side)]
     if not crossed:
-        t0 = time.monotonic()
-        want = ULaurent.from_hbar(
-            HbarLaurent.from_field(
-                (FieldElement.i_unit() * (-1)) ** cfg.dim,
-                cfg.h_trunc - cfg.dim, -cfg.dim),
-            cfg.u_trunc)
-        checks.append(_record(
+        want = ULaurent.from_hbar(_reciprocal_volume(cfg.dim, cfg.h_trunc),
+                                  cfg.u_trunc)
+        checks.append(_check(
             "value-is-reciprocal-volume", "trace-normalization",
-            (cfg.idempotent, cfg.dim), want, lhs, lhs == want, t0))
+            (cfg.idempotent, cfg.dim), lambda: (want, lhs, lhs == want)))
     return Report(checks, suite="index-check", seed=cfg.seed,
                   config_digest=cfg.digest(),
-                  runtime=time.monotonic() - t_start)
+                  runtime=time.monotonic() - t0)
 
 
 def emit_fixtures(cfg: ScenarioConfig, directory) -> list:

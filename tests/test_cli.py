@@ -199,6 +199,19 @@ def test_index_check_unit_and_conjugated():
         assert "value-is-reciprocal-volume" in names
 
 
+@pytest.mark.parametrize("overrides", [{}, {"dim": 2}, {"twist": [1, 0]}],
+                         ids=["dim1", "dim2", "twisted"])
+def test_index_check_at_classical_window(overrides):
+    # h_trunc 0 is accepted by the validator, and both sides must still
+    # read the reciprocal volume
+    cfg = small_config(h_trunc=0, u_trunc=1, idempotent="conjugated",
+                       **overrides)
+    report = index_check(cfg)
+    assert [c.name for c in report.checks] == [
+        "trace-side-equals-integral-side", "value-is-reciprocal-volume"]
+    assert report.all_passed()
+
+
 def test_index_check_crossed_sides_agree():
     cfg = small_config(idempotent="crossed-conjugated", cochain="trivial")
     report = index_check(cfg)

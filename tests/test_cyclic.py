@@ -479,6 +479,19 @@ def test_localisation_is_a_chain_map(act):
         assert d_map(c.mixed_boundary()) == d_map(c).total_boundary("mixed")
 
 
+def test_localisation_reuses_the_plans_of_its_context():
+    # every d_map of a chain on one crossed context splits on the same
+    # derived diagonal context, so a second call plans no inner word again
+    xctx = ChainContext.crossed(TW_ACT, h_trunc=H, u_trunc=U)
+    c = rand_identity_product_chain(xctx, random.Random(4099), 1)
+    first = d_map(c)
+    plans = xctx.as_diagonal()._plans
+    built = len(plans)
+    assert built > 0
+    assert d_map(c) == first
+    assert len(plans) == built
+
+
 def test_localisation_of_plain_element():
     # an element with the trivial group label lands as itself in group
     # word length zero, nothing else

@@ -163,16 +163,18 @@ def test_theta_components():
 
 
 def test_class_exponential():
-    e1 = equivariant_theta(ACT, H).exponential()
-    assert e1.bidegrees() == [(0, 0), (0, 2)]
-    assert e1.evaluate(0, 2, ()) == symplectic_form(1, H) * inv_i_hbar()
+    # at h_trunc 0 the window of theta = omega/(i hbar) is -1, below the
+    # exact unit the exponential starts from
     act2 = TranslationAction(2, Z, (0, 0, 0, 0))
-    th2 = equivariant_theta(act2, H)
-    e2 = th2.exponential()
-    w = symplectic_form(2, H) * inv_i_hbar(H)
-    assert e2.evaluate(0, 4, ()) == w.wedge(w) * Fraction(1, 2)
-    assert e2.evaluate(0, 4, ()).integrate() == \
-        HbarLaurent.from_field(FieldElement.rational(-1), H).shift(-2)
+    for h in (H, 0):
+        e1 = equivariant_theta(ACT, h).exponential()
+        assert e1.bidegrees() == [(0, 0), (0, 2)]
+        assert e1.evaluate(0, 2, ()) == symplectic_form(1, h) * inv_i_hbar(h)
+        e2 = equivariant_theta(act2, h).exponential()
+        w = symplectic_form(2, h) * inv_i_hbar(h)
+        assert e2.evaluate(0, 4, ()) == w.wedge(w) * Fraction(1, 2)
+        assert e2.evaluate(0, 4, ()).integrate() == \
+            HbarLaurent.from_field(FieldElement.rational(-1), h).shift(-2)
 
 
 def test_cup_associative():
