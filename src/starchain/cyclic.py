@@ -130,25 +130,24 @@ class ChainContext:
     def idem(cls, u_trunc=6):
         return cls("idem", h_trunc=0, u_trunc=u_trunc)
 
-    def _derive(self, key, build):
+    def _derive(self, key, build, *args):
         ctx = self._derived.get(key)
         if ctx is None:
-            ctx = self._derived[key] = build()
+            ctx = self._derived[key] = build(*args)
         return ctx
 
     def as_torus(self):
-        return self._derive("torus", lambda: ChainContext.torus(
-            self.dim, self.h_trunc, self.u_trunc))
+        return self._derive("torus", ChainContext.torus, self.dim,
+                            self.h_trunc, self.u_trunc)
 
     def as_diagonal(self, coinvariant=True):
-        return self._derive(("diag", coinvariant),
-                            lambda: ChainContext.diagonal(
-                                self.action, self.h_trunc, self.u_trunc,
-                                coinvariant))
+        return self._derive(("diag", coinvariant), ChainContext.diagonal,
+                            self.action, self.h_trunc, self.u_trunc,
+                            coinvariant)
 
     def as_crossed(self):
-        return self._derive("crossed", lambda: ChainContext.crossed(
-            self.action, self.h_trunc, self.u_trunc))
+        return self._derive("crossed", ChainContext.crossed, self.action,
+                            self.h_trunc, self.u_trunc)
 
     def one(self) -> ULaurent:
         return ULaurent.one(self.u_trunc, self.h_trunc)

@@ -418,7 +418,7 @@ def _suite_normalization(cfg: ScenarioConfig, rng) -> list:
         want = _reciprocal_volume(d, cfg.h_trunc)
         return want, got, got == want
 
-    def commutator_traced():
+    def commutator_trace_nonzero():
         a, b = _rand_torus(rng, cfg), _rand_torus(rng, cfg)
         return not (a.star(b) - b.star(a)).trace().is_zero()
 
@@ -428,7 +428,8 @@ def _suite_normalization(cfg: ScenarioConfig, rng) -> list:
         _check("unit-trace", "trace-normalization",
                ("torus", d, cfg.h_trunc), unit_trace),
         _trials("trace-kills-commutators", "trace-property",
-                ("torus", d, cfg.h_trunc, cfg.seed), 25, commutator_traced),
+                ("torus", d, cfg.h_trunc, cfg.seed), 25,
+                commutator_trace_nonzero),
     ]
 
 
@@ -562,7 +563,7 @@ def _suite_lie(cfg: ScenarioConfig, rng) -> list:
                                          Fraction(num, 2), order)
         return Derivation(w)
 
-    def nonsquare_zero():
+    def dd_nonzero():
         keys = [((rng.randint(0, 2),) * cfg.dim,
                  (rng.randint(0, 2),) * cfg.dim, rng.randint(0, 1))]
         lam = LieCochain.coefficient_product(keys)
@@ -584,7 +585,7 @@ def _suite_lie(cfg: ScenarioConfig, rng) -> list:
 
     return [
         _trials("lie-differential-squares", "chevalley-eilenberg",
-                ("weyl", cfg.dim, cfg.seed), 6, nonsquare_zero),
+                ("weyl", cfg.dim, cfg.seed), 6, dd_nonzero),
         _check("defect-class-datum", "curvature-class",
                ("weyl", cfg.dim, order), defect_class),
         _check("genus-leading-coefficient", "genus-series", ("series", 1),
