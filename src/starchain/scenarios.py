@@ -72,6 +72,12 @@ class ConfigError(ValueError):
         super().__init__(f"invalid configuration: {lines}")
 
 
+def _is_int(v) -> bool:
+    """v is an int and not a bool: JSON true and false load as bools,
+    which isinstance(v, int) would accept as 1 and 0."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 class ScenarioConfig:
     __slots__ = ("dim", "h_trunc", "u_trunc", "weyl_order", "level",
                  "group_order", "shifts", "twist", "cochain", "idempotent",
@@ -88,44 +94,54 @@ class ScenarioConfig:
         self.level = level
         self.group_order = group_order
         if shifts is None:
-            shifts = [Fraction(1, 3), Fraction(1, 5)] + \
-                [Fraction(0)] * (2 * dim - 2)
+            pad = 2 * dim - 2 if _is_int(dim) and dim >= 1 else 0
+            shifts = [Fraction(1, 3), Fraction(1, 5)] + [Fraction(0)] * pad
         self.shifts = [Fraction(s) for s in shifts]
-        self.twist = None if twist is None else [int(w) for w in twist]
+        # lists are copied; anything else is kept for _validate to reject
+        self.twist = list(twist) if isinstance(twist, (list, tuple)) \
+            else twist
         self.cochain = cochain
         self.idempotent = idempotent
-        self.suites = list(suites) if suites is not None else ["all"]
+        if suites is None:
+            suites = ["all"]
+        self.suites = list(suites) if isinstance(suites, (list, tuple)) \
+            else suites
         self.seed = seed
         self._validate()
 
     def _validate(self):
         problems = []
-        if not isinstance(self.dim, int) or self.dim < 1:
+        dim_ok = _is_int(self.dim) and self.dim >= 1
+        if not dim_ok:
             problems.append(("dim", "must be a positive integer"))
         for name in ("h_trunc", "u_trunc", "weyl_order"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if not _is_int(v) or v < 0:
                 problems.append((name, "must be a nonnegative integer"))
-        if not isinstance(self.level, int) or self.level < 1:
+        level_ok = _is_int(self.level) and self.level >= 1
+        if not level_ok:
             problems.append(("level", "must be a positive integer"))
         if self.group_order is not None and (
-                not isinstance(self.group_order, int) or self.group_order < 1):
+                not _is_int(self.group_order) or self.group_order < 1):
             problems.append(("group_order", "must be null or positive"))
-        if isinstance(self.dim, int) and len(self.shifts) != 2 * self.dim:
+        if dim_ok and len(self.shifts) != 2 * self.dim:
             problems.append(("shifts", "need exactly 2*dim entries"))
         phase_level = 4 * math.lcm(*(s.denominator for s in self.shifts))
         if phase_level > MAX_PHASE_LEVEL:
             problems.append(
                 ("shifts", f"phase level {phase_level} (4 * lcm of the "
                            f"denominators) exceeds {MAX_PHASE_LEVEL}"))
-        if isinstance(self.level, int) and self.level >= 1:
+        if level_ok:
             for s in self.shifts:
                 if self.level % s.denominator:
                     problems.append(
                         ("shifts", f"denominator of {s} does not divide "
                                    f"level {self.level}"))
         if self.twist is not None:
-            if len(self.twist) != 2 * self.dim:
+            if not isinstance(self.twist, list) or \
+                    not all(_is_int(w) for w in self.twist):
+                problems.append(("twist", "must be null or a list of integers"))
+            elif dim_ok and len(self.twist) != 2 * self.dim:
                 problems.append(("twist", "need exactly 2*dim entries"))
             if self.group_order is not None:
                 problems.append(
@@ -138,10 +154,14 @@ class ScenarioConfig:
         if self.idempotent not in ("unit", "diagonal", "conjugated",
                                    "crossed-conjugated"):
             problems.append(("idempotent", f"unknown kind {self.idempotent!r}"))
-        for s in self.suites:
-            if s != "all" and s not in _SUITES:
-                problems.append(("suites", f"unknown suite {s!r}"))
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not isinstance(self.suites, list) or \
+                not all(isinstance(s, str) for s in self.suites):
+            problems.append(("suites", "must be a list of suite names"))
+        else:
+            for s in self.suites:
+                if s != "all" and s not in _SUITES:
+                    problems.append(("suites", f"unknown suite {s!r}"))
+        if not _is_int(self.seed) or self.seed < 0:
             problems.append(("seed", "must be a nonnegative integer"))
         if problems:
             raise ConfigError(problems)
@@ -155,9 +175,12 @@ class ScenarioConfig:
         if problems:
             raise ConfigError(problems)
         kwargs = dict(data)
-        if "shifts" in kwargs and kwargs["shifts"] is not None:
+        shifts = kwargs.get("shifts")
+        if shifts is not None:
+            if not isinstance(shifts, list):
+                raise ConfigError([("shifts", "must be null or a list")])
             try:
-                kwargs["shifts"] = [Fraction(str(s)) for s in kwargs["shifts"]]
+                kwargs["shifts"] = [Fraction(str(s)) for s in shifts]
             except (ValueError, ZeroDivisionError) as exc:
                 raise ConfigError([("shifts", str(exc))]) from None
         return cls(**kwargs)

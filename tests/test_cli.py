@@ -297,6 +297,36 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "--report" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, field", [
+    ('{"dim": "2"}', "dim"),
+    ('{"dim": 2.5}', "dim"),
+    ('{"dim": true}', "dim"),
+    ('{"twist": ["a", 1]}', "twist"),
+    ('{"twist": "10"}', "twist"),
+    ('{"suites": "all"}', "suites"),
+    ('{"suites": [1]}', "suites"),
+    ('{"h_trunc": true}', "h_trunc"),
+    ('{"level": false}', "level"),
+    ('{"seed": true}', "seed"),
+    ('{"shifts": 5}', "shifts"),
+])
+def test_cli_malformed_config_exits_2(tmp_path, capsys, body, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(body, encoding="utf-8")
+    assert main(["verify", "all", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {field}: " in err
+    # a string is not read letter by letter
+    assert "unknown suite" not in err
+
+
+def test_valid_config_digests_unchanged():
+    # the twist is stored as a list of ints however it is given
+    assert ScenarioConfig(twist=(1, -1)).digest() == \
+        ScenarioConfig.from_dict({"twist": [1, -1]}).digest() == "ea6194e38730"
+    assert ScenarioConfig().digest() == "9056e1e5014c"
+
+
 def test_cli_seed_override_and_repeatability(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_config().to_dict()),
