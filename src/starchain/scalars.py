@@ -10,12 +10,20 @@ common denominator in lowest terms, so its products and sums run on Python
 ints with one gcd per result; an operation on two levels first embeds both
 operands at the lcm level.
 
-An hbar product whose operands both have several coefficients, all at one
-level, is one integer convolution: each operand is brought over one
-denominator, the numerators are multiplied through the zeta rows of that
-level, and each output power is normalised once.  Otherwise the product is
-the pairwise sum of FieldElement products, so each output coefficient sits
-at the lcm level of its own pairs.  Both give the same normal form.
+Products whose factors all sit at one level run through one sparse integer
+accumulator (_Accumulator; Gilbert, Moler and Schreiber, SIAM J. Matrix
+Anal. Appl. 13, 1992).  Each operand is brought over one denominator and
+flattened into (power, a, b, n) terms; the numerators of every product of
+terms are multiplied through the zeta rows of the level and summed under
+(output key, hbar power, zeta exponent, pi power) with no normalisation;
+freezing makes one FieldElement, with one gcd, per output coefficient.
+The hbar product of two series with several coefficients each, the torus
+star product and symbol product, and the Weyl star product use it when
+every coefficient of both operands shares one level.  With mixed levels
+they sum FieldElement (or hbar-series) products pair by pair, so each
+output coefficient sits at the lcm level of its own pairs, and that
+level is what it prints at.  At one shared level every pair's product
+sits at that level too, and both routes give the same normal form.
 
 A product by a one-term monomial u hbar^k, u = (n/d) zeta^a pi^b, is a
 relabelling, not a series product; most scalars the chain operators meet
@@ -433,10 +441,11 @@ def _term(fe: FieldElement):
     return n, fe.den, a, b, fe.level
 
 
-def _shared_level(coeffs: dict[int, FieldElement]):
-    """The level every coefficient sits at, or None when they differ."""
+def _shared_level(fes):
+    """The level every FieldElement of fes sits at, or None when they
+    differ or there are none."""
     lev = None
-    for fe in coeffs.values():
+    for fe in fes:
         if lev is None:
             lev = fe.level
         elif fe.level != lev:
@@ -444,20 +453,81 @@ def _shared_level(coeffs: dict[int, FieldElement]):
     return lev
 
 
-def _over_one_den(coeffs: dict[int, FieldElement]):
-    """({power: numerators}, den): every coefficient over the lcm den of
-    their denominators."""
+def _common_den(fes) -> int:
+    """The lcm of the denominators of the FieldElements fes."""
     den = 1
-    for fe in coeffs.values():
+    for fe in fes:
         d = fe.den
         if den % d:
             den = den // math.gcd(den, d) * d
-    nums = {}
+    return den
+
+
+def _flat(coeffs: dict[int, FieldElement], den: int):
+    """The coefficients of {power: FieldElement} as flat (power, a, b, n)
+    terms, every numerator n over den, a multiple of their denominators."""
+    terms = []
     for k, fe in coeffs.items():
         s = den // fe.den
-        nums[k] = fe.num if s == 1 else {key: v * s
-                                          for key, v in fe.num.items()}
-    return nums, den
+        terms.extend((k, a, b, n * s) for (a, b), n in fe.num.items())
+    return terms
+
+
+class _Accumulator:
+    """Sparse integer accumulator (Gilbert, Moler and Schreiber, SIAM J.
+    Matrix Anal. Appl. 13, 1992) for products whose factors all sit at one
+    level: integer numerators keyed by (output key, hbar power, zeta
+    exponent, pi power), all over one denominator that the caller fixes.
+    Nothing is normalised while terms are added; `freeze` makes one
+    FieldElement per output coefficient, with one `_normal` each."""
+
+    __slots__ = ("level", "_rows", "_sums")
+
+    def __init__(self, level: int):
+        self.level = level
+        self._rows = _zeta_rows(level)
+        self._sums: dict = {}
+
+    def _into(self, sums, xs, ys, trunc: int, scale: int) -> None:
+        """Add scale times the product of the flat term lists xs and ys
+        into sums, {power: {(a, b): n}}, keeping the powers through trunc;
+        zeta powers are reduced through the rows of the level."""
+        rows, lev = self._rows, self.level
+        for i, a1, b1, n1 in xs:
+            n1 *= scale
+            for j, a2, b2, n2 in ys:
+                k = i + j
+                if k > trunc:
+                    continue
+                out = sums.get(k)
+                if out is None:
+                    out = sums[k] = {}
+                c = n1 * n2
+                bb = b1 + b2
+                for a3, rc in rows[(a1 + a2) % lev]:
+                    t = (a3, bb)
+                    out[t] = out.get(t, 0) + c * rc
+
+    def add(self, key, xs, ys, trunc: int, scale: int = 1) -> None:
+        """Add scale * xs * ys, through hbar^trunc, under key."""
+        sums = self._sums.get(key)
+        if sums is None:
+            sums = self._sums[key] = {}
+        self._into(sums, xs, ys, trunc, scale)
+
+    def product(self, xs, ys, trunc: int):
+        """xs * ys through hbar^trunc as flat terms, not accumulated."""
+        sums: dict = {}
+        self._into(sums, xs, ys, trunc, 1)
+        return [(k, a, b, n) for k, num in sums.items()
+                for (a, b), n in num.items() if n]
+
+    def freeze(self, den: int) -> dict:
+        """{key: {power: FieldElement}}, every sum over den; a coefficient
+        that summed to zero is kept as zero."""
+        lev = self.level
+        return {key: {k: _normal(lev, num, den) for k, num in sums.items()}
+                for key, sums in self._sums.items()}
 
 
 class _Laurent(Filtered):
@@ -573,8 +643,9 @@ class HbarLaurent(_Laurent):
                     if term is not None:
                         return x._times_term(k, term, trunc)
             if len(self.coeffs) > 1 and len(other.coeffs) > 1:
-                lev = _shared_level(self.coeffs)
-                if lev is not None and lev == _shared_level(other.coeffs):
+                lev = _shared_level(self.coeffs.values())
+                if lev is not None and \
+                        lev == _shared_level(other.coeffs.values()):
                     return self._convolve(other, lev, trunc)
             # one coefficient has no sums to fuse; with mixed levels each
             # output coefficient sits at the lcm of its own pairs' levels
@@ -599,23 +670,14 @@ class HbarLaurent(_Laurent):
     def _convolve(self, other: "HbarLaurent", lev: int,
                   trunc: int) -> "HbarLaurent":
         """Product of two series whose coefficients all sit at level lev:
-        both are brought over one denominator, their integer numerators
-        convolved, and each output power normalised once."""
-        xnum, xden = _over_one_den(self.coeffs)
-        ynum, yden = _over_one_den(other.coeffs)
-        acc: dict[int, dict[tuple[int, int], int]] = {}
-        for i, a in xnum.items():
-            for j, b in ynum.items():
-                k = i + j
-                if k > trunc:
-                    continue
-                out = acc.get(k)
-                if out is None:
-                    out = acc[k] = {}
-                _mul_into(out, a, b, lev)
-        den = xden * yden
-        return HbarLaurent(trunc, {k: _normal(lev, num, den)
-                                   for k, num in acc.items()})
+        one integer convolution of their flat terms, each operand over one
+        denominator, and one normalisation per output power."""
+        xden = _common_den(self.coeffs.values())
+        yden = _common_den(other.coeffs.values())
+        acc = _Accumulator(lev)
+        acc.add(None, _flat(self.coeffs, xden), _flat(other.coeffs, yden),
+                trunc)
+        return HbarLaurent(trunc, acc.freeze(xden * yden)[None])
 
     def _times_term(self, k: int, term, trunc: int) -> "HbarLaurent":
         """self * (n/d) zeta_lu^a pi^b hbar^k through trunc, for term =

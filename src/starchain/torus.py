@@ -20,7 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .groups import CyclicGroup
-from .scalars import FieldElement, HbarLaurent, _as_field, hbar_exp
+from .scalars import (FieldElement, HbarLaurent, _Accumulator, _as_field,
+                      _common_den, _flat, _shared_level, hbar_exp)
 from .sparse import Filtered, Sparse, _acc
 from .weyl import WeylElement
 
@@ -40,6 +41,16 @@ def _star_phase(pairing: int, trunc: int) -> HbarLaurent:
         FieldElement.pi_power(2, -2 * pairing) * FieldElement.i_unit(),
         trunc, power=1)
     return hbar_exp(arg)
+
+
+@lru_cache(maxsize=None)
+def _phase_terms(pairing: int, trunc: int, level: int):
+    """(terms, den): _star_phase(pairing, trunc) at level as flat terms,
+    every numerator over den, the lcm of its denominators."""
+    coeffs = {j: fe if fe.level == level else fe.embed(level)
+              for j, fe in _star_phase(pairing, trunc).coeffs.items()}
+    den = _common_den(coeffs.values())
+    return _flat(coeffs, den), den
 
 
 # the scalars every element over torus coefficients is multiplied by
@@ -101,25 +112,87 @@ class TorusElement(Sparse):
     # -- products ----------------------------------------------------------
 
     def star(self, other: "TorusElement") -> "TorusElement":
+        """Star product: each pair of plane waves gives
+        exp(-2 pi^2 i hbar <m, n>) cm cn on e_(m+n).
+
+        When every coefficient of both operands sits at one level, all
+        pairs are summed in one integer accumulator (_Accumulator) and each
+        output coefficient is normalised once: a pair's coefficient product
+        is multiplied by the star phase, cached as integer terms at that
+        level, and added into its target mode.  Otherwise each pair is an
+        hbar-series product and the pairs are summed as series, so every
+        output coefficient keeps the lcm level of its own pairs.  Both give
+        the same windows, values and levels."""
+        return self._product(other, phased=True)
+
+    def symbol_mul(self, other: "TorusElement") -> "TorusElement":
+        """Commutative product of the underlying functions (no star phase)."""
+        return self._product(other, phased=False)
+
+    def _product(self, other: "TorusElement", phased: bool):
         assert isinstance(other, TorusElement) and other.dim == self.dim
+        xfes = [fe for c in self.coeffs.values() for fe in c.coeffs.values()]
+        yfes = [fe for c in other.coeffs.values() for fe in c.coeffs.values()]
+        lev = _shared_level(xfes)
+        if lev is not None and lev == _shared_level(yfes):
+            return self._accumulated(other, phased, lev, _common_den(xfes),
+                                     _common_den(yfes))
         out: dict = {}
         for m, cm in self.coeffs.items():
             for n, cn in other.coeffs.items():
                 c = cm * cn
-                p = omega_pairing(m, n)
+                p = omega_pairing(m, n) if phased else 0
                 if p:
                     c = c * _star_phase(p, c.trunc)
                 _acc(out, tuple(a + b for a, b in zip(m, n)), c)
         return TorusElement(self.dim, out)
 
-    def symbol_mul(self, other: "TorusElement") -> "TorusElement":
-        """Commutative product of the underlying functions (no star phase)."""
-        assert isinstance(other, TorusElement) and other.dim == self.dim
-        out: dict = {}
-        for m, cm in self.coeffs.items():
-            for n, cn in other.coeffs.items():
-                _acc(out, tuple(a + b for a, b in zip(m, n)), cm * cn)
-        return TorusElement(self.dim, out)
+    def _accumulated(self, other, phased, lev, xden, yden):
+        """The product at one shared level lev; xden and yden are the
+        common denominators of the operands' coefficients.
+
+        Windows are those of the series products.  A pair's product is
+        reliable through w = min(t_m + low_n, t_n + low_m), and its lowest
+        power low_m + low_n lies inside w; the phase, reliable through w,
+        lowers the window to w + min(0, low_m + low_n), and is empty when w
+        is negative.  A target's window is the least window of its pairs,
+        so the windows are settled first and every pair is then summed
+        through its target's window only, over xden * yden times the lcm
+        of the phase denominators."""
+        xs = [(m, _flat(c.coeffs, xden), c.trunc, c.low)
+              for m, c in self.coeffs.items()]
+        ys = [(n, _flat(c.coeffs, yden), c.trunc, c.low)
+              for n, c in other.coeffs.items()]
+        pairs = []
+        windows: dict = {}
+        phase_den = 1
+        for m, xm, tm, lm in xs:
+            for n, yn, tn, ln in ys:
+                target = tuple(a + b for a, b in zip(m, n))
+                w = min(tm + ln, tn + lm)
+                p = omega_pairing(m, n) if phased else 0
+                phase = None
+                if p:
+                    phase = _phase_terms(p, w, lev)
+                    phase_den = math.lcm(phase_den, phase[1])
+                    w += min(0, lm + ln)
+                pairs.append((target, xm, yn, phase))
+                cur = windows.get(target)
+                if cur is None or w < cur:
+                    windows[target] = w
+        acc = _Accumulator(lev)
+        for target, xm, yn, phase in pairs:
+            w = windows[target]
+            if phase is None:
+                acc.add(target, xm, yn, w, phase_den)
+                continue
+            terms, den = phase
+            if terms:
+                acc.add(target, acc.product(xm, yn, w), terms, w,
+                        phase_den // den)
+        sums = acc.freeze(xden * yden * phase_den)
+        return TorusElement(self.dim, {t: HbarLaurent(w, sums.get(t, {}))
+                                       for t, w in windows.items()})
 
     def partial(self, j: int) -> "TorusElement":
         """Derivative along coordinate j (0..2d-1); e_m goes to 2 pi i m_j e_m."""

@@ -21,14 +21,62 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
-from .scalars import FieldElement, HbarLaurent, _as_field, _min_trunc
+from .scalars import (FieldElement, HbarLaurent, _Accumulator, _as_field,
+                      _common_den, _flat, _min_trunc, _shared_level)
 from .sparse import Filtered, _acc
 
 
 def _deg(key) -> int:
     a, b, k = key
     return sum(a) + sum(b) + 2 * k
+
+
+@lru_cache(maxsize=4096)
+def _moyal_terms(a1, b1, a2, b2):
+    """The terms (a, b, st, n, d) of x^a1 xi^b1 * x^a2 xi^b2: the symbol
+    x^a xi^b hbar^st times (n/d) zeta_4^(st mod 2), n/d in lowest terms.
+
+    They are the terms over multi-indices s, t of
+        (i hbar / 2)^(|s|+|t|) (-1)^|t| / (s! t!)
+            * (d_xi^s d_x^t u) (d_x^s d_xi^t v),
+    st = |s| + |t|, with (i/2)^st (-1)^|t| = +-zeta_4^(st mod 2) / 2^st
+    and i^st = (-1)^(st // 2) zeta_4^(st mod 2)."""
+    dim = len(a1)
+    out = []
+    s_bounds = [min(b1[i], a2[i]) for i in range(dim)]
+    t_bounds = [min(a1[i], b2[i]) for i in range(dim)]
+    for s in itertools.product(*(range(m + 1) for m in s_bounds)):
+        num_s = den_s = 1
+        for i in range(dim):
+            num_s *= math.perm(b1[i], s[i]) * math.perm(a2[i], s[i])
+            den_s *= math.factorial(s[i])
+        for t in itertools.product(*(range(m + 1) for m in t_bounds)):
+            num, den = num_s, den_s
+            for i in range(dim):
+                num *= math.perm(a1[i], t[i]) * math.perm(b2[i], t[i])
+                den *= math.factorial(t[i])
+            st = sum(s) + sum(t)
+            if (sum(t) + st // 2) % 2:
+                num = -num
+            den <<= st
+            g = math.gcd(num, den)
+            a = tuple(a1[i] + a2[i] - s[i] - t[i] for i in range(dim))
+            b = tuple(b1[i] + b2[i] - s[i] - t[i] for i in range(dim))
+            out.append((a, b, st, num // g, den // g))
+    return tuple(out)
+
+
+def _moyal_den_bound(xkeys, ykeys, dim: int) -> int:
+    """A multiple of every d of _moyal_terms over the key pairs:
+    prod_i S_i! T_i! 2^(S_i + T_i), S_i bounding s_i and T_i bounding t_i."""
+    bound = 1
+    for i in range(dim):
+        s = min(max(b[i] for _, b, _ in xkeys), max(a[i] for a, _, _ in ykeys))
+        t = min(max(a[i] for a, _, _ in xkeys), max(b[i] for _, b, _ in ykeys))
+        bound *= math.factorial(s) * math.factorial(t) << (s + t)
+    return bound
 
 
 class WeylElement(Filtered):
@@ -158,41 +206,54 @@ class WeylElement(Filtered):
         s, t of
             (i hbar / 2)^(|s|+|t|) (-1)^|t| / (s! t!)
                 * (d_xi^s d_x^t u) (d_x^s d_xi^t v)
-        and the filtration degree of every term matches deg(u) + deg(v).
+        (_moyal_terms) and the filtration degree of every term matches
+        deg(u) + deg(v).  When every coefficient of both operands sits at
+        one level, the terms' integer numerators are summed under their
+        output symbols in one accumulator (_Accumulator) and each output
+        coefficient is normalised once; otherwise each term is its own
+        FieldElement, so every output coefficient keeps the lcm level of
+        its own pairs.
         """
         assert isinstance(other, WeylElement) and other.dim == self.dim
-        dim = self.dim
         order = self._window(other)
+        lev = _shared_level(self.coeffs.values())
+        if lev is not None and lev == _shared_level(other.coeffs.values()):
+            return self._accumulated(other, order, lev)
         out: dict = {}
         for (a1, b1, k1), c1 in self.coeffs.items():
             for (a2, b2, k2), c2 in other.coeffs.items():
                 if _deg((a1, b1, k1)) + _deg((a2, b2, k2)) > order:
                     continue
                 cc = c1 * c2
-                s_bounds = [min(b1[i], a2[i]) for i in range(dim)]
-                t_bounds = [min(a1[i], b2[i]) for i in range(dim)]
-                for s in itertools.product(*(range(m + 1) for m in s_bounds)):
-                    num_s = den_s = 1
-                    for i in range(dim):
-                        num_s *= math.perm(b1[i], s[i]) * math.perm(a2[i], s[i])
-                        den_s *= math.factorial(s[i])
-                    for t in itertools.product(*(range(m + 1) for m in t_bounds)):
-                        num, den = num_s, den_s
-                        for i in range(dim):
-                            num *= math.perm(a1[i], t[i]) * math.perm(b2[i], t[i])
-                            den *= math.factorial(t[i])
-                        st = sum(s) + sum(t)
-                        # (i/2)^st (-1)^|t| = +-zeta_4^(st mod 2) / 2^st,
-                        # with i^st = (-1)^(st // 2) zeta_4^(st mod 2)
-                        if (sum(t) + st // 2) % 2:
-                            num = -num
-                        den <<= st
-                        g = math.gcd(num, den)
-                        coeff = cc._times_term(num // g, den // g, st % 2, 0, 4)
-                        a = tuple(a1[i] + a2[i] - s[i] - t[i] for i in range(dim))
-                        b = tuple(b1[i] + b2[i] - s[i] - t[i] for i in range(dim))
-                        _acc(out, (a, b, k1 + k2 + st), coeff)
-        return WeylElement(dim, order, out)
+                for a, b, st, n, d in _moyal_terms(a1, b1, a2, b2):
+                    _acc(out, (a, b, k1 + k2 + st),
+                         cc._times_term(n, d, st % 2, 0, 4))
+        return WeylElement(self.dim, order, out)
+
+    def _accumulated(self, other, order: int, lev: int) -> "WeylElement":
+        """The product at one shared level lev: each pair's coefficient
+        product is one integer product, and each of its Moyal terms a
+        relabelling of it added under the term's symbol (a, b) and hbar
+        power, all over one denominator."""
+        xden = _common_den(self.coeffs.values())
+        yden = _common_den(other.coeffs.values())
+        bound = _moyal_den_bound(self.coeffs, other.coeffs, self.dim)
+        i_exp = lev // 4
+        acc = _Accumulator(lev)
+        ys = [(key, _flat({0: c}, yden)) for key, c in other.coeffs.items()]
+        for (a1, b1, k1), c1 in self.coeffs.items():
+            x = _flat({0: c1}, xden)
+            for (a2, b2, k2), y in ys:
+                if _deg((a1, b1, k1)) + _deg((a2, b2, k2)) > order:
+                    continue
+                cc = acc.product(x, y, 0)
+                for a, b, st, n, d in _moyal_terms(a1, b1, a2, b2):
+                    term = (k1 + k2 + st, st % 2 * i_exp, 0, n * (bound // d))
+                    acc.add((a, b), cc, (term,), order)
+        sums = acc.freeze(xden * yden * bound)
+        return WeylElement(self.dim, order,
+                           {(a, b, k): fe for (a, b), by_power in sums.items()
+                            for k, fe in by_power.items()})
 
     def poly_mul(self, other: "WeylElement") -> "WeylElement":
         """Commutative product of the underlying symbols (no hbar corrections)."""

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from starchain.scalars import (
     FieldElement,
@@ -358,8 +358,16 @@ def assert_same_product(got, want):
         assert_normal(v)
 
 
+# multi-term coefficients at level 60, with a negative power, always run
 @settings(max_examples=100, deadline=None)
 @given(hbar_series(), hbar_series())
+@example(HbarLaurent(3, {-1: FieldElement(60, {(0, 0): 1,
+                                                (7, 1): Fraction(-2, 3)}),
+                         1: FieldElement(60, {(15, 0): 5,
+                                              (3, 2): Fraction(1, 4)})}),
+         HbarLaurent(2, {0: FieldElement(60, {(1, 0): 3, (14, 0): -1}),
+                         2: FieldElement(60, {(9, 1): Fraction(2, 7),
+                                              (15, 1): 1})}))
 def test_hbar_product_against_pairwise_oracle(x, y):
     assert_same_product(x * y, pairwise_product(x, y))
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starchain.groups import CyclicGroup
-from starchain.scalars import FieldElement, HbarLaurent, to_text
+from starchain.scalars import (FieldElement, HbarLaurent,
+                               cyclotomic_polynomial, to_text)
+from starchain.sparse import _acc
 from starchain.torus import (
     CrossedElement,
     TorusElement,
@@ -15,6 +17,7 @@ from starchain.torus import (
     jet,
     omega_pairing,
     symplectic_form,
+    _star_phase,
 )
 
 
@@ -83,6 +86,96 @@ def test_symbol_mul_is_commutative_shadow():
         assert s == b.symbol_mul(a)
         diff = a.star(b) - s
         assert all(c.low >= 1 for c in diff.coeffs.values())
+
+
+# Reference for the torus products: the per-pair loop, one hbar product per
+# pair of plane waves, then the star phase, summed as series.  Operands are
+# drawn with negative hbar powers and windows, so that some pair windows are
+# negative and their phase is empty; with every coefficient at one level
+# (the accumulator) or at a level each (the per-pair path); and over few
+# modes, so that several pairs meet at one target, sometimes cancelling.
+
+
+def pairwise_product(x, y, phased):
+    out = {}
+    for m, cm in x.coeffs.items():
+        for n, cn in y.coeffs.items():
+            c = cm * cn
+            p = omega_pairing(m, n)
+            if phased and p:
+                c = c * _star_phase(p, c.trunc)
+            _acc(out, tuple(a + b for a, b in zip(m, n)), c)
+    return TorusElement(x.dim, out)
+
+
+@st.composite
+def wave_coefficient(draw, level):
+    """An hbar-series with 1-3 powers in [-3, trunc], trunc in [-2, 3];
+    each coefficient has 1-2 terms, at level, or at a drawn level when
+    level is None."""
+    trunc = draw(st.integers(-2, 3))
+    coeffs = {}
+    for k in draw(st.lists(st.integers(-3, trunc), min_size=1, max_size=3,
+                           unique=True)):
+        lev = draw(st.sampled_from((4, 12, 60))) if level is None else level
+        m = len(cyclotomic_polynomial(lev)) - 1
+        coeffs[k] = FieldElement(lev, draw(st.dictionaries(
+            st.tuples(st.integers(0, m - 1), st.integers(0, 2)),
+            st.fractions(min_value=-9, max_value=9,
+                         max_denominator=12).filter(bool),
+            min_size=1, max_size=2)))
+    return HbarLaurent(trunc, coeffs)
+
+
+MODES = ((0, 0), (1, 0), (0, 1), (1, 1), (-1, 1))
+
+
+@st.composite
+def torus_operands(draw):
+    """(x, y): drawn over five modes, so that pairs meet, or built so that two
+    pairs meet at one target with opposite signs: with zero pairings, so
+    that they cancel there, or with pairings -1 and 1, so that the even
+    hbar powers of the phase cancel.  The second pair's window may be the
+    smaller one."""
+    level = draw(st.sampled_from((4, 12, 60, None)))
+    kind = draw(st.sampled_from(("drawn", "drawn", "cancel", "odd")))
+    if kind == "drawn":
+        def element():
+            modes = draw(st.lists(st.sampled_from(MODES), min_size=1,
+                                  max_size=3, unique=True))
+            return TorusElement(1, {m: draw(wave_coefficient(level))
+                                    for m in modes})
+        return element(), element()
+    c, d = draw(wave_coefficient(level)), draw(wave_coefficient(level))
+    if kind == "cancel":
+        # (u, u) and (2u, 0) both land on 2u, as cd and -cd
+        u = draw(st.sampled_from(((1, 0), (0, 1), (1, -1))))
+        m1, m2, n1, n2 = u, (2 * u[0], 2 * u[1]), u, (0, 0)
+    else:
+        # (1,0)+(0,1) and (0,1)+(1,0) carry exp(+-2 pi^2 i hbar)
+        m1, m2, n1, n2 = (1, 0), (0, 1), (0, 1), (1, 0)
+    # the second pair may have a smaller window: the sum cancels inside it
+    cut = draw(st.integers(c.trunc - 2, c.trunc))
+    return (TorusElement(1, {m1: c, m2: -c.truncate(cut)}),
+            TorusElement(1, {n1: d, n2: d}))
+
+
+def assert_same_torus(got, want):
+    assert got.coeffs.keys() == want.coeffs.keys()
+    for m, c in got.coeffs.items():
+        w = want.coeffs[m]
+        assert c.trunc == w.trunc
+        assert to_text(c) == to_text(w)
+        assert {k: v.level for k, v in c.coeffs.items()} == \
+            {k: v.level for k, v in w.coeffs.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(torus_operands())
+def test_star_against_pairwise_reference(operands):
+    x, y = operands
+    assert_same_torus(x.star(y), pairwise_product(x, y, phased=True))
+    assert_same_torus(x.symbol_mul(y), pairwise_product(x, y, phased=False))
 
 
 def test_trace_normalization_and_axioms():

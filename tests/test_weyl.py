@@ -144,6 +144,31 @@ def fraction_star(u: WeylElement, v: WeylElement) -> WeylElement:
     return WeylElement(dim, order, out)
 
 
+def assert_same_star(u, v):
+    got, want = u.star(v), fraction_star(u, v)
+    assert got.order == want.order
+    assert got.coeffs.keys() == want.coeffs.keys()
+    for key, c in got.coeffs.items():
+        assert c.level == want.coeffs[key].level
+        assert c.num == want.coeffs[key].num
+        assert c.den == want.coeffs[key].den
+    return got
+
+
+def multi_term_field(rng, level):
+    """A FieldElement at level with two zeta powers and a pi term."""
+    return (FieldElement.zeta(level, rng.randrange(level))
+            + FieldElement.zeta(level, rng.randrange(level))
+            * Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+            + FieldElement.pi_power(1, Fraction(1, rng.randint(1, 4)), level))
+
+
+def with_multi_term_coeffs(rng, w, level):
+    return WeylElement(w.dim, w.order,
+                       {k: c * multi_term_field(rng, level)
+                        for k, c in w.coeffs.items()})
+
+
 def test_star_against_fraction_formula():
     rng = random.Random(4711)
     for dim in (1, 2):
@@ -152,13 +177,25 @@ def test_star_against_fraction_formula():
                     for _ in range(2))
             if rng.random() < 0.5:
                 u = u * FieldElement.zeta(12, rng.randrange(12))
-            got, want = u.star(v), fraction_star(u, v)
-            assert got.order == want.order
-            assert got.coeffs.keys() == want.coeffs.keys()
-            for key, c in got.coeffs.items():
-                assert c.level == want.coeffs[key].level
-                assert c.num == want.coeffs[key].num
-                assert c.den == want.coeffs[key].den
+            assert_same_star(u, v)
+    # multi-term elements with multi-term coefficients, all at one level
+    x, xi = WeylElement.x_hat(1, 0, 16), WeylElement.xi_hat(1, 0, 16)
+    for level in (4, 12):
+        for dim in (1, 2):
+            for _ in range(12):
+                u, v = (with_multi_term_coeffs(
+                    rng, rand_weyl(rng, dim, order=16, terms=3, max_exp=3),
+                    level) for _ in range(2))
+                assert_same_star(u, v)
+        # (x + xi) * (xi - x) = xi^2 - x^2 + i hbar: the x xi terms of
+        # x * xi and xi * x cancel
+        c, d = multi_term_field(rng, level), multi_term_field(rng, level)
+        got = assert_same_star((x + xi) * c, (xi - x) * d)
+        assert ((1,), (1,), 0) not in got.coeffs and len(got.coeffs) == 3
+    # one operand at level 12, the other at level 4: the per-pair path
+    u = with_multi_term_coeffs(rng, rand_weyl(rng, 2, 16, 3, 3), 12)
+    v = with_multi_term_coeffs(rng, rand_weyl(rng, 2, 16, 3, 3), 4)
+    assert_same_star(u, v)
 
 
 def test_star_associative_random():
