@@ -10,20 +10,20 @@ common denominator in lowest terms, so its products and sums run on Python
 ints with one gcd per result; an operation on two levels first embeds both
 operands at the lcm level.
 
-Products whose factors all sit at one level run through one sparse integer
-accumulator (_Accumulator; Gilbert, Moler and Schreiber, SIAM J. Matrix
-Anal. Appl. 13, 1992).  Each operand is brought over one denominator and
-flattened into (power, a, b, n) terms; the numerators of every product of
-terms are multiplied through the zeta rows of the level and summed under
-(output key, hbar power, zeta exponent, pi power) with no normalisation;
-freezing makes one FieldElement, with one gcd, per output coefficient.
-The hbar product of two series with several coefficients each, the torus
-star product and symbol product, and the Weyl star product use it when
-every coefficient of both operands shares one level.  With mixed levels
-they sum FieldElement (or hbar-series) products pair by pair, so each
-output coefficient sits at the lcm level of its own pairs, and that
-level is what it prints at.  At one shared level every pair's product
-sits at that level too, and both routes give the same normal form.
+Products run through one sparse integer accumulator (_Accumulator;
+Gilbert, Moler and Schreiber, SIAM J. Matrix Anal. Appl. 13, 1992).  Each
+operand is brought over one denominator and flattened into (power, a, b,
+n) terms, lifted to the lcm level of each pair of factors; the numerators
+of every product of terms are multiplied through the zeta rows of that
+level and summed under (output key, level, hbar power, zeta exponent, pi
+power) with no normalisation; freezing makes one FieldElement per output
+coefficient at the lcm of its pairs' levels, as a pairwise sum of
+FieldElement products has it, and that level is what it prints at.  The
+hbar product and the Weyl star product always use it.  Only the torus
+star and symbol products (when levels are mixed) and the u product still
+sum pair by pair: their pairs are summed as hbar series, whose sum drops
+a cancelled coefficient together with its level, so their levels depend
+on the order of the terms until one level serves a whole run.
 
 A product by a one-term monomial u hbar^k, u = (n/d) zeta^a pi^b, is a
 relabelling, not a series product; most scalars the chain operators meet
@@ -131,6 +131,20 @@ def _mul_into(out: dict[tuple[int, int], int],
                 out[key] = out.get(key, 0) + c * rc
 
 
+def _lift(out: dict[tuple[int, int], int], num: dict[tuple[int, int], int],
+          step: int, level: int) -> dict[tuple[int, int], int]:
+    """Add the numerators num, written at level // step, into out at level
+    and return out: zeta^a becomes zeta^(a step), rewritten through the rows
+    of _zeta_rows(level).  Raises LevelOverflow past the level bound."""
+    _check_level(level)
+    rows = _zeta_rows(level)
+    for (a, b), c in num.items():
+        for a2, rc in rows[a * step % level]:
+            key = (a2, b)
+            out[key] = out.get(key, 0) + c * rc
+    return out
+
+
 def _normal(level: int, num: dict[tuple[int, int], int],
             den: int, content: bool = True) -> "FieldElement":
     """FieldElement with numerators num over den > 0, brought to normal
@@ -213,15 +227,8 @@ class FieldElement:
             return self
         if level % self.level != 0:
             raise ValueError("can only embed into a multiple of the current level")
-        _check_level(level)
-        step = level // self.level
-        rows = _zeta_rows(level)
-        out: dict[tuple[int, int], int] = {}
-        for (a, b), c in self.num.items():
-            for a2, rc in rows[(a * step) % level]:
-                key = (a2, b)
-                out[key] = out.get(key, 0) + c * rc
-        return _normal(level, out, self.den)
+        return _normal(level, _lift({}, self.num, level // self.level, level),
+                       self.den)
 
     @staticmethod
     def common_level(x: "FieldElement", y: "FieldElement") -> int:
@@ -441,18 +448,6 @@ def _term(fe: FieldElement):
     return n, fe.den, a, b, fe.level
 
 
-def _shared_level(fes):
-    """The level every FieldElement of fes sits at, or None when they
-    differ or there are none."""
-    lev = None
-    for fe in fes:
-        if lev is None:
-            lev = fe.level
-        elif fe.level != lev:
-            return None
-    return lev
-
-
 def _common_den(fes) -> int:
     """The lcm of the denominators of the FieldElements fes."""
     den = 1
@@ -463,36 +458,52 @@ def _common_den(fes) -> int:
     return den
 
 
-def _flat(coeffs: dict[int, FieldElement], den: int):
+def _flat(coeffs: dict[int, FieldElement], den: int, level: int):
     """The coefficients of {power: FieldElement} as flat (power, a, b, n)
-    terms, every numerator n over den, a multiple of their denominators."""
+    terms at level, a multiple of their levels, every numerator n over den,
+    a multiple of their denominators."""
     terms = []
     for k, fe in coeffs.items():
         s = den // fe.den
-        terms.extend((k, a, b, n * s) for (a, b), n in fe.num.items())
+        num = fe.num if fe.level == level else \
+            _lift({}, fe.num, level // fe.level, level)
+        terms.extend((k, a, b, n * s) for (a, b), n in num.items())
     return terms
+
+
+def _level_pairs(xs: dict, ys: dict):
+    """(level, x, y) for every pair of a group x of the FieldElement values
+    of xs that share one level and such a group y of ys; level is the lcm
+    of the two groups' levels, the level of each of their products."""
+    groups = ({}, {})
+    for by_level, coeffs in zip(groups, (xs, ys)):
+        for key, fe in coeffs.items():
+            by_level.setdefault(fe.level, {})[key] = fe
+    return [(math.lcm(lx, ly), x, y) for lx, x in groups[0].items()
+            for ly, y in groups[1].items()]
 
 
 class _Accumulator:
     """Sparse integer accumulator (Gilbert, Moler and Schreiber, SIAM J.
-    Matrix Anal. Appl. 13, 1992) for products whose factors all sit at one
-    level: integer numerators keyed by (output key, hbar power, zeta
-    exponent, pi power), all over one denominator that the caller fixes.
-    Nothing is normalised while terms are added; `freeze` makes one
-    FieldElement per output coefficient, with one `_normal` each."""
+    Matrix Anal. Appl. 13, 1992) for coefficient products: integer
+    numerators keyed by (output key, level, hbar power, zeta exponent, pi
+    power), all over one denominator that the caller fixes.  Each product
+    is added at the level of its two factors, both written there.  Nothing
+    is normalised while terms are added; `freeze` makes one FieldElement
+    per output coefficient and level, with one `_normal` each."""
 
-    __slots__ = ("level", "_rows", "_sums")
+    __slots__ = ("_sums",)
 
-    def __init__(self, level: int):
-        self.level = level
-        self._rows = _zeta_rows(level)
+    def __init__(self):
         self._sums: dict = {}
 
-    def _into(self, sums, xs, ys, trunc: int, scale: int) -> None:
-        """Add scale times the product of the flat term lists xs and ys
-        into sums, {power: {(a, b): n}}, keeping the powers through trunc;
-        zeta powers are reduced through the rows of the level."""
-        rows, lev = self._rows, self.level
+    @staticmethod
+    def _into(sums, level: int, xs, ys, trunc: int, scale: int) -> None:
+        """Add scale times the product of the flat term lists xs and ys,
+        both at level, into sums, {power: {(a, b): n}}, keeping the powers
+        through trunc; zeta powers are reduced through the rows of the
+        level."""
+        rows = _zeta_rows(level)
         for i, a1, b1, n1 in xs:
             n1 *= scale
             for j, a2, b2, n2 in ys:
@@ -504,30 +515,39 @@ class _Accumulator:
                     out = sums[k] = {}
                 c = n1 * n2
                 bb = b1 + b2
-                for a3, rc in rows[(a1 + a2) % lev]:
+                for a3, rc in rows[(a1 + a2) % level]:
                     t = (a3, bb)
                     out[t] = out.get(t, 0) + c * rc
 
-    def add(self, key, xs, ys, trunc: int, scale: int = 1) -> None:
-        """Add scale * xs * ys, through hbar^trunc, under key."""
-        sums = self._sums.get(key)
+    def add(self, key, level: int, xs, ys, trunc: int,
+            scale: int = 1) -> None:
+        """Add scale * xs * ys, both at level, through hbar^trunc, under
+        key."""
+        sums = self._sums.get((key, level))
         if sums is None:
-            sums = self._sums[key] = {}
-        self._into(sums, xs, ys, trunc, scale)
+            sums = self._sums[key, level] = {}
+        self._into(sums, level, xs, ys, trunc, scale)
 
-    def product(self, xs, ys, trunc: int):
-        """xs * ys through hbar^trunc as flat terms, not accumulated."""
+    def product(self, level: int, xs, ys, trunc: int):
+        """xs * ys, both at level, through hbar^trunc as flat terms, not
+        accumulated."""
         sums: dict = {}
-        self._into(sums, xs, ys, trunc, 1)
+        self._into(sums, level, xs, ys, trunc, 1)
         return [(k, a, b, n) for k, num in sums.items()
                 for (a, b), n in num.items() if n]
 
     def freeze(self, den: int) -> dict:
-        """{key: {power: FieldElement}}, every sum over den; a coefficient
-        that summed to zero is kept as zero."""
-        lev = self.level
-        return {key: {k: _normal(lev, num, den) for k, num in sums.items()}
-                for key, sums in self._sums.items()}
+        """{key: {power: FieldElement}}, every sum over den; the sums at
+        one key and power but at several levels are added as FieldElements,
+        so the coefficient sits at the lcm of the levels of its products,
+        as the pairwise sum has it.  A coefficient that summed to zero is
+        kept as zero."""
+        out: dict = {}
+        for (key, lev), sums in self._sums.items():
+            by_power = out.setdefault(key, {})
+            for k, num in sums.items():
+                _acc(by_power, k, _normal(lev, num, den))
+        return out
 
 
 class _Laurent(Filtered):
@@ -567,16 +587,6 @@ class _Laurent(Filtered):
     @classmethod
     def zero(cls, trunc: int):
         return cls(trunc, {})
-
-    def _pairwise(self, other, trunc: int):
-        """Product as the sum of coefficient products, through trunc."""
-        out: dict = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                k = i + j
-                if k <= trunc:
-                    _acc(out, k, a * b)
-        return self._at(trunc, out)
 
     def __truediv__(self, other):
         if isinstance(other, FieldElement):
@@ -642,21 +652,15 @@ class HbarLaurent(_Laurent):
                     term = _term(fe)
                     if term is not None:
                         return x._times_term(k, term, trunc)
-            if len(self.coeffs) > 1 and len(other.coeffs) > 1:
-                lev = _shared_level(self.coeffs.values())
-                if lev is not None and \
-                        lev == _shared_level(other.coeffs.values()):
-                    return self._convolve(other, lev, trunc)
-            # one coefficient has no sums to fuse; with mixed levels each
-            # output coefficient sits at the lcm of its own pairs' levels
-            return self._pairwise(other, trunc)
+            return self._convolve(other, trunc)
         if isinstance(other, FieldElement):
             if other.is_zero():
                 return HbarLaurent.zero(self.trunc)
             term = _term(other)
             if term is None:
-                return HbarLaurent(self.trunc, {k: v * other
-                                                for k, v in self.coeffs.items()})
+                # a scalar keeps the window of self
+                return self._convolve(HbarLaurent.from_field(other, 0),
+                                      self.trunc)
         elif isinstance(other, (int, Fraction)):
             if not other:
                 return HbarLaurent.zero(self.trunc)
@@ -667,17 +671,19 @@ class HbarLaurent(_Laurent):
 
     __rmul__ = __mul__
 
-    def _convolve(self, other: "HbarLaurent", lev: int,
+    def _convolve(self, other: "HbarLaurent",
                   trunc: int) -> "HbarLaurent":
-        """Product of two series whose coefficients all sit at level lev:
-        one integer convolution of their flat terms, each operand over one
-        denominator, and one normalisation per output power."""
+        """Product of two series through trunc: one integer convolution of
+        their flat terms for each pair of coefficient levels, both groups
+        lifted to the lcm of the two, each operand over one denominator,
+        and one normalisation per output power."""
         xden = _common_den(self.coeffs.values())
         yden = _common_den(other.coeffs.values())
-        acc = _Accumulator(lev)
-        acc.add(None, _flat(self.coeffs, xden), _flat(other.coeffs, yden),
-                trunc)
-        return HbarLaurent(trunc, acc.freeze(xden * yden)[None])
+        acc = _Accumulator()
+        for lev, x, y in _level_pairs(self.coeffs, other.coeffs):
+            acc.add(None, lev, _flat(x, xden, lev), _flat(y, yden, lev),
+                    trunc)
+        return HbarLaurent(trunc, acc.freeze(xden * yden).get(None, {}))
 
     def _times_term(self, k: int, term, trunc: int) -> "HbarLaurent":
         """self * (n/d) zeta_lu^a pi^b hbar^k through trunc, for term =
@@ -775,10 +781,15 @@ class ULaurent(_Laurent):
     __add__ = __radd__ = Sparse.__add__
 
     def __mul__(self, other):
-        if isinstance(other, ULaurent):
-            trunc = _min_trunc(self.trunc, self.low, other.trunc, other.low)
-            return self._pairwise(other, trunc)
-        return Sparse.__mul__(self, other)
+        if not isinstance(other, ULaurent):
+            return Sparse.__mul__(self, other)
+        trunc = _min_trunc(self.trunc, self.low, other.trunc, other.low)
+        out: dict = {}
+        for i, a in self.coeffs.items():
+            for j, b in other.coeffs.items():
+                if i + j <= trunc:
+                    _acc(out, i + j, a * b)
+        return ULaurent(trunc, out)
 
     __rmul__ = __mul__
 

@@ -62,6 +62,23 @@ SCHEMA_VERSION = 1
 # 60 and 16.
 MAX_PHASE_LEVEL = 1200
 
+# Allowed ranges of the window and size fields, so that every accepted
+# configuration runs in bounded time and memory.  Timed on a 2-vCPU host
+# under CPython 3.11, every suite and index_check each in its own process,
+# on configs/default.json (h_trunc 6, u_trunc 3, weyl_order 6, dim 1) with
+# one field raised; all ten jobs take 30 s there, at most 68 MiB each.
+#   h_trunc 20: 87 s, 30: 134 s (splitting-roundtrips 84 s), at most
+#     180 MiB; the cost grows with the window, and at 200
+#     moyal-associativity alone had not finished after 20 s.
+#   u_trunc 4: 330 s (character-cycles 140 s and 586 MiB); at 5
+#     index_check alone took over 150 s.
+#   weyl_order 10, 16, 24: 30-31 s, as at 6, since the drawn symbols have
+#     bounded degree.
+#   dim 2, 3, 4: 17, 12 and 9 s, at most 74 MiB; at 6 forms-bridge needs
+#     more than 1.5 GiB.
+FIELD_RANGES = {"dim": (1, 4), "h_trunc": (0, 30), "u_trunc": (0, 4),
+                "weyl_order": (0, 24)}
+
 
 class ConfigError(ValueError):
     """Invalid scenario configuration; carries (field, message) pairs."""
@@ -94,7 +111,9 @@ class ScenarioConfig:
         self.level = level
         self.group_order = group_order
         if shifts is None:
-            pad = 2 * dim - 2 if _is_int(dim) and dim >= 1 else 0
+            # built only from a dim that _validate accepts
+            low, top = FIELD_RANGES["dim"]
+            pad = 2 * dim - 2 if _is_int(dim) and low <= dim <= top else 0
             shifts = [Fraction(1, 3), Fraction(1, 5)] + [Fraction(0)] * pad
         self.shifts = [Fraction(s) for s in shifts]
         # lists are copied; anything else is kept for _validate to reject
@@ -111,13 +130,12 @@ class ScenarioConfig:
 
     def _validate(self):
         problems = []
-        dim_ok = _is_int(self.dim) and self.dim >= 1
-        if not dim_ok:
-            problems.append(("dim", "must be a positive integer"))
-        for name in ("h_trunc", "u_trunc", "weyl_order"):
+        for name, (low, top) in FIELD_RANGES.items():
             v = getattr(self, name)
-            if not _is_int(v) or v < 0:
-                problems.append((name, "must be a nonnegative integer"))
+            if not _is_int(v) or not low <= v <= top:
+                problems.append(
+                    (name, f"must be an integer from {low} to {top}"))
+        dim_ok = all(field != "dim" for field, _ in problems)
         level_ok = _is_int(self.level) and self.level >= 1
         if not level_ok:
             problems.append(("level", "must be a positive integer"))

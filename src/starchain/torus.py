@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .groups import CyclicGroup
 from .scalars import (FieldElement, HbarLaurent, _Accumulator, _as_field,
-                      _common_den, _flat, _shared_level, hbar_exp)
+                      _common_den, _flat, hbar_exp)
 from .sparse import Filtered, Sparse, _acc
 from .weyl import WeylElement
 
@@ -47,10 +47,9 @@ def _star_phase(pairing: int, trunc: int) -> HbarLaurent:
 def _phase_terms(pairing: int, trunc: int, level: int):
     """(terms, den): _star_phase(pairing, trunc) at level as flat terms,
     every numerator over den, the lcm of its denominators."""
-    coeffs = {j: fe if fe.level == level else fe.embed(level)
-              for j, fe in _star_phase(pairing, trunc).coeffs.items()}
+    coeffs = _star_phase(pairing, trunc).coeffs
     den = _common_den(coeffs.values())
-    return _flat(coeffs, den), den
+    return _flat(coeffs, den, level), den
 
 
 # the scalars every element over torus coefficients is multiplied by
@@ -133,10 +132,10 @@ class TorusElement(Sparse):
         assert isinstance(other, TorusElement) and other.dim == self.dim
         xfes = [fe for c in self.coeffs.values() for fe in c.coeffs.values()]
         yfes = [fe for c in other.coeffs.values() for fe in c.coeffs.values()]
-        lev = _shared_level(xfes)
-        if lev is not None and lev == _shared_level(yfes):
-            return self._accumulated(other, phased, lev, _common_den(xfes),
-                                     _common_den(yfes))
+        levels = {fe.level for fe in xfes + yfes}
+        if len(levels) == 1:
+            return self._accumulated(other, phased, levels.pop(),
+                                     _common_den(xfes), _common_den(yfes))
         out: dict = {}
         for m, cm in self.coeffs.items():
             for n, cn in other.coeffs.items():
@@ -159,9 +158,9 @@ class TorusElement(Sparse):
         so the windows are settled first and every pair is then summed
         through its target's window only, over xden * yden times the lcm
         of the phase denominators."""
-        xs = [(m, _flat(c.coeffs, xden), c.trunc, c.low)
+        xs = [(m, _flat(c.coeffs, xden, lev), c.trunc, c.low)
               for m, c in self.coeffs.items()]
-        ys = [(n, _flat(c.coeffs, yden), c.trunc, c.low)
+        ys = [(n, _flat(c.coeffs, yden, lev), c.trunc, c.low)
               for n, c in other.coeffs.items()]
         pairs = []
         windows: dict = {}
@@ -180,15 +179,15 @@ class TorusElement(Sparse):
                 cur = windows.get(target)
                 if cur is None or w < cur:
                     windows[target] = w
-        acc = _Accumulator(lev)
+        acc = _Accumulator()
         for target, xm, yn, phase in pairs:
             w = windows[target]
             if phase is None:
-                acc.add(target, xm, yn, w, phase_den)
+                acc.add(target, lev, xm, yn, w, phase_den)
                 continue
             terms, den = phase
             if terms:
-                acc.add(target, acc.product(xm, yn, w), terms, w,
+                acc.add(target, lev, acc.product(lev, xm, yn, w), terms, w,
                         phase_den // den)
         sums = acc.freeze(xden * yden * phase_den)
         return TorusElement(self.dim, {t: HbarLaurent(w, sums.get(t, {}))

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .scalars import (FieldElement, HbarLaurent, _Accumulator, _as_field,
-                      _common_den, _flat, _min_trunc, _shared_level)
+                      _common_den, _flat, _level_pairs, _min_trunc)
 from .sparse import Filtered, _acc
 
 
@@ -72,6 +72,8 @@ def _moyal_den_bound(xkeys, ykeys, dim: int) -> int:
     """A multiple of every d of _moyal_terms over the key pairs:
     prod_i S_i! T_i! 2^(S_i + T_i), S_i bounding s_i and T_i bounding t_i."""
     bound = 1
+    if not (xkeys and ykeys):
+        return bound
     for i in range(dim):
         s = min(max(b[i] for _, b, _ in xkeys), max(a[i] for a, _, _ in ykeys))
         t = min(max(a[i] for a, _, _ in xkeys), max(b[i] for _, b, _ in ykeys))
@@ -207,49 +209,33 @@ class WeylElement(Filtered):
             (i hbar / 2)^(|s|+|t|) (-1)^|t| / (s! t!)
                 * (d_xi^s d_x^t u) (d_x^s d_xi^t v)
         (_moyal_terms) and the filtration degree of every term matches
-        deg(u) + deg(v).  When every coefficient of both operands sits at
-        one level, the terms' integer numerators are summed under their
-        output symbols in one accumulator (_Accumulator) and each output
-        coefficient is normalised once; otherwise each term is its own
-        FieldElement, so every output coefficient keeps the lcm level of
-        its own pairs.
+        deg(u) + deg(v).  The terms' integer numerators are summed under
+        their output symbols in one accumulator (_Accumulator), over one
+        denominator: each pair's coefficient product is one integer product
+        at the lcm of the two coefficients' levels, and each of its Moyal
+        terms a relabelling of it added under the term's symbol (a, b) and
+        hbar power.  Each output coefficient is normalised once, at the lcm
+        of the levels of its own pairs.
         """
         assert isinstance(other, WeylElement) and other.dim == self.dim
         order = self._window(other)
-        lev = _shared_level(self.coeffs.values())
-        if lev is not None and lev == _shared_level(other.coeffs.values()):
-            return self._accumulated(other, order, lev)
-        out: dict = {}
-        for (a1, b1, k1), c1 in self.coeffs.items():
-            for (a2, b2, k2), c2 in other.coeffs.items():
-                if _deg((a1, b1, k1)) + _deg((a2, b2, k2)) > order:
-                    continue
-                cc = c1 * c2
-                for a, b, st, n, d in _moyal_terms(a1, b1, a2, b2):
-                    _acc(out, (a, b, k1 + k2 + st),
-                         cc._times_term(n, d, st % 2, 0, 4))
-        return WeylElement(self.dim, order, out)
-
-    def _accumulated(self, other, order: int, lev: int) -> "WeylElement":
-        """The product at one shared level lev: each pair's coefficient
-        product is one integer product, and each of its Moyal terms a
-        relabelling of it added under the term's symbol (a, b) and hbar
-        power, all over one denominator."""
         xden = _common_den(self.coeffs.values())
         yden = _common_den(other.coeffs.values())
         bound = _moyal_den_bound(self.coeffs, other.coeffs, self.dim)
-        i_exp = lev // 4
-        acc = _Accumulator(lev)
-        ys = [(key, _flat({0: c}, yden)) for key, c in other.coeffs.items()]
-        for (a1, b1, k1), c1 in self.coeffs.items():
-            x = _flat({0: c1}, xden)
-            for (a2, b2, k2), y in ys:
-                if _deg((a1, b1, k1)) + _deg((a2, b2, k2)) > order:
-                    continue
-                cc = acc.product(x, y, 0)
-                for a, b, st, n, d in _moyal_terms(a1, b1, a2, b2):
-                    term = (k1 + k2 + st, st % 2 * i_exp, 0, n * (bound // d))
-                    acc.add((a, b), cc, (term,), order)
+        acc = _Accumulator()
+        for lev, xg, yg in _level_pairs(self.coeffs, other.coeffs):
+            i_exp = lev // 4
+            ys = [(key, _flat({0: c}, yden, lev)) for key, c in yg.items()]
+            for (a1, b1, k1), c1 in xg.items():
+                x = _flat({0: c1}, xden, lev)
+                for (a2, b2, k2), y in ys:
+                    if _deg((a1, b1, k1)) + _deg((a2, b2, k2)) > order:
+                        continue
+                    cc = acc.product(lev, x, y, 0)
+                    for a, b, st, n, d in _moyal_terms(a1, b1, a2, b2):
+                        term = (k1 + k2 + st, st % 2 * i_exp, 0,
+                                n * (bound // d))
+                        acc.add((a, b), lev, cc, (term,), order)
         sums = acc.freeze(xden * yden * bound)
         return WeylElement(self.dim, order,
                            {(a, b, k): fe for (a, b), by_power in sums.items()

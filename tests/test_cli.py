@@ -2,14 +2,16 @@
 
 import hashlib
 import json
+import os
 import random
+import tracemalloc
 
 import pytest
 
 from starchain.cli import main
 from starchain.scalars import FieldElement, HbarLaurent, ULaurent, _zeta_rows
-from starchain.scenarios import (CheckRecord, ConfigError, Report,
-                                 ScenarioConfig, available_suites,
+from starchain.scenarios import (FIELD_RANGES, CheckRecord, ConfigError,
+                                 Report, ScenarioConfig, available_suites,
                                  emit_fixtures, emit_report, index_check,
                                  run_suite)
 from starchain.torus import TorusElement
@@ -325,6 +327,53 @@ def test_valid_config_digests_unchanged():
     assert ScenarioConfig(twist=(1, -1)).digest() == \
         ScenarioConfig.from_dict({"twist": [1, -1]}).digest() == "ea6194e38730"
     assert ScenarioConfig().digest() == "9056e1e5014c"
+
+
+@pytest.mark.parametrize("name, digest", [("default", "9056e1e5014c"),
+                                          ("twisted", "04ab26e337c9")])
+def test_shipped_configs_validate_with_unchanged_digests(name, digest):
+    path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        f"{name}.json")
+    assert ScenarioConfig.from_file(path).digest() == digest
+
+
+@pytest.mark.parametrize("field", sorted(FIELD_RANGES))
+def test_field_range_ends_accepted(field):
+    low, top = FIELD_RANGES[field]
+    for v in (low, top):
+        assert getattr(ScenarioConfig.from_dict({field: v}), field) == v
+
+
+@pytest.mark.parametrize("body, field", [
+    ('{"h_trunc": 31}', "h_trunc"),
+    ('{"h_trunc": 200}', "h_trunc"),
+    ('{"u_trunc": 5}', "u_trunc"),
+    ('{"weyl_order": 25}', "weyl_order"),
+    ('{"dim": 5}', "dim"),
+    ('{"dim": 1000000000}', "dim"),
+])
+def test_out_of_range_config_exits_2_and_builds_nothing(
+        tmp_path, capsys, monkeypatch, body, field):
+    def never(*args, **kwargs):
+        raise AssertionError("a rejected configuration ran")
+    monkeypatch.setattr("starchain.cli.run_suite", never)
+    monkeypatch.setattr("starchain.cli.index_check", never)
+    bad = tmp_path / "bad.json"
+    bad.write_text(body, encoding="utf-8")
+    tables = _zeta_rows.cache_info().currsize
+    for command in (["verify", "all"], ["index-check"]):
+        assert main(command + ["--config", str(bad)]) == 2
+        assert f"config error: {field}: must be an integer from" in \
+            capsys.readouterr().err
+    assert _zeta_rows.cache_info().currsize == tables
+    # nothing sized by the rejected value is allocated (a default shift
+    # list for dim 10^9 would take gigabytes)
+    tracemalloc.start()
+    with pytest.raises(ConfigError):
+        ScenarioConfig.from_dict(json.loads(body))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_cli_seed_override_and_repeatability(tmp_path, capsys):

@@ -308,8 +308,8 @@ def rand_hbar(rng, trunc, lowest=-2):
 # ---------------------------------------------------------------------------
 # oracle for the hbar product: the pairwise sum of FieldElement products.
 # Operands are drawn with negative powers and different windows, either with
-# every coefficient at one shared level (the fused integer convolution) or
-# with a level per coefficient (the pairwise loop); one-coefficient operands
+# every coefficient at one shared level or with a level per coefficient
+# (one integer convolution per pair of levels); one-coefficient operands
 # are drawn too.
 
 
@@ -338,8 +338,9 @@ def hbar_series(draw, shared=None, mixed=False):
     return HbarLaurent(trunc, coeffs)
 
 
-def pairwise_product(x, y):
-    trunc = min(x.trunc + y.low, y.trunc + x.low)
+def pairwise_product(x, y, trunc=None):
+    if trunc is None:
+        trunc = min(x.trunc + y.low, y.trunc + x.low)
     out = {}
     for i, a in x.coeffs.items():
         for j, b in y.coeffs.items():
@@ -368,6 +369,21 @@ def assert_same_product(got, want):
          HbarLaurent(2, {0: FieldElement(60, {(1, 0): 3, (14, 0): -1}),
                          2: FieldElement(60, {(9, 1): Fraction(2, 7),
                                               (15, 1): 1})}))
+# at hbar^2 the level-12 pairs zeta * 1 and -zeta * 1 cancel and the
+# level-4 pair 1 * 1 is left: the coefficient is 1 at level 12; at hbar^1
+# the pairs cancel too, at level 12
+@example(HbarLaurent(3, {0: FieldElement(12, {(1, 0): 1}),
+                         1: FieldElement(12, {(1, 0): -1}),
+                         2: FieldElement.rational(1)}),
+         HbarLaurent(3, {0: FieldElement.rational(1),
+                         1: FieldElement.rational(1),
+                         2: FieldElement.rational(1)}))
+# both pairs at hbar^1 cancel (zeta * 1 and 1 * -zeta), so the power is
+# absent; hbar^2 has one level-4 pair and stays at level 4
+@example(HbarLaurent(3, {0: FieldElement(12, {(1, 0): 1}),
+                         1: FieldElement.rational(1)}),
+         HbarLaurent(3, {0: FieldElement(12, {(1, 0): -1}),
+                         1: FieldElement.rational(1)}))
 def test_hbar_product_against_pairwise_oracle(x, y):
     assert_same_product(x * y, pairwise_product(x, y))
 
@@ -415,14 +431,13 @@ def one_term_operands(draw):
 @given(hbar_series(mixed=True), one_term_operands())
 def test_one_term_product_against_pairwise(x, m):
     if isinstance(m, HbarLaurent):
-        trunc = min(x.trunc + m.low, m.trunc + x.low)
-        want = x._pairwise(m, trunc)
+        want = pairwise_product(x, m)
         assert_same_product(x * m, want)
         assert_same_product(m * x, want)
         return
     fe = m if isinstance(m, FieldElement) else FieldElement.rational(m)
     # a scalar keeps x's window
-    want = x._pairwise(HbarLaurent.from_field(fe, 0), x.trunc)
+    want = pairwise_product(x, HbarLaurent.from_field(fe, 0), x.trunc)
     assert_same_product(x * m, want)
     assert_same_product(m * x, want)
 

@@ -4,11 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from starchain.scalars import FieldElement, HbarLaurent
+from starchain.scalars import (FieldElement, HbarLaurent, cyclotomic_polynomial,
+                               to_text)
+from starchain.sparse import _acc
 from starchain.weyl import (
     Derivation,
     WeylElement,
+    _deg,
+    _moyal_terms,
     commutator,
     extension_defect,
     sp_quadratic_basis,
@@ -144,11 +149,12 @@ def fraction_star(u: WeylElement, v: WeylElement) -> WeylElement:
     return WeylElement(dim, order, out)
 
 
-def assert_same_star(u, v):
-    got, want = u.star(v), fraction_star(u, v)
+def assert_same_star(u, v, reference=None):
+    got, want = u.star(v), (reference or fraction_star)(u, v)
     assert got.order == want.order
     assert got.coeffs.keys() == want.coeffs.keys()
     for key, c in got.coeffs.items():
+        assert to_text(c) == to_text(want.coeffs[key])
         assert c.level == want.coeffs[key].level
         assert c.num == want.coeffs[key].num
         assert c.den == want.coeffs[key].den
@@ -192,10 +198,68 @@ def test_star_against_fraction_formula():
         c, d = multi_term_field(rng, level), multi_term_field(rng, level)
         got = assert_same_star((x + xi) * c, (xi - x) * d)
         assert ((1,), (1,), 0) not in got.coeffs and len(got.coeffs) == 3
-    # one operand at level 12, the other at level 4: the per-pair path
+    # one operand at level 12, the other at level 4
     u = with_multi_term_coeffs(rng, rand_weyl(rng, 2, 16, 3, 3), 12)
     v = with_multi_term_coeffs(rng, rand_weyl(rng, 2, 16, 3, 3), 4)
     assert_same_star(u, v)
+
+
+# oracle: the per-pair loop WeylElement.star once ran on operands with mixed
+# coefficient levels.  Each Moyal term of a pair is its own FieldElement,
+# summed per output symbol, so every output coefficient sits at the lcm of
+# the levels of its own pairs; the product must give the same symbols,
+# window, values, levels and normal forms.
+
+
+def pairwise_star(u: WeylElement, v: WeylElement) -> WeylElement:
+    order = u._window(v)
+    out = {}
+    for (a1, b1, k1), c1 in u.coeffs.items():
+        for (a2, b2, k2), c2 in v.coeffs.items():
+            if _deg((a1, b1, k1)) + _deg((a2, b2, k2)) > order:
+                continue
+            cc = c1 * c2
+            for a, b, st_, n, d in _moyal_terms(a1, b1, a2, b2):
+                _acc(out, (a, b, k1 + k2 + st_),
+                     cc._times_term(n, d, st_ % 2, 0, 4))
+    return WeylElement(u.dim, order, out)
+
+
+@st.composite
+def mixed_level_weyl(draw, dim):
+    """Up to four symbols, each with a coefficient of one to three terms at
+    a level drawn from 4, 12 and 60."""
+    exps = st.tuples(*[st.integers(0, 2)] * dim)
+    keys = draw(st.lists(st.tuples(exps, exps, st.integers(0, 1)),
+                         min_size=1, max_size=4, unique=True))
+    coeffs = {}
+    for key in keys:
+        level = draw(st.sampled_from((4, 12, 60)))
+        m = len(cyclotomic_polynomial(level)) - 1
+        terms = draw(st.dictionaries(
+            st.tuples(st.integers(0, m - 1), st.integers(0, 1)),
+            st.fractions(min_value=-5, max_value=5,
+                         max_denominator=6).filter(bool),
+            min_size=1, max_size=3))
+        coeffs[key] = FieldElement(level, terms)
+    return WeylElement(dim, draw(st.integers(2, 10)), coeffs)
+
+
+X1, XI1 = ((1,), (0,), 0), ((0,), (1,), 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, 2)).flatmap(
+    lambda dim: st.tuples(mixed_level_weyl(dim), mixed_level_weyl(dim))))
+# (x + xi) * (xi - x) with the coefficient of x at level 12: the x xi
+# terms of the level-12 pair x * xi and the level-4 pair xi * -x cancel,
+# the hbar term they share sits at level 12, and xi^2 at level 4
+@example((WeylElement(1, 8, {X1: FieldElement.rational(1, 12),
+                             XI1: FieldElement.rational(1)}),
+          WeylElement(1, 8, {XI1: FieldElement.rational(1),
+                             X1: FieldElement.rational(-1)})))
+def test_star_against_pairwise_oracle(uv):
+    assert_same_star(*uv, reference=pairwise_star)
 
 
 def test_star_associative_random():
