@@ -66,10 +66,10 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate
 
-from .scalars import HbarLaurent, ULaurent, _as_field
+from .scalars import HbarLaurent, ULaurent, _as_field, _star_phase
 from .sparse import Chain, _acc
 from .torus import (TorusElement, CrossedElement, TranslationAction,
-                    omega_pairing, _star_phase)
+                    omega_pairing)
 from .weyl import WeylElement
 
 _KINDS = ("torus", "weyl", "sym", "group", "crossed", "diag", "idem")

@@ -113,7 +113,8 @@ class FormalForm(Sparse):
                           self.shifted)
 
     def d_hat(self) -> "FormalForm":
-        """Exterior derivative in the fiber coordinates."""
+        """Exterior derivative in the fiber coordinates, known through
+        order - 1: the unknown terms above the order feed its top degree."""
         d = self.dim
         out: dict = {}
         for ((a, b), legs), c in self.coeffs.items():
@@ -131,14 +132,18 @@ class FormalForm(Sparse):
                 if newlegs is None:
                     continue
                 _acc(out, (mono, newlegs), c * (e * sign))
-        return self._spawn(out)
+        return FormalForm(d, out, self.order - 1, self.shifted)
 
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
-        """The coefficient-window rule, and both sides shifted or neither."""
-        if isinstance(other, FormalForm) and self.shifted != other.shifted:
-            return False
+        """The coefficient-window rule on the terms through the smaller
+        order, and both sides shifted or neither."""
+        if isinstance(other, FormalForm):
+            if self.shifted != other.shifted:
+                return False
+            self, other = (self._spawn(self.coeffs, other),
+                           other._spawn(other.coeffs, self))
         return Sparse.__eq__(self, other)
 
     def __repr__(self):

@@ -11,19 +11,18 @@ ints with one gcd per result; an operation on two levels first embeds both
 operands at the lcm level.
 
 Products run through one sparse integer accumulator (_Accumulator;
-Gilbert, Moler and Schreiber, SIAM J. Matrix Anal. Appl. 13, 1992).  Each
-operand is brought over one denominator and flattened into (power, a, b,
-n) terms, lifted to the lcm level of each pair of factors; the numerators
-of every product of terms are multiplied through the zeta rows of that
-level and summed under (output key, level, hbar power, zeta exponent, pi
-power) with no normalisation; freezing makes one FieldElement per output
-coefficient at the lcm of its pairs' levels, as a pairwise sum of
-FieldElement products has it, and that level is what it prints at.  The
-hbar product and the Weyl star product always use it.  Only the torus
-star and symbol products (when levels are mixed) and the u product still
-sum pair by pair: their pairs are summed as hbar series, whose sum drops
-a cancelled coefficient together with its level, so their levels depend
-on the order of the terms until one level serves a whole run.
+Gilbert, Moler and Schreiber, SIAM J. Matrix Anal. Appl. 13, 1992): the
+hbar product, the Weyl star product and, through _series_products, every
+product of two sums with hbar-series coefficients (the torus star and
+symbol products, the u product).  Each operand is brought over one
+denominator and flattened into (power, a, b, n) terms, lifted to the lcm
+level of each pair of factors; the numerators of every product of terms
+are multiplied through the zeta rows of that level and summed under
+(output key, level, hbar power, zeta exponent, pi power) with no
+normalisation.  Freezing makes one FieldElement per output coefficient
+at the lcm of the levels of every pair that reaches it, also where part
+of the sum cancels, so that level, which is what it prints at, does not
+depend on the order of the terms.
 
 A product by a one-term monomial u hbar^k, u = (n/d) zeta^a pi^b, is a
 relabelling, not a series product; most scalars the chain operators meet
@@ -424,15 +423,13 @@ def _as_field(x, level: int):
     return NotImplemented
 
 
-_INF = None  # sentinel for "no lowest term" (zero series)
-
-
 def _min_trunc(a_trunc, a_low, b_trunc, b_low):
-    """Reliability window of a product, given windows and lowest exponents."""
+    """Reliability window of a product, given windows and lowest exponents
+    (None for a zero series)."""
     cands = []
-    if b_low is not _INF:
+    if b_low is not None:
         cands.append(a_trunc + b_low)
-    if a_low is not _INF:
+    if a_low is not None:
         cands.append(b_trunc + a_low)
     if not cands:
         return min(a_trunc, b_trunc)
@@ -471,16 +468,24 @@ def _flat(coeffs: dict[int, FieldElement], den: int, level: int):
     return terms
 
 
-def _level_pairs(xs: dict, ys: dict):
-    """(level, x, y) for every pair of a group x of the FieldElement values
-    of xs that share one level and such a group y of ys; level is the lcm
-    of the two groups' levels, the level of each of their products."""
-    groups = ({}, {})
-    for by_level, coeffs in zip(groups, (xs, ys)):
-        for key, fe in coeffs.items():
-            by_level.setdefault(fe.level, {})[key] = fe
-    return [(math.lcm(lx, ly), x, y) for lx, x in groups[0].items()
-            for ly, y in groups[1].items()]
+def _level_groups(coeffs: dict) -> dict:
+    """{level: {key: FieldElement}}: the FieldElement values of coeffs
+    grouped by their level; coeffs itself when they share one."""
+    levels = {fe.level for fe in coeffs.values()}
+    if len(levels) == 1:
+        return {levels.pop(): coeffs}
+    groups: dict = {}
+    for key, fe in coeffs.items():
+        groups.setdefault(fe.level, {})[key] = fe
+    return groups
+
+
+def _level_pairs(gx: dict, gy: dict):
+    """(level, x, y) for every pair of a group x of gx and a group y of gy,
+    both {level: group}; level is the lcm of the two groups' levels, the
+    level of each of their products."""
+    return [(math.lcm(lx, ly), x, y) for lx, x in gx.items()
+            for ly, y in gy.items()]
 
 
 class _Accumulator:
@@ -680,7 +685,8 @@ class HbarLaurent(_Laurent):
         xden = _common_den(self.coeffs.values())
         yden = _common_den(other.coeffs.values())
         acc = _Accumulator()
-        for lev, x, y in _level_pairs(self.coeffs, other.coeffs):
+        for lev, x, y in _level_pairs(_level_groups(self.coeffs),
+                                      _level_groups(other.coeffs)):
             acc.add(None, lev, _flat(x, xden, lev), _flat(y, yden, lev),
                     trunc)
         return HbarLaurent(trunc, acc.freeze(xden * yden).get(None, {}))
@@ -739,6 +745,85 @@ def hbar_exp(x: HbarLaurent) -> HbarLaurent:
     return acc
 
 
+@lru_cache(maxsize=None)
+def _star_phase(pairing: int, trunc: int) -> HbarLaurent:
+    """exp(-2 pi^2 i hbar pairing), reliable through hbar^trunc."""
+    if pairing == 0:
+        return HbarLaurent.one(trunc)
+    arg = HbarLaurent.from_field(
+        FieldElement.pi_power(2, -2 * pairing) * FieldElement.i_unit(),
+        trunc, power=1)
+    return hbar_exp(arg)
+
+
+@lru_cache(maxsize=None)
+def _phase_terms(pairing: int, trunc: int, level: int):
+    """(terms, den): _star_phase(pairing, trunc) at level as flat terms,
+    every numerator over den, the lcm of its denominators."""
+    coeffs = _star_phase(pairing, trunc).coeffs
+    den = _common_den(coeffs.values())
+    return _flat(coeffs, den, level), den
+
+
+def _by_level(series: dict) -> dict:
+    """{level: [(key, group, trunc, low)]}: the coefficients of each
+    HbarLaurent value of series grouped by level (_level_groups), with the
+    key, window and lowest power of their series."""
+    out: dict = {}
+    for key, c in series.items():
+        for lev, group in _level_groups(c.coeffs).items():
+            out.setdefault(lev, []).append((key, group, c.trunc, c.low))
+    return out
+
+
+def _series_products(xs: dict, ys: dict, target, pairing=None) -> dict:
+    """{t: HbarLaurent}: the sum of cx * cy over the pairs of a term
+    kx: cx of xs and a term ky: cy of ys, both {key: HbarLaurent}, with
+    t = target(kx, ky); a pair whose target is None is skipped, and a
+    nonzero p = pairing(kx, ky) multiplies the pair by
+    exp(-2 pi^2 i hbar p).
+
+    Windows are those of the series products.  A pair's product is
+    reliable through w = min(t_x + low_y, t_y + low_x), and its lowest
+    power low_x + low_y lies inside w; the phase, reliable through w,
+    lowers the window to w + min(0, low_x + low_y), and is empty when w
+    is negative.  A target's window is the least window of its pairs,
+    so the windows are settled first and every pair is then summed
+    through its target's window only, in one _Accumulator over xden *
+    yden times the lcm of the phase denominators.  Each level group of
+    one operand meets each of the other once: both are flattened at the
+    lcm of their levels, and their pairs are added there."""
+    xden = _common_den(fe for c in xs.values() for fe in c.coeffs.values())
+    yden = _common_den(fe for c in ys.values() for fe in c.coeffs.values())
+    acc = _Accumulator()
+    pairs = []
+    windows: dict = {}
+    phase_den = 1
+    for lev, ex, ey in _level_pairs(_by_level(xs), _by_level(ys)):
+        fy = [(k, _flat(g, yden, lev), tr, low) for k, g, tr, low in ey]
+        for kx, gx, tx, lowx in ex:
+            a = _flat(gx, xden, lev)
+            for ky, b, ty, lowy in fy:
+                t = target(kx, ky)
+                if t is None:
+                    continue
+                w = min(tx + lowy, ty + lowx)
+                p = pairing(kx, ky) if pairing else 0
+                if p:
+                    terms, den = _phase_terms(p, w, lev)
+                    phase_den = math.lcm(phase_den, den)
+                    pairs.append((t, lev, acc.product(lev, a, b, w),
+                                  terms, den))
+                    w += min(0, lowx + lowy)
+                else:
+                    pairs.append((t, lev, a, b, 1))
+                windows[t] = min(w, windows.get(t, w))
+    for t, lev, a, b, den in pairs:
+        acc.add(t, lev, a, b, windows[t], phase_den // den)
+    sums = acc.freeze(xden * yden * phase_den)
+    return {t: HbarLaurent(w, sums.get(t, {})) for t, w in windows.items()}
+
+
 class ULaurent(_Laurent):
     """Truncated Laurent series in u (degree -2) over HbarLaurent."""
 
@@ -754,15 +839,16 @@ class ULaurent(_Laurent):
     def one(cls, u_trunc: int, h_trunc: int, level: int = 4) -> "ULaurent":
         return cls.from_hbar(HbarLaurent.one(h_trunc, level), u_trunc)
 
+    def _h_trunc(self) -> int:
+        """The hbar window of the first coefficient, 0 when there is none."""
+        for v in self.coeffs.values():
+            return v.trunc
+        return 0
+
     def coefficient(self, k: int) -> HbarLaurent:
         if k > self.trunc:
             raise ValueError(f"u^{k} is beyond the reliable window {self.trunc}")
-        for v in self.coeffs.values():
-            htr = v.trunc
-            break
-        else:
-            htr = 0
-        return self.coeffs.get(k, HbarLaurent.zero(htr))
+        return self.coeffs.get(k, HbarLaurent.zero(self._h_trunc()))
 
     def _coerce(self, other):
         if isinstance(other, ULaurent):
@@ -772,11 +858,8 @@ class ULaurent(_Laurent):
         fe = _as_field(other, 4)
         if fe is NotImplemented:
             return None
-        htr = 0
-        for v in self.coeffs.values():
-            htr = v.trunc
-            break
-        return ULaurent.from_hbar(HbarLaurent.from_field(fe, htr), self.trunc)
+        return ULaurent.from_hbar(HbarLaurent.from_field(fe, self._h_trunc()),
+                                  self.trunc)
 
     __add__ = __radd__ = Sparse.__add__
 
@@ -784,17 +867,13 @@ class ULaurent(_Laurent):
         if not isinstance(other, ULaurent):
             return Sparse.__mul__(self, other)
         trunc = _min_trunc(self.trunc, self.low, other.trunc, other.low)
-        out: dict = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                if i + j <= trunc:
-                    _acc(out, i + j, a * b)
-        return ULaurent(trunc, out)
+        return ULaurent(trunc, _series_products(
+            self.coeffs, other.coeffs,
+            lambda i, j: i + j if i + j <= trunc else None))
 
     __rmul__ = __mul__
 
-    def shift_hbar(self, k: int) -> "ULaurent":
-        return ULaurent(self.trunc, {e: v.shift(k) for e, v in self.coeffs.items()})
+    shift_hbar = Sparse.shift
 
     def window(self, lo: int, hi: int) -> "ULaurent":
         """Restrict to u-powers in [lo, hi] (used by the cyclic/negative

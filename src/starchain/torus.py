@@ -18,10 +18,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .groups import CyclicGroup
-from .scalars import (FieldElement, HbarLaurent, _Accumulator, _as_field,
-                      _common_den, _flat, hbar_exp)
+from .scalars import (FieldElement, HbarLaurent, _as_field, _series_products,
+                      _star_phase)
 from .sparse import Filtered, Sparse, _acc
 from .weyl import WeylElement
 
@@ -30,26 +31,6 @@ from .weyl import WeylElement
 def _unit_phase(num: int, den: int) -> FieldElement:
     """exp(2 pi i num/den) as an exact root of unity at level 4*den."""
     return FieldElement.zeta(4 * den, 4 * num)
-
-
-@lru_cache(maxsize=None)
-def _star_phase(pairing: int, trunc: int) -> HbarLaurent:
-    """exp(-2 pi^2 i hbar pairing), reliable through hbar^trunc."""
-    if pairing == 0:
-        return HbarLaurent.one(trunc)
-    arg = HbarLaurent.from_field(
-        FieldElement.pi_power(2, -2 * pairing) * FieldElement.i_unit(),
-        trunc, power=1)
-    return hbar_exp(arg)
-
-
-@lru_cache(maxsize=None)
-def _phase_terms(pairing: int, trunc: int, level: int):
-    """(terms, den): _star_phase(pairing, trunc) at level as flat terms,
-    every numerator over den, the lcm of its denominators."""
-    coeffs = _star_phase(pairing, trunc).coeffs
-    den = _common_den(coeffs.values())
-    return _flat(coeffs, den, level), den
 
 
 # the scalars every element over torus coefficients is multiplied by
@@ -105,23 +86,17 @@ class TorusElement(Sparse):
             return c
         return HbarLaurent.zero(self.global_window() or 0)
 
-    def modes(self):
-        return sorted(self.coeffs)
-
     # -- products ----------------------------------------------------------
 
     def star(self, other: "TorusElement") -> "TorusElement":
         """Star product: each pair of plane waves gives
         exp(-2 pi^2 i hbar <m, n>) cm cn on e_(m+n).
 
-        When every coefficient of both operands sits at one level, all
-        pairs are summed in one integer accumulator (_Accumulator) and each
-        output coefficient is normalised once: a pair's coefficient product
-        is multiplied by the star phase, cached as integer terms at that
-        level, and added into its target mode.  Otherwise each pair is an
-        hbar-series product and the pairs are summed as series, so every
-        output coefficient keeps the lcm level of its own pairs.  Both give
-        the same windows, values and levels."""
+        Every pair is summed in one integer accumulator
+        (scalars._series_products): a pair's coefficient product is
+        multiplied by the star phase, cached as integer terms, and added
+        into its target mode, and each output coefficient is normalised
+        once, at the lcm of the levels of every pair that reaches it."""
         return self._product(other, phased=True)
 
     def symbol_mul(self, other: "TorusElement") -> "TorusElement":
@@ -130,68 +105,10 @@ class TorusElement(Sparse):
 
     def _product(self, other: "TorusElement", phased: bool):
         assert isinstance(other, TorusElement) and other.dim == self.dim
-        xfes = [fe for c in self.coeffs.values() for fe in c.coeffs.values()]
-        yfes = [fe for c in other.coeffs.values() for fe in c.coeffs.values()]
-        levels = {fe.level for fe in xfes + yfes}
-        if len(levels) == 1:
-            return self._accumulated(other, phased, levels.pop(),
-                                     _common_den(xfes), _common_den(yfes))
-        out: dict = {}
-        for m, cm in self.coeffs.items():
-            for n, cn in other.coeffs.items():
-                c = cm * cn
-                p = omega_pairing(m, n) if phased else 0
-                if p:
-                    c = c * _star_phase(p, c.trunc)
-                _acc(out, tuple(a + b for a, b in zip(m, n)), c)
-        return TorusElement(self.dim, out)
-
-    def _accumulated(self, other, phased, lev, xden, yden):
-        """The product at one shared level lev; xden and yden are the
-        common denominators of the operands' coefficients.
-
-        Windows are those of the series products.  A pair's product is
-        reliable through w = min(t_m + low_n, t_n + low_m), and its lowest
-        power low_m + low_n lies inside w; the phase, reliable through w,
-        lowers the window to w + min(0, low_m + low_n), and is empty when w
-        is negative.  A target's window is the least window of its pairs,
-        so the windows are settled first and every pair is then summed
-        through its target's window only, over xden * yden times the lcm
-        of the phase denominators."""
-        xs = [(m, _flat(c.coeffs, xden, lev), c.trunc, c.low)
-              for m, c in self.coeffs.items()]
-        ys = [(n, _flat(c.coeffs, yden, lev), c.trunc, c.low)
-              for n, c in other.coeffs.items()]
-        pairs = []
-        windows: dict = {}
-        phase_den = 1
-        for m, xm, tm, lm in xs:
-            for n, yn, tn, ln in ys:
-                target = tuple(a + b for a, b in zip(m, n))
-                w = min(tm + ln, tn + lm)
-                p = omega_pairing(m, n) if phased else 0
-                phase = None
-                if p:
-                    phase = _phase_terms(p, w, lev)
-                    phase_den = math.lcm(phase_den, phase[1])
-                    w += min(0, lm + ln)
-                pairs.append((target, xm, yn, phase))
-                cur = windows.get(target)
-                if cur is None or w < cur:
-                    windows[target] = w
-        acc = _Accumulator()
-        for target, xm, yn, phase in pairs:
-            w = windows[target]
-            if phase is None:
-                acc.add(target, lev, xm, yn, w, phase_den)
-                continue
-            terms, den = phase
-            if terms:
-                acc.add(target, lev, acc.product(lev, xm, yn, w), terms, w,
-                        phase_den // den)
-        sums = acc.freeze(xden * yden * phase_den)
-        return TorusElement(self.dim, {t: HbarLaurent(w, sums.get(t, {}))
-                                       for t, w in windows.items()})
+        return TorusElement(self.dim, _series_products(
+            self.coeffs, other.coeffs,
+            lambda m, n: tuple(map(add, m, n)),
+            omega_pairing if phased else None))
 
     def partial(self, j: int) -> "TorusElement":
         """Derivative along coordinate j (0..2d-1); e_m goes to 2 pi i m_j e_m."""
@@ -304,18 +221,14 @@ class TranslationAction:
         d = math.gcd(r, self._den)
         return _unit_phase(r // d, self._den // d)
 
-    def twist_phase(self, g: int, mode, trunc: int) -> HbarLaurent:
-        if self.twist is None or g == 0:
-            return HbarLaurent.one(trunc)
-        return _star_phase(2 * g * omega_pairing(self.twist, mode), trunc)
-
     def apply(self, g: int, elt: TorusElement) -> TorusElement:
         g = self.group.normalize(g)
         out = {}
         for m, c in elt.coeffs.items():
             c = c * self.translation_phase(g, m)
             if self.twist is not None:
-                c = c * self.twist_phase(g, m, c.trunc)
+                c = c * _star_phase(2 * g * omega_pairing(self.twist, m),
+                                    c.trunc)
             out[m] = c
         return TorusElement(elt.dim, out)
 

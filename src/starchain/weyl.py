@@ -24,7 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .scalars import (FieldElement, HbarLaurent, _Accumulator, _as_field,
-                      _common_den, _flat, _level_pairs, _min_trunc)
+                      _common_den, _flat, _level_groups, _level_pairs,
+                      _min_trunc)
 from .sparse import Filtered, _acc
 
 
@@ -223,7 +224,8 @@ class WeylElement(Filtered):
         yden = _common_den(other.coeffs.values())
         bound = _moyal_den_bound(self.coeffs, other.coeffs, self.dim)
         acc = _Accumulator()
-        for lev, xg, yg in _level_pairs(self.coeffs, other.coeffs):
+        for lev, xg, yg in _level_pairs(_level_groups(self.coeffs),
+                                        _level_groups(other.coeffs)):
             i_exp = lev // 4
             ys = [(key, _flat({0: c}, yden, lev)) for key, c in yg.items()]
             for (a1, b1, k1), c1 in xg.items():

@@ -13,6 +13,7 @@ from starchain.forms import (
     poincare_contract,
 )
 from starchain.scalars import FieldElement, HbarLaurent, ULaurent
+from starchain.scenarios import ScenarioConfig, run_suite
 
 H, U = 3, 2
 SYM = ChainContext.sym(1, h_trunc=H, u_trunc=U)
@@ -86,6 +87,30 @@ def test_d_squared_random():
     for _ in range(25):
         phi = rand_form(rng)
         assert phi.d_hat().d_hat().is_zero()
+
+
+def test_d_hat_is_known_one_degree_below_the_order():
+    # the top-degree terms of the derivative would come from the unknown
+    # terms above the order
+    phi = FormalForm.monomial(1, (2,), (1,), (), one(), order=3)
+    assert phi.d_hat().order == 2
+    assert phi.d_hat().d_hat().order == 1
+
+
+def test_equality_reads_terms_through_the_smaller_order():
+    x = FormalForm.monomial(1, (1,), (0,), (), one(), order=2)
+    top = FormalForm.monomial(1, (2,), (1,), (0,), one(), order=4)
+    wide = FormalForm(1, {**x.coeffs, **top.coeffs}, order=4)
+    assert wide == x and x == wide
+    assert wide != FormalForm(1, x.coeffs, order=4)
+    low = FormalForm.monomial(1, (0,), (2,), (), one(), order=4)
+    assert FormalForm(1, {**x.coeffs, **low.coeffs}, order=4) != x
+
+
+def test_forms_bridge_passes_at_dim_2():
+    # one trial reaches polynomial degree 16, the default order
+    report = run_suite("forms-bridge", ScenarioConfig(dim=2))
+    assert [c.passed for c in report.checks] == [True, True]
 
 
 def test_wedge_graded_commutative_and_associative():

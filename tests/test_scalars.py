@@ -17,6 +17,7 @@ from starchain.scalars import (
     to_text,
     _zeta_rows,
 )
+from starchain.sparse import _acc
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +326,7 @@ def nonzero_field(draw, level):
 
 
 @st.composite
-def hbar_series(draw, shared=None, mixed=False):
+def hbar_series(draw, shared=None, mixed=False, levels=LEVELS):
     trunc = draw(st.integers(-1, 5))
     powers = draw(st.lists(st.integers(-3, trunc), min_size=1, max_size=4,
                            unique=True))
@@ -333,7 +334,7 @@ def hbar_series(draw, shared=None, mixed=False):
         shared = draw(st.sampled_from((4, 12, 60, None)))
     coeffs = {}
     for k in powers:
-        lev = draw(st.sampled_from(LEVELS)) if shared is None else shared
+        lev = draw(st.sampled_from(levels)) if shared is None else shared
         coeffs[k] = draw(nonzero_field(lev))
     return HbarLaurent(trunc, coeffs)
 
@@ -579,9 +580,13 @@ def test_u_scalar_action():
     assert (x * i) / i == x
 
 
-# oracle for the u product: the pairwise sum of HbarLaurent products.  The
-# operands carry negative u powers and hbar coefficients with their own
-# windows, so every output coefficient's window comes from its own pairs.
+# oracle for the u product: per (u power, hbar power), the sum of the
+# FieldElement products over every pair, cut at each pair's hbar window and
+# then at its target's least window; zero sums are dropped only at the
+# end, so each coefficient sits at the lcm of the levels of every pair that
+# reaches it.  The operands carry negative u powers and hbar coefficients
+# with their own windows and, unless one level is given, levels 4, 12 and
+# 60 mixed within one series.
 
 
 @st.composite
@@ -589,30 +594,62 @@ def u_series(draw, level=None):
     trunc = draw(st.integers(-1, 3))
     powers = draw(st.lists(st.integers(-2, trunc), min_size=1, max_size=3,
                            unique=True))
-    if level is None:
-        level = draw(st.sampled_from((4, 12)))
-    return ULaurent(trunc, {k: draw(hbar_series(level)) for k in powers})
+    coeff = hbar_series(level) if level else \
+        hbar_series(mixed=True, levels=(4, 12, 60))
+    return ULaurent(trunc, {k: draw(coeff) for k in powers})
 
 
 def pairwise_u_product(x, y):
     trunc = min(x.trunc + y.low, y.trunc + x.low)
-    out = {}
+    windows, prods = {}, []
     for i, a in x.coeffs.items():
         for j, b in y.coeffs.items():
             if i + j <= trunc:
-                p = a * b
-                out[i + j] = p if i + j not in out else out[i + j] + p
-    return ULaurent(trunc, out)
+                w = min(a.trunc + b.low, b.trunc + a.low)
+                windows[i + j] = min(w, windows.get(i + j, w))
+                prods += [(i + j, k + l, c * d) for k, c in a.coeffs.items()
+                          for l, d in b.coeffs.items()]
+    sums: dict = {}
+    for e, k, p in prods:
+        if k <= windows[e]:
+            _acc(sums.setdefault(e, {}), k, p)
+    return ULaurent(trunc, {e: HbarLaurent(w, sums.get(e, {}))
+                            for e, w in windows.items()})
 
 
-@settings(max_examples=60, deadline=None)
-@given(u_series(), u_series())
-def test_u_product_against_pairwise_oracle(x, y):
-    got, want = x * y, pairwise_u_product(x, y)
+def assert_same_u(got, want):
     assert got.trunc == want.trunc
     assert to_text(got) == to_text(want)
-    assert {k: v.trunc for k, v in got.coeffs.items()} == \
-        {k: v.trunc for k, v in want.coeffs.items()}
+    assert {e: (h.trunc, {k: v.level for k, v in h.coeffs.items()})
+            for e, h in got.coeffs.items()} == \
+        {e: (h.trunc, {k: v.level for k, v in h.coeffs.items()})
+         for e, h in want.coeffs.items()}
+
+
+ONE = FieldElement.rational(1)
+
+
+def one_term_u(terms):
+    return ULaurent(2, {e: HbarLaurent.from_field(fe, 2) for e, fe in terms})
+
+
+# at u^2 the level-12 pairs zeta_12 * 1 and -zeta_12 * 1 cancel beside the
+# level-4 pair i * 1: the coefficient is i at level 12 (zeta^3)
+@settings(max_examples=60, deadline=None)
+@given(u_series(), u_series())
+@example(one_term_u(((0, FieldElement.zeta(12)), (1, -FieldElement.zeta(12)),
+                     (2, FieldElement.i_unit()))),
+         one_term_u(((2, ONE), (1, ONE), (0, ONE))))
+def test_u_product_against_pairwise_oracle(x, y):
+    assert_same_u(x * y, pairwise_u_product(x, y))
+
+
+@settings(max_examples=40, deadline=None)
+@given(u_series(), u_series(), st.data())
+def test_u_product_ignores_term_order(x, y, data):
+    px, py = (ULaurent(z.trunc, {k: z.coeffs[k] for k in data.draw(
+        st.permutations(list(z.coeffs)))}) for z in (x, y))
+    assert_same_u(px * py, x * y)
 
 
 @settings(max_examples=30, deadline=None)

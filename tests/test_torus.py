@@ -2,10 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from starchain.groups import CyclicGroup
-from starchain.scalars import (FieldElement, HbarLaurent,
+from starchain.scalars import (FieldElement, HbarLaurent, _star_phase,
                                cyclotomic_polynomial, to_text)
 from starchain.sparse import _acc
 from starchain.torus import (
@@ -17,7 +17,6 @@ from starchain.torus import (
     jet,
     omega_pairing,
     symplectic_form,
-    _star_phase,
 )
 
 
@@ -88,24 +87,41 @@ def test_symbol_mul_is_commutative_shadow():
         assert all(c.low >= 1 for c in diff.coeffs.values())
 
 
-# Reference for the torus products: the per-pair loop, one hbar product per
-# pair of plane waves, then the star phase, summed as series.  Operands are
-# drawn with negative hbar powers and windows, so that some pair windows are
-# negative and their phase is empty; with every coefficient at one level
-# (the accumulator) or at a level each (the per-pair path); and over few
-# modes, so that several pairs meet at one target, sometimes cancelling.
+# Reference for the torus products: per (target mode, hbar power), the sum
+# of the FieldElement products over every pair of plane waves, so each
+# output coefficient sits at the lcm of the levels of every pair that
+# reaches it, even where a partial sum cancels.  A pair's coefficient
+# products are cut at the pair window before the star phase, every sum at
+# its target's window, and zero sums are dropped only at the end.
+# Operands are drawn with negative hbar powers and windows, so that some
+# pair windows are negative and their phase is empty; with every
+# coefficient at one level or at a level each; and over few modes, so that
+# several pairs meet at one target, sometimes cancelling.
 
 
-def pairwise_product(x, y, phased):
-    out = {}
+def reference_product(x, y, phased):
+    windows, pairs = {}, []
     for m, cm in x.coeffs.items():
         for n, cn in y.coeffs.items():
-            c = cm * cn
-            p = omega_pairing(m, n)
-            if phased and p:
-                c = c * _star_phase(p, c.trunc)
-            _acc(out, tuple(a + b for a, b in zip(m, n)), c)
-    return TorusElement(x.dim, out)
+            t = tuple(a + b for a, b in zip(m, n))
+            w = min(cm.trunc + cn.low, cn.trunc + cm.low)
+            prods = [(i + j, a * b) for i, a in cm.coeffs.items()
+                     for j, b in cn.coeffs.items() if i + j <= w]
+            p = omega_pairing(m, n) if phased else 0
+            if p:
+                phase = _star_phase(p, w).coeffs
+                prods = [(k + s, c * f) for k, c in prods
+                         for s, f in phase.items()]
+                w += min(0, cm.low + cn.low)
+            pairs.append((t, prods))
+            windows[t] = min(w, windows.get(t, w))
+    sums: dict = {}
+    for t, prods in pairs:
+        for k, c in prods:
+            if k <= windows[t]:
+                _acc(sums.setdefault(t, {}), k, c)
+    return TorusElement(x.dim, {t: HbarLaurent(w, sums.get(t, {}))
+                                for t, w in windows.items()})
 
 
 @st.composite
@@ -136,7 +152,7 @@ def torus_operands(draw):
     pairs meet at one target with opposite signs: with zero pairings, so
     that they cancel there, or with pairings -1 and 1, so that the even
     hbar powers of the phase cancel.  The second pair's window may be the
-    smaller one."""
+    smaller one.  A cancelling target may get a third, level-4 pair."""
     level = draw(st.sampled_from((4, 12, 60, None)))
     kind = draw(st.sampled_from(("drawn", "drawn", "cancel", "odd")))
     if kind == "drawn":
@@ -156,8 +172,12 @@ def torus_operands(draw):
         m1, m2, n1, n2 = (1, 0), (0, 1), (0, 1), (1, 0)
     # the second pair may have a smaller window: the sum cancels inside it
     cut = draw(st.integers(c.trunc - 2, c.trunc))
-    return (TorusElement(1, {m1: c, m2: -c.truncate(cut)}),
-            TorusElement(1, {n1: d, n2: d}))
+    x, y = {m1: c, m2: -c.truncate(cut)}, {n1: d, n2: d}
+    if kind == "cancel" and draw(st.booleans()):
+        # (0, 2u) lands on 2u too, at level 4
+        x[(0, 0)], y[m2] = (draw(wave_coefficient(4)),
+                            draw(wave_coefficient(4)))
+    return TorusElement(1, x), TorusElement(1, y)
 
 
 def assert_same_torus(got, want):
@@ -170,12 +190,39 @@ def assert_same_torus(got, want):
             {k: v.level for k, v in w.coeffs.items()}
 
 
+def one_term_waves(terms):
+    return TorusElement(1, {m: HbarLaurent.from_field(fe, 2)
+                            for m, fe in terms})
+
+
+Z12 = FieldElement.zeta(12)
+ONE = FieldElement.rational(1)
+
+
 @settings(max_examples=200, deadline=None)
 @given(torus_operands())
+# at (2, 0) the level-12 pairs zeta_12 * 1 and -zeta_12 * 1 cancel beside
+# the level-4 pair i * 1: the coefficient is i at level 12 (zeta^3)
+@example((one_term_waves((((0, 0), Z12), ((1, 0), -Z12), ((2, 0), I))),
+          one_term_waves((((2, 0), ONE), ((1, 0), ONE), ((0, 0), ONE)))))
 def test_star_against_pairwise_reference(operands):
     x, y = operands
-    assert_same_torus(x.star(y), pairwise_product(x, y, phased=True))
-    assert_same_torus(x.symbol_mul(y), pairwise_product(x, y, phased=False))
+    assert_same_torus(x.star(y), reference_product(x, y, phased=True))
+    assert_same_torus(x.symbol_mul(y), reference_product(x, y, phased=False))
+
+
+def permuted(x, data):
+    return TorusElement(x.dim, {m: x.coeffs[m] for m in
+                                data.draw(st.permutations(list(x.coeffs)))})
+
+
+@settings(max_examples=60, deadline=None)
+@given(torus_operands(), st.data())
+def test_products_ignore_term_order(operands, data):
+    x, y = operands
+    px, py = permuted(x, data), permuted(y, data)
+    assert_same_torus(px.star(py), x.star(y))
+    assert_same_torus(px.symbol_mul(py), x.symbol_mul(y))
 
 
 def test_trace_normalization_and_axioms():
