@@ -70,7 +70,7 @@ from .scalars import HbarLaurent, ULaurent, _as_field, _star_phase
 from .sparse import Chain, _acc
 from .torus import (TorusElement, CrossedElement, TranslationAction,
                     omega_pairing)
-from .weyl import WeylElement
+from .weyl import _moyal_product
 
 _KINDS = ("torus", "weyl", "sym", "group", "crossed", "diag", "idem")
 
@@ -203,14 +203,8 @@ def _mul_labels(ctx, x, y):
         (a, b), (c, d) = x, y
         return [((_mode_add(a, c), _mode_add(b, d)), None)]
     if kind == "weyl":
-        (a, b), (c, d) = x, y
-        order = sum(a) + sum(b) + sum(c) + sum(d)
-        u = WeylElement.monomial(ctx.dim, a, b, 0, 1, order)
-        v = WeylElement.monomial(ctx.dim, c, d, 0, 1, order)
-        out = []
-        for (aa, bb, k), fe in u.star(v).coeffs.items():
-            out.append(((aa, bb), HbarLaurent.from_field(fe, ctx.h_trunc, k)))
-        return out
+        return [((a, b), HbarLaurent.from_field(fe, ctx.h_trunc, k))
+                for (a, b, k), fe in _moyal_product(*x, *y)]
     if kind == "idem":
         return [(max(x, y), None)]
     raise ValueError(f"slots of kind {ctx.kind!r} have no product")

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 
-from .cyclic import CyclicChain, EquivariantChain, d_map
+from .cyclic import CyclicChain, EquivariantChain, _mul_labels, d_map
 from .groups import CyclicGroup
 from .scalars import FieldElement, HbarLaurent, ULaurent, _as_field
 from .sparse import Sparse, _acc
@@ -392,45 +392,41 @@ class TraceFunctional:
 
     def pair(self, chain: CyclicChain) -> ULaurent:
         assert chain.ctx.kind == "crossed"
-        act = self.action
-        G = act.group
-        k = self.xi.degree
-        h = chain.ctx.h_trunc
-        terms = []
-        for key, coeff in chain.coeffs.items():
-            if len(key) - 1 != k:
-                continue
-            labels = [g for _, g in key]
-            if not G.is_identity(G.compose_all(labels)):
-                continue
-            val = self.xi.evaluate(labels[1:])
-            if val.is_zero():
-                continue
-            t = TorusElement.plane_wave(act.dim, key[0][0], h)
-            running = labels[0]
-            for m, g in key[1:]:
-                t = t.star(act.apply(running,
-                                     TorusElement.plane_wave(act.dim, m, h)))
-                running = G.compose(running, g)
-            terms.append(coeff * (t.trace() * val))
-        return _series_sum(terms, chain.ctx.u_trunc)
+        return _trace_words(chain, self.xi.degree,
+                            lambda labels: self.xi.evaluate(labels[1:]))
 
 
 def trace_pair(chain: CyclicChain) -> ULaurent:
     """Plain trace against the degree-0 part of a torus or crossed chain."""
+    assert chain.ctx.kind in ("torus", "crossed")
+    return _trace_words(chain, 0)
+
+
+def _trace_words(chain: CyclicChain, degree: int, weight=None) -> ULaurent:
+    """The trace pairing on the words of one degree: each coefficient
+    times weight(labels), a FieldElement (1 when weight is None), times
+    the word's trace, the unit trace times the scalars of its slots folded
+    with _mul_labels.  A word whose modes do not sum to zero, or whose
+    labels do not compose to the identity, is skipped before weight."""
     ctx = chain.ctx
-    assert ctx.kind in ("torus", "crossed")
+    G = ctx.group
+    unit = TorusElement.one(ctx.dim, ctx.h_trunc).trace()
     terms = []
     for key, coeff in chain.coeffs.items():
-        if len(key) != 1:
+        if len(key) != degree + 1:
             continue
-        m = key[0]
-        if ctx.kind == "crossed":
-            m, g = m
-            if not ctx.group.is_identity(g):
-                continue
-        t = TorusElement.plane_wave(ctx.dim, m, ctx.h_trunc)
-        terms.append(coeff * t.trace())
+        modes, labels = zip(*key) if ctx.kind == "crossed" else (key, ())
+        if any(map(sum, zip(*modes))) or \
+                labels and not G.is_identity(G.compose_all(labels)):
+            continue
+        scal = unit if weight is None else unit * weight(labels)
+        if scal.is_zero():
+            continue
+        slot = key[0]
+        for nxt in key[1:]:
+            (slot, s), = _mul_labels(ctx, slot, nxt)
+            scal = s * scal
+        terms.append(coeff * scal)
     return _series_sum(terms, ctx.u_trunc)
 
 

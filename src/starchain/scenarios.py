@@ -48,19 +48,12 @@ from .group_coh import (GroupCochain, TraceFunctional, equivariant_ahat,
 from .groups import CyclicGroup
 from .lie_gf import (InvariantConnection, LieCochain, a_hat_series,
                      gf_form, lie_differential, theta_hat_cochain)
-from .scalars import FieldElement, HbarLaurent, ULaurent
+from .scalars import MAX_CYCLOTOMIC_LEVEL, FieldElement, HbarLaurent, ULaurent
 from .torus import CrossedElement, TorusElement, TranslationAction, \
     symplectic_form
 from .weyl import Derivation, WeylElement
 
 SCHEMA_VERSION = 1
-
-# Largest translation-phase level, 4 * lcm of the shift denominators.  The
-# root-of-unity table at that level (scalars._zeta_rows) builds, on a 2-vCPU
-# host under CPython 3.11, in at most 0.16 s and 1.3 MiB for every multiple
-# of 4 up to 1200, but 2.4 s and 70 MiB at 4620.  The shipped configs need
-# 60 and 16.
-MAX_PHASE_LEVEL = 1200
 
 # Allowed ranges of the window and size fields, so that every accepted
 # configuration runs in bounded time and memory.  Timed on a 2-vCPU host
@@ -145,10 +138,10 @@ class ScenarioConfig:
         if dim_ok and len(self.shifts) != 2 * self.dim:
             problems.append(("shifts", "need exactly 2*dim entries"))
         phase_level = 4 * math.lcm(*(s.denominator for s in self.shifts))
-        if phase_level > MAX_PHASE_LEVEL:
+        if phase_level > MAX_CYCLOTOMIC_LEVEL:
             problems.append(
                 ("shifts", f"phase level {phase_level} (4 * lcm of the "
-                           f"denominators) exceeds {MAX_PHASE_LEVEL}"))
+                           f"denominators) exceeds {MAX_CYCLOTOMIC_LEVEL}"))
         if level_ok:
             for s in self.shifts:
                 if self.level % s.denominator:

@@ -24,7 +24,7 @@ from .groups import CyclicGroup
 from .scalars import (FieldElement, HbarLaurent, _as_field, _series_products,
                       _star_phase)
 from .sparse import Filtered, Sparse, _acc
-from .weyl import WeylElement
+from .weyl import _moyal_product
 
 
 @lru_cache(maxsize=None)
@@ -92,8 +92,8 @@ class TorusElement(Sparse):
         """Star product: each pair of plane waves gives
         exp(-2 pi^2 i hbar <m, n>) cm cn on e_(m+n).
 
-        Every pair is summed in one integer accumulator
-        (scalars._series_products): a pair's coefficient product is
+        The one route is the product kernel (scalars._series_products),
+        as for the crossed star: a pair's coefficient product is
         multiplied by the star phase, cached as integer terms, and added
         into its target mode, and each output coefficient is normalised
         once, at the lcm of the levels of every pair that reaches it."""
@@ -301,14 +301,30 @@ class CrossedElement(Sparse):
                                TorusElement.zero(self.action.dim))
 
     def star(self, other: "CrossedElement") -> "CrossedElement":
+        """(a u_g)(b u_h) = (a * g(b)) u_gh in one call of the product
+        kernel (scalars._series_products), its one route: the plane waves
+        of a are keyed (m, g), those of g(b) (n, h, g) for each label g
+        of self, and a pair whose g tags agree goes to (m + n, gh) with
+        the star phase of <m, n>.  Each output coefficient is normalised
+        once, at the lcm of the levels of every pair that reaches it."""
         assert isinstance(other, CrossedElement)
-        grp = self.action.group
-        out: dict[int, TorusElement] = {}
-        for g, a in self.coeffs.items():
-            for h, b in other.coeffs.items():
-                prod = a.star(self.action.apply(g, b))
-                _acc(out, grp.compose(g, h), prod)
-        return CrossedElement(self.action, out)
+        act = self.action
+        compose = act.group.compose
+        xs = {(m, g): c for g, a in self.coeffs.items()
+              for m, c in a.coeffs.items()}
+        ys = {(n, h, g): c for g in self.coeffs
+              for h, b in other.coeffs.items()
+              for n, c in act.apply(g, b).coeffs.items()}
+        sums = _series_products(
+            xs, ys,
+            lambda x, y: (tuple(map(add, x[0], y[0])), compose(x[1], y[1]))
+            if x[1] == y[2] else None,
+            lambda x, y: omega_pairing(x[0], y[0]))
+        out: dict = {}
+        for (m, gh), c in sums.items():
+            out.setdefault(gh, {})[m] = c
+        return CrossedElement(act, {gh: TorusElement(act.dim, waves)
+                                    for gh, waves in out.items()})
 
     def trace(self) -> HbarLaurent:
         """Trace of the identity-group-component; the other components are
@@ -496,21 +512,23 @@ class WeylSection(Filtered):
         return self.coeffs.get(tuple(alpha), TorusElement.zero(self.dim))
 
     def star(self, other: "WeylSection") -> "WeylSection":
+        """Fiberwise Weyl-Moyal product of the fiber monomials
+        (weyl._moyal_product) times the commutative product of their base
+        coefficients; a fiber monomial above the order is not read."""
         assert isinstance(other, WeylSection) and other.dim == self.dim
         d = self.dim
         order = min(self.order, other.order)
+        ys = [(b, c) for b, c in other.coeffs.items() if sum(b) <= order]
         out: dict = {}
         for alpha, ca in self.coeffs.items():
-            wa = WeylElement.monomial(d, alpha[:d], alpha[d:], 0, 1,
-                                      order=order)
-            for beta, cb in other.coeffs.items():
-                wb = WeylElement.monomial(d, beta[:d], beta[d:], 0, 1,
-                                          order=order)
+            if sum(alpha) > order:
+                continue
+            for beta, cb in ys:
                 base = ca.symbol_mul(cb)
-                for (a, b, k), scal in wa.star(wb).coeffs.items():
-                    gamma = a + b
+                for (a, b, k), scal in _moyal_product(alpha[:d], alpha[d:],
+                                                      beta[:d], beta[d:]):
                     term = base * scal
-                    _acc(out, gamma, term.shift(k) if k else term)
+                    _acc(out, a + b, term.shift(k) if k else term)
         return WeylSection(d, order, out)
 
     def nabla(self) -> list["WeylSection"]:

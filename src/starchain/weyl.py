@@ -69,6 +69,18 @@ def _moyal_terms(a1, b1, a2, b2):
     return tuple(out)
 
 
+@lru_cache(maxsize=4096)
+def _moyal_product(a1, b1, a2, b2):
+    """x^a1 xi^b1 * x^a2 xi^b2 as ((a, b, k), FieldElement) pairs: the
+    terms of _moyal_terms summed per symbol x^a xi^b and hbar power k, at
+    level 4, in the order of their first term; zero sums are dropped."""
+    sums: dict = {}
+    for a, b, st, n, d in _moyal_terms(a1, b1, a2, b2):
+        _acc(sums, (a, b, st), Fraction(n, d))
+    return tuple(((a, b, k), FieldElement(4, {(k % 2, 0): q}))
+                 for (a, b, k), q in sums.items() if q)
+
+
 def _moyal_den_bound(xkeys, ykeys, dim: int) -> int:
     """A multiple of every d of _moyal_terms over the key pairs:
     prod_i S_i! T_i! 2^(S_i + T_i), S_i bounding s_i and T_i bounding t_i."""

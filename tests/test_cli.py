@@ -77,8 +77,8 @@ def test_config_field_diagnostics():
 
 def test_phase_level_bound_builds_no_table():
     before = _zeta_rows.cache_info().currsize
-    # phase level 4 * 249989 = 999956 passes MAX_CYCLOTOMIC_LEVEL, but its
-    # root-of-unity table cannot be built in practice
+    # phase level 4 * 249989 = 999956 and 1204 exceed MAX_CYCLOTOMIC_LEVEL:
+    # the config is rejected before any root-of-unity table is built
     with pytest.raises(ConfigError, match="phase level 999956"):
         ScenarioConfig.from_dict({"shifts": ["1/249989", "0"],
                                   "level": 249989})

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starchain.cyclic import ChainContext, CyclicChain, chern_character
 from starchain.group_coh import (EquivariantClassCocycle, GroupCochain, cap,
@@ -10,7 +11,7 @@ from starchain.group_coh import (EquivariantClassCocycle, GroupCochain, cap,
                                  word_to_form)
 from starchain.cyclic import d_map
 from starchain.groups import CyclicGroup
-from starchain.scalars import FieldElement, HbarLaurent, ULaurent
+from starchain.scalars import FieldElement, HbarLaurent, ULaurent, to_text
 from starchain.torus import (CrossedElement, TorusElement, TorusForm,
                              TranslationAction, symplectic_form)
 
@@ -323,6 +324,108 @@ def test_trace_pairing_conjugation_invariant():
     assert T0.pair(ch) == T0.pair(ch2)
     assert T0.pair(ch) == u_scalar(inv_i_hbar(), 1)
 
+
+
+# Oracle for the trace pairings: the element fold they ran before, which
+# builds each slot as a plane wave, acts on it with TranslationAction.apply
+# and multiplies with TorusElement.star.  It adds the zero trace of a word
+# whose modes do not sum to zero, which can only lower the u window of the
+# sum, so both sides are compared through the smaller of their windows.
+
+def folded_trace(chain, degree, weight=None):
+    ctx = chain.ctx
+    h = ctx.h_trunc
+    terms = []
+    for key, coeff in chain.coeffs.items():
+        if len(key) != degree + 1:
+            continue
+        if ctx.kind == "torus":
+            t = TorusElement.plane_wave(ctx.dim, key[0], h)
+            terms.append(coeff * t.trace())
+            continue
+        G = ctx.group
+        labels = [g for _, g in key]
+        if not G.is_identity(G.compose_all(labels)):
+            continue
+        t = TorusElement.plane_wave(ctx.dim, key[0][0], h)
+        running = labels[0]
+        for m, g in key[1:]:
+            t = t.star(ctx.action.apply(
+                running, TorusElement.plane_wave(ctx.dim, m, h)))
+            running = G.compose(running, g)
+        if weight is None:
+            terms.append(coeff * t.trace())
+        elif not (val := weight(labels)).is_zero():
+            terms.append(coeff * (t.trace() * val))
+    return sum(terms[1:], terms[0]) if terms else ULaurent.zero(ctx.u_trunc)
+
+
+def assert_same_through_common_window(got, want):
+    assert got == want
+    w = min(got.trunc, want.trunc)
+    got, want = got.truncate(w), want.truncate(w)
+    assert to_text(got) == to_text(want)
+    assert {k: (v.trunc, {p: fe.level for p, fe in v.coeffs.items()})
+            for k, v in got.coeffs.items()} == \
+        {k: (v.trunc, {p: fe.level for p, fe in v.coeffs.items()})
+         for k, v in want.coeffs.items()}
+
+
+CARRY = GroupCochain.table(
+    Z4, 2, {(a, b): (a + b) // 4 for a in range(4) for b in range(4)})
+FOLD_FUNCTIONALS = {
+    "twisted": [TraceFunctional(xi, TW_ACT) for xi in (
+        GroupCochain.constant(Z, 3),
+        GroupCochain.polynomial(Z, 1, {(1,): 1}),
+        GroupCochain.polynomial(Z, 2, {(1, 1): 1}))],
+    "order-4": [TraceFunctional(GroupCochain.constant(Z4, 1), FIN_ACT),
+                TraceFunctional(CARRY, FIN_ACT)],
+}
+
+
+@st.composite
+def fold_chains(draw):
+    """A chain of one to four words of degree 0-2 over twisted Z, over Z/4
+    or over the torus; three words in four are closed (modes summing to
+    zero, labels composing to the identity).  Coefficients carry hbar
+    powers -1..1 at level 4 or 12, u powers -1..1 and u window 1 or 2."""
+    kind = draw(st.sampled_from(("twisted", "order-4", "torus")))
+    if kind == "torus":
+        ctx = ChainContext.torus(1, h_trunc=3, u_trunc=1)
+    else:
+        act = TW_ACT if kind == "twisted" else FIN_ACT
+        ctx = ChainContext.crossed(act, h_trunc=3, u_trunc=1)
+    small = st.integers(-1, 1)
+    coeffs = {}
+    for _ in range(draw(st.integers(1, 4))):
+        deg = 0 if kind == "torus" else draw(st.integers(0, 2))
+        modes = [draw(st.tuples(small, small)) for _ in range(deg + 1)]
+        labels = [draw(st.integers(-2, 2)) for _ in range(deg + 1)]
+        if draw(st.sampled_from((True, True, True, False))):
+            modes[-1] = tuple(-sum(c) for c in zip(*modes[:-1])) \
+                if deg else (0, 0)
+            labels[-1] = -sum(labels[:-1])
+        key = tuple(modes) if kind == "torus" else tuple(zip(modes, labels))
+        fe = FieldElement.zeta(draw(st.sampled_from((4, 12))),
+                               draw(st.integers(0, 11)))
+        h = HbarLaurent.from_field(fe * draw(st.sampled_from((1, -2))), 3,
+                                   draw(small))
+        coeffs[key] = ULaurent.from_hbar(h, draw(st.integers(1, 2)),
+                                         draw(small))
+    return kind, CyclicChain(ctx, coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fold_chains())
+def test_trace_pairings_match_the_element_fold(kind_chain):
+    kind, chain = kind_chain
+    assert_same_through_common_window(trace_pair(chain),
+                                      folded_trace(chain, 0))
+    for T in FOLD_FUNCTIONALS.get(kind, ()):
+        assert_same_through_common_window(
+            T.pair(chain),
+            folded_trace(chain, T.degree,
+                         lambda labels: T.xi.evaluate(labels[1:])))
 
 # -- the transposed index pairing ------------------------------------------
 

@@ -157,9 +157,9 @@ def test_monomial_inverse():
 def test_level_guard():
     with pytest.raises(LevelOverflow):
         FieldElement.rational(1, MAX_CYCLOTOMIC_LEVEL + 4)
-    big = FieldElement.rational(1, 999_996)
+    big = FieldElement.rational(1, 1196)
     other = FieldElement.rational(1, 8)
-    assert math.lcm(999_996, 8) > MAX_CYCLOTOMIC_LEVEL
+    assert math.lcm(1196, 8) > MAX_CYCLOTOMIC_LEVEL
     with pytest.raises(LevelOverflow):
         big * other
     # rationals compare by value, with no common level to overflow
@@ -167,13 +167,13 @@ def test_level_guard():
     assert big != FieldElement.rational(2, 8)
     # without a common level, elements written at the gcd level (here 4)
     # compare there: both of these are i
-    i_big = FieldElement(999_996, {(249_999, 0): 1})
+    i_big = FieldElement(1196, {(299, 0): 1})
     assert i_big == FieldElement.i_unit(8)
     assert i_big != -FieldElement.i_unit(8)
     assert i_big != FieldElement.pi_power(1, level=8) * FieldElement.i_unit(8)
-    # zeta_999996 is not written at level 4: no answer, rather than False
+    # zeta_1196 is not written at level 4: no answer, rather than False
     with pytest.raises(LevelOverflow):
-        FieldElement(999_996, {(1, 0): 1}) == FieldElement.i_unit(8)
+        FieldElement(1196, {(1, 0): 1}) == FieldElement.i_unit(8)
 
 
 def test_rejected_zeta_level_builds_no_table():
@@ -182,6 +182,14 @@ def test_rejected_zeta_level_builds_no_table():
         FieldElement.zeta(MAX_CYCLOTOMIC_LEVEL + 4)
     with pytest.raises(ValueError, match="multiple of 4"):
         FieldElement.zeta(6)
+    assert _zeta_rows.cache_info().currsize == before
+
+
+def test_level_whose_table_is_too_costly_builds_none():
+    # the table at level 4620 would take seconds and tens of MiB
+    before = _zeta_rows.cache_info().currsize
+    with pytest.raises(LevelOverflow):
+        FieldElement.zeta(4620)
     assert _zeta_rows.cache_info().currsize == before
 
 
@@ -441,6 +449,21 @@ def test_one_term_product_against_pairwise(x, m):
     want = pairwise_product(x, HbarLaurent.from_field(fe, 0), x.trunc)
     assert_same_product(x * m, want)
     assert_same_product(m * x, want)
+
+
+# A scalar of several terms multiplies a series coefficient by coefficient
+# and keeps the series' window, also when the series starts below hbar^0.
+@settings(max_examples=60, deadline=None)
+@given(hbar_series(mixed=True),
+       st.sampled_from(LEVELS).flatmap(nonzero_field).filter(
+           lambda fe: len(fe.num) > 1))
+@example(HbarLaurent(1, {-2: FieldElement.rational(3),
+                         0: FieldElement.zeta(12)}),
+         FieldElement.zeta(12) + 1)
+def test_multi_term_scalar_keeps_the_series_window(x, fe):
+    want = HbarLaurent(x.trunc, {k: v * fe for k, v in x.coeffs.items()})
+    assert_same_product(x * fe, want)
+    assert_same_product(fe * x, want)
 
 
 @settings(max_examples=40, deadline=None)

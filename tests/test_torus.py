@@ -99,29 +99,33 @@ def test_symbol_mul_is_commutative_shadow():
 # several pairs meet at one target, sometimes cancelling.
 
 
-def reference_product(x, y, phased):
-    windows, pairs = {}, []
-    for m, cm in x.coeffs.items():
-        for n, cn in y.coeffs.items():
-            t = tuple(a + b for a, b in zip(m, n))
-            w = min(cm.trunc + cn.low, cn.trunc + cm.low)
-            prods = [(i + j, a * b) for i, a in cm.coeffs.items()
-                     for j, b in cn.coeffs.items() if i + j <= w]
-            p = omega_pairing(m, n) if phased else 0
-            if p:
-                phase = _star_phase(p, w).coeffs
-                prods = [(k + s, c * f) for k, c in prods
-                         for s, f in phase.items()]
-                w += min(0, cm.low + cn.low)
-            pairs.append((t, prods))
-            windows[t] = min(w, windows.get(t, w))
+def reference_sums(pairs):
+    """{target: HbarLaurent} from (target, cm, cn, pairing) pairs."""
+    windows, prods_by_pair = {}, []
+    for t, cm, cn, p in pairs:
+        w = min(cm.trunc + cn.low, cn.trunc + cm.low)
+        prods = [(i + j, a * b) for i, a in cm.coeffs.items()
+                 for j, b in cn.coeffs.items() if i + j <= w]
+        if p:
+            phase = _star_phase(p, w).coeffs
+            prods = [(k + s, c * f) for k, c in prods
+                     for s, f in phase.items()]
+            w += min(0, cm.low + cn.low)
+        prods_by_pair.append((t, prods))
+        windows[t] = min(w, windows.get(t, w))
     sums: dict = {}
-    for t, prods in pairs:
+    for t, prods in prods_by_pair:
         for k, c in prods:
             if k <= windows[t]:
                 _acc(sums.setdefault(t, {}), k, c)
-    return TorusElement(x.dim, {t: HbarLaurent(w, sums.get(t, {}))
-                                for t, w in windows.items()})
+    return {t: HbarLaurent(w, sums.get(t, {})) for t, w in windows.items()}
+
+
+def reference_product(x, y, phased):
+    return TorusElement(x.dim, reference_sums(
+        (tuple(a + b for a, b in zip(m, n)), cm, cn,
+         omega_pairing(m, n) if phased else 0)
+        for m, cm in x.coeffs.items() for n, cn in y.coeffs.items()))
 
 
 @st.composite
@@ -223,6 +227,93 @@ def test_products_ignore_term_order(operands, data):
     px, py = permuted(x, data), permuted(y, data)
     assert_same_torus(px.star(py), x.star(y))
     assert_same_torus(px.symbol_mul(py), x.symbol_mul(y))
+
+
+# Reference for the crossed star: (a u_g)(b u_h) = (a * g(b)) u_gh summed as
+# the torus reference sums, over every pair of plane waves of a and g(b),
+# with the translation (and twist) phase from TranslationAction.apply and
+# the star phase, per (target mode, gh, hbar power).
+
+
+def reference_crossed(x, y):
+    act, compose = x.action, x.action.group.compose
+    sums = reference_sums(
+        ((tuple(p + q for p, q in zip(m, n)), compose(g, h)), cm, cn,
+         omega_pairing(m, n))
+        for g, a in x.coeffs.items() for h, b in y.coeffs.items()
+        for m, cm in a.coeffs.items()
+        for n, cn in act.apply(g, b).coeffs.items())
+    out: dict = {}
+    for (m, gh), c in sums.items():
+        out.setdefault(gh, {})[m] = c
+    return CrossedElement(act, {gh: TorusElement(act.dim, waves)
+                                for gh, waves in out.items()})
+
+
+CROSSED_ACTIONS = (
+    TranslationAction(1, CyclicGroup(None), (0, 0)),
+    TranslationAction(1, CyclicGroup(None), (Fraction(1, 3), 0), twist=(0, 1)),
+    TranslationAction(1, CyclicGroup(4), (Fraction(1, 4), Fraction(1, 2))),
+)
+
+
+@st.composite
+def crossed_operands(draw):
+    """(x, y) over one action, each with one to three group labels and one
+    or two plane waves per label, so that several (g, h) pairs meet at one
+    gh and mode."""
+    act = draw(st.sampled_from(CROSSED_ACTIONS))
+    level = draw(st.sampled_from((4, 12, None)))
+
+    def element():
+        labels = draw(st.lists(st.integers(-1, 2), min_size=1, max_size=3,
+                               unique=True))
+        return CrossedElement(act, {g: TorusElement(1, {
+            m: draw(wave_coefficient(level))
+            for m in draw(st.lists(st.sampled_from(MODES), min_size=1,
+                                   max_size=2, unique=True))})
+            for g in labels})
+    return element(), element()
+
+
+def assert_same_crossed(got, want):
+    assert got.coeffs.keys() == want.coeffs.keys()
+    for g, a in got.coeffs.items():
+        assert_same_torus(a, want.coeffs[g])
+
+
+def crossed_waves(act, terms):
+    return CrossedElement(act, {g: one_term_waves(((m, fe),))
+                                for g, m, fe in terms})
+
+
+@settings(max_examples=50, deadline=None)
+@given(crossed_operands())
+# at gh = 2 and mode (0, 0) the level-12 pairs (0, 2) and (1, 1) cancel, and
+# the level-4 pair (2, 0) lands there too: the coefficient is i at level 12
+@example((crossed_waves(CROSSED_ACTIONS[0], ((0, (0, 0), Z12),
+                                             (1, (0, 0), -Z12),
+                                             (2, (0, 0), I))),
+          crossed_waves(CROSSED_ACTIONS[0], ((2, (0, 0), ONE),
+                                             (1, (0, 0), ONE),
+                                             (0, (0, 0), ONE)))))
+def test_crossed_star_against_pairwise_reference(operands):
+    x, y = operands
+    assert_same_crossed(x.star(y), reference_crossed(x, y))
+
+
+def permuted_crossed(x, data):
+    return CrossedElement(x.action, {
+        g: permuted(x.coeffs[g], data)
+        for g in data.draw(st.permutations(list(x.coeffs)))})
+
+
+@settings(max_examples=30, deadline=None)
+@given(crossed_operands(), st.data())
+def test_crossed_star_ignores_term_order(operands, data):
+    x, y = operands
+    px, py = permuted_crossed(x, data), permuted_crossed(y, data)
+    assert_same_crossed(px.star(py), x.star(y))
 
 
 def test_trace_normalization_and_axioms():

@@ -13,6 +13,7 @@ from starchain.weyl import (
     Derivation,
     WeylElement,
     _deg,
+    _moyal_product,
     _moyal_terms,
     commutator,
     extension_defect,
@@ -398,3 +399,26 @@ def test_partials():
     assert m.partial_x(0) == x.poly_mul(WeylElement.xi_hat(1, 0)) * 2
     assert m.partial_xi(0) == x.poly_mul(x)
     assert m.partial_xi(0).partial_xi(0).is_zero()
+
+
+def monomials(dim, max_degree):
+    for exps in itertools.product(range(max_degree + 1), repeat=2 * dim):
+        if sum(exps) <= max_degree:
+            yield exps[:dim], exps[dim:]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_moyal_product_matches_monomial_star(dim):
+    # the product the weyl chain faces and the jet star read, against the
+    # star of the two monomials, with an order that cuts no term
+    mons = list(monomials(dim, 3))
+    for a1, b1 in mons:
+        for a2, b2 in mons:
+            order = sum(a1) + sum(b1) + sum(a2) + sum(b2)
+            want = WeylElement.monomial(dim, a1, b1, order=order).star(
+                WeylElement.monomial(dim, a2, b2, order=order))
+            got = _moyal_product(a1, b1, a2, b2)
+            assert [key for key, _ in got] == list(want.coeffs)
+            for key, fe in got:
+                assert to_text(fe) == to_text(want.coeffs[key])
+                assert fe.level == want.coeffs[key].level
