@@ -49,24 +49,36 @@ plus (-1)^(inner degree) times the group-word one.  The front/back
 splitting of an honest diagonal chain is one over torus words.
 
 Every operator is linear, given by its value on one word as a list of
-(word, value) pairs that `Chain._map` sums over the chain; both chain
-classes keep their terms through `Chain._store`.
+entries (target word, sign, scalar or None, u shift): the value is sign *
+scalar * u^shift times the word's coefficient.  `Chain._map` sums the
+entries over the chain in one integer accumulator (scalars._chain_sums),
+with the sign as the accumulator's scale, so no operator makes a negated
+copy or an intermediate series.  Each scalar is a `scalars._Flat`, flat
+integer terms grouped by level: the star phases are cached by pairing,
+the crossed face phases on the context, the Moyal terms by slot pair.
+Sums of chains that are themselves operator values (b + uB, the total
+boundary, the layers of the splitting map) go through the same
+accumulator.  Both chain classes keep their terms through `Chain._store`.
 
 The inner boundary of an equivariant chain depends only on the inner word:
 it acts on the group word by a left translation and on the coefficient by
-one scalar per output word.  Each inner word's boundary is therefore built
-once per chain context and mode, as a plan of (target inner word, g^-1 or
-None, scalar or None, u shift) entries whose scalars fold together the
-face sign, the star phase and the translation phase, and applied to every
-group word that carries that inner word.  The plans live on the context,
-so they are cut at its own hbar and u windows and live no longer than it.
+one scalar per output word.  Each inner word's mixed boundary is therefore
+built once per chain context, as a plan of (target inner word, g^-1 or
+None, sign, scalar or None, u shift) entries whose scalars fold together
+the star phase and the translation phase, built as flat terms once, and
+applied to every group word that carries that inner word; b and B take
+its faces and its degree-raising entries.  The plans live
+on the context, so they are cut at its own hbar and u windows and live no
+longer than it.  The splitting map composes them with its homotopy, so
+the inner boundary's chain is never built there.
 """
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate
+from itertools import accumulate, chain
 
-from .scalars import HbarLaurent, ULaurent, _as_field, _star_phase
+from .scalars import (HbarLaurent, ULaurent, _Accumulator, _chain_sums,
+                      _Flat, _as_field, _flat_phase, _star_phase)
 from .sparse import Chain, _acc
 from .torus import (TorusElement, CrossedElement, TranslationAction,
                     omega_pairing)
@@ -80,7 +92,7 @@ class ChainContext:
     uses (h_trunc for hbar series, u_trunc for u series)."""
 
     __slots__ = ("kind", "dim", "group", "action", "h_trunc", "u_trunc",
-                 "coinvariant", "_plans", "_derived")
+                 "coinvariant", "_plans", "_phases", "_derived")
 
     def __init__(self, kind, dim=None, group=None, action=None,
                  h_trunc=8, u_trunc=6, coinvariant=False):
@@ -93,8 +105,10 @@ class ChainContext:
         self.h_trunc = h_trunc
         self.u_trunc = u_trunc
         self.coinvariant = coinvariant
-        # (inner word, mode) -> inner boundary plan; see _boundary_plan
+        # inner word -> its boundary plan; see _boundary_plan
         self._plans = {}
+        # (g, mode, pairing) -> crossed face phase as a _Flat; see _mul_labels
+        self._phases = {}
         # the as_* contexts, built once so chains derived from one context
         # share their inner boundary plans
         self._derived = {}
@@ -189,25 +203,39 @@ def _unit_label(ctx):
 
 
 def _mul_labels(ctx, x, y):
-    """Product of two slot labels as [(label, scalar-or-None), ...]."""
+    """Product of two slot labels as [(label, scalar or None), ...], each
+    scalar a cached _Flat: the star phase by pairing, the crossed phase
+    (translation times star phase) on the context, the Moyal terms by
+    label pair."""
     kind = ctx.kind
     if kind in ("torus", "diag"):
         return [(_mode_add(x, y),
-                 _star_phase(omega_pairing(x, y), ctx.h_trunc))]
+                 _flat_phase(omega_pairing(x, y), ctx.h_trunc))]
     if kind == "crossed":
         (m, g), (n, h) = x, y
-        ph = ctx.action.mode_phase(g, n, ctx.h_trunc) \
-            * _star_phase(omega_pairing(m, n), ctx.h_trunc)
+        p = omega_pairing(m, n)
+        ph = ctx._phases.get((g, n, p))
+        if ph is None:
+            ph = ctx._phases[g, n, p] = _Flat(
+                ctx.action.mode_phase(g, n, ctx.h_trunc)
+                * _star_phase(p, ctx.h_trunc))
         return [((_mode_add(m, n), ctx.group.compose(g, h)), ph)]
     if kind == "sym":
         (a, b), (c, d) = x, y
         return [((_mode_add(a, c), _mode_add(b, d)), None)]
     if kind == "weyl":
-        return [((a, b), HbarLaurent.from_field(fe, ctx.h_trunc, k))
-                for (a, b, k), fe in _moyal_product(*x, *y)]
+        return _weyl_labels(x, y, ctx.h_trunc)
     if kind == "idem":
         return [(max(x, y), None)]
     raise ValueError(f"slots of kind {ctx.kind!r} have no product")
+
+
+@lru_cache(maxsize=4096)
+def _weyl_labels(x, y, h_trunc):
+    """The Weyl product of two monomial slots as (label, _Flat) pairs; a
+    term above the window keeps its pair with a zero scalar."""
+    return tuple(((a, b), _Flat(HbarLaurent.from_field(fe, h_trunc, k)))
+                 for (a, b, k), fe in _moyal_product(*x, *y))
 
 
 # -- raw word operators (no coinvariant canonicalisation) ------------------
@@ -276,36 +304,51 @@ def _translate(ctx, action, g, key):
     return key, action.word_phase(ginv, key, ctx.h_trunc)
 
 
-def _scaled(c, pairs):
-    """c times the scalar of each (key, scalar-or-None) pair."""
-    return [(k, c if s is None else c * s) for k, s in pairs]
-
-
-def _signed(v, odd):
-    """v with its sign flipped when odd is 1 (or True)."""
-    return -v if odd else v
-
-
-def _raw_boundary_terms(ctx, key, coeff):
-    """Alternating face sum of one word; degree 0 contributes nothing."""
+def _raw_boundary_terms(ctx, key):
+    """Alternating face sum of one word as entries (target, sign, scalar or
+    None, 0); degree 0 contributes nothing."""
     n = _key_degree(ctx, key)
-    out = []
-    for i in range(n + 1 if n else 0):
-        for k2, v in _scaled(coeff, _face_key(ctx, key, i)):
-            out.append((k2, _signed(v, i % 2)))
-    return out
+    return [(k2, -1 if i % 2 else 1, s, 0)
+            for i in range(n + 1 if n else 0)
+            for k2, s in _face_key(ctx, key, i)]
 
 
-def _raw_connes_terms(ctx, key, coeff):
-    """Degree-raising boundary of one word (no u factor attached)."""
+def _raw_connes_terms(ctx, key, shift=0):
+    """Degree-raising boundary of one word as entries (target, sign, None,
+    shift); shift 1 is the u factor of the mixed boundary."""
     n = _key_degree(ctx, key)
     out = []
     for i in range(n + 1):
-        cur = _rotate_key(ctx, key, i)
-        for k1, v in _scaled(coeff, _deg_key(ctx, cur, n)):
-            v = _signed(v, (i * n) % 2)
-            out.append((_rotate_key(ctx, k1, -1), v))
-            out.append((k1, _signed(v, n % 2)))
+        sg = -1 if (i * n) % 2 else 1
+        for k1, _ in _deg_key(ctx, _rotate_key(ctx, key, i), n):
+            out.append((_rotate_key(ctx, k1, -1), sg, None, shift))
+            out.append((k1, -sg if n % 2 else sg, None, shift))
+    return out
+
+
+def _raw_terms(ctx, key, mode):
+    """The entries of b ('hochschild'), B ('connes') or b + uB ('mixed')
+    on one word."""
+    if mode == "connes":
+        return _raw_connes_terms(ctx, key)
+    out = _raw_boundary_terms(ctx, key)
+    if mode == "mixed":
+        out += _raw_connes_terms(ctx, key, 1)
+    return out
+
+
+def _canonical(ctx, entries):
+    """Entries with every coinvariant diagonal target moved to its
+    representative, the translation phase folded into the scalar."""
+    if not (ctx.kind == "diag" and ctx.coinvariant):
+        return entries
+    G = ctx.group
+    out = []
+    for k2, sign, s, shift in entries:
+        if not G.is_identity(k2[1][0]):
+            k2, phase = _translate(ctx, ctx.action, k2[1][0], k2)
+            s = _Flat(phase if s is None else s.series * phase)
+        out.append((k2, sign, s, shift))
     return out
 
 
@@ -317,49 +360,70 @@ def _low(s):
     return s.low
 
 
-def _boundary_plan(ctx, ik, mode):
-    """The inner boundary of the inner word ik of ctx as a list of (target
-    inner word, g^-1 or None, scalar or None, u shift) entries.
+def _plan_scalar(v):
+    """(sign, scalar) of a summed plan value: an int is the sign, with no
+    scalar; a series is a _Flat with sign 1."""
+    return (v, None) if isinstance(v, int) else (1, _Flat(v))
 
-    The faces (u shift 0) and, in mixed mode, the degree-raising terms (u
-    shift 1) are taken on the coefficient 1, so each scalar is a sign times
-    a star phase: an int or an hbar series.  A coinvariant target whose
+
+def _boundary_plan(ctx, ik):
+    """The mixed boundary b + uB of the inner word ik of ctx as two lists
+    of (target inner word, g^-1 or None, sign, scalar or None, u shift)
+    entries: the faces (u shift 0) and the degree-raising terms (u shift
+    1).
+
+    Both are taken on the coefficient 1, so each value is a sign times a
+    star phase: an int or an hbar series.  A coinvariant target whose
     first group slot g is not the identity moves to its representative,
-    which multiplies the scalar by the translation phase and marks the
+    which multiplies the value by the translation phase and marks the
     entry to left-translate the group word by g^-1.
 
-    The scalars of one (target, g^-1, u shift) are summed and a zero sum is
+    The values of one (target, g^-1, u shift) are summed and a zero sum is
     dropped.  When the sum starts at a higher hbar power than its summands
     (two star phases whose constant terms cancel), its product would be
     known through more powers than the separate products were, so those
-    entries stay apart and every window stays the per-face one.  A scalar 1
-    (an int: a product by a series can narrow a window) becomes None."""
-    raw = [(k2, s, 0) for k2, s in _raw_boundary_terms(ctx, ik, 1)]
-    if mode == "mixed":
-        raw += [(k2, s, 1) for k2, s in _raw_connes_terms(ctx, ik, 1)]
+    entries stay apart and every window stays the per-face one.  An int
+    value is the entry's sign with no scalar (a product by a series can
+    narrow a window); a series value becomes a _Flat, built once with the
+    plan."""
     G = ctx.group
     canon = ctx.kind == "diag" and ctx.coinvariant
     parts: dict = {}
-    for k2, s, shift in raw:
+    for k2, sign, s, shift in _raw_terms(ctx, ik, "mixed"):
+        v = sign if s is None else s.series if sign == 1 else -s.series
         ginv = None
         if canon and not G.is_identity(k2[1][0]):
             ginv = G.inverse(k2[1][0])
             k2, phase = _translate(ctx, ctx.action, k2[1][0], k2)
-            s = s * phase
-        parts.setdefault((k2, ginv, shift), []).append(s)
-    plan = []
-    for (k2, ginv, shift), ss in parts.items():
-        total = sum(ss[1:], ss[0])
+            v = v * phase
+        parts.setdefault((k2, ginv, shift), []).append(v)
+    faces, raised = [], []
+    for (k2, ginv, shift), vs in parts.items():
+        plan = raised if shift else faces
+        total = sum(vs[1:], vs[0])
         low = _low(total)
         if low is None:
             continue
-        if low > min(map(_low, ss)):
-            plan += [(k2, ginv, s, shift) for s in ss]
+        if low > min(map(_low, vs)):
+            plan += [(k2, ginv, *_plan_scalar(v), shift) for v in vs]
             continue
-        if isinstance(total, int) and total == 1:
-            total = None
-        plan.append((k2, ginv, total, shift))
-    return plan
+        plan.append((k2, ginv, *_plan_scalar(total), shift))
+    return faces, faces + raised
+
+
+def _plan(ctx, ik, mode):
+    """The plan entries of the inner word ik for b ('hochschild'), B
+    ('connes', at u shift 0) or b + uB ('mixed'); the plan is built once
+    per context (_boundary_plan)."""
+    plan = ctx._plans.get(ik)
+    if plan is None:
+        plan = ctx._plans[ik] = _boundary_plan(ctx, ik)
+    faces, mixed = plan
+    if mode == "hochschild":
+        return faces
+    if mode == "mixed":
+        return mixed
+    return [(k2, g, sign, s, 0) for k2, g, sign, s, _ in mixed[len(faces):]]
 
 
 class CyclicChain(Chain):
@@ -406,28 +470,59 @@ class CyclicChain(Chain):
     def degrees(self):
         return sorted({_key_degree(self.ctx, k) for k in self.coeffs})
 
+    def _slotwise(self, op, *args):
+        """The map sending each word to op(ctx, word, *args), a list of
+        (word, scalar or None) pairs, coinvariant targets canonicalised."""
+        ctx = self.ctx
+        return self._map(lambda k, c: _canonical(
+            ctx, [(k2, 1, s, 0) for k2, s in op(ctx, k, *args)]))
+
     def face(self, i: int) -> "CyclicChain":
-        return self._map(lambda k, c: _scaled(c, _face_key(self.ctx, k, i)))
+        return self._slotwise(_face_key, i)
 
     def degeneracy(self, i: int) -> "CyclicChain":
-        return self._map(lambda k, c: _scaled(c, _deg_key(self.ctx, k, i)))
+        return self._slotwise(_deg_key, i)
 
     def rotate(self, power: int = 1) -> "CyclicChain":
-        return self._map(lambda k, c: [(_rotate_key(self.ctx, k, power), c)])
+        return self._slotwise(lambda ctx, k: [(_rotate_key(ctx, k, power),
+                                               None)])
+
+    def _boundary(self, mode):
+        """b ('hochschild') or B ('connes') (see _raw_terms).  A coinvariant
+        word takes its plan, whose targets are representatives; the plan is
+        kept on the context."""
+        ctx = self.ctx
+        if ctx.kind == "diag" and ctx.coinvariant:
+            def terms(k, c):
+                return [(k2, sign, s, shift)
+                        for k2, _, sign, s, shift in _plan(ctx, k, mode)]
+        else:
+            def terms(k, c):
+                return _raw_terms(ctx, k, mode)
+        return self._map(terms)
 
     def boundary(self) -> "CyclicChain":
         """Simplicial boundary b (alternating face sum)."""
-        return self._map(partial(_raw_boundary_terms, self.ctx))
+        return self._boundary("hochschild")
 
     def connes_boundary(self) -> "CyclicChain":
         """Degree-raising boundary B (no u factor; mixed_boundary adds it)."""
-        return self._map(partial(_raw_connes_terms, self.ctx))
+        return self._boundary("connes")
 
     def mixed_boundary(self) -> "CyclicChain":
         """Simplicial boundary plus u times the degree-raising one, kept
-        inside the declared u window."""
-        raised = self.connes_boundary().shift(1)
-        return self.boundary() + raised.truncate(self.ctx.u_trunc)
+        inside the declared u window: the two chains summed in one
+        accumulator (scalars._chain_sums).  When no coefficient is known
+        beyond that window, B is taken only on the u powers below it,
+        since u B of the top power lands above the window, and every
+        window stays the same."""
+        ut = self.ctx.u_trunc
+        raised = self
+        if all(c.trunc <= ut for c in self.coeffs.values()):
+            raised = self.truncate(ut - 1)
+        return self._spawn(_chain_sums(chain(
+            _as_items(self.boundary()),
+            _as_items(raised.connes_boundary(), 1)), ut))
 
     def __repr__(self):
         n = len(self.coeffs)
@@ -444,7 +539,7 @@ def homogeneous_projection(c: CyclicChain) -> CyclicChain:
     if c.ctx.kind != "crossed":
         raise ValueError("homogeneous_projection expects a crossed chain")
     G = c.ctx.group
-    return c._map(lambda k, v: [(k, v)]
+    return c._map(lambda k, v: [(k, 1, None, 0)]
                   if G.is_identity(G.compose_all(g for _, g in k)) else [])
 
 
@@ -466,10 +561,10 @@ def homogeneous_to_coinvariants(c: CyclicChain) -> CyclicChain:
                              "component; project first")
         modes = tuple(m for m, _ in key)
         prefix = list(accumulate(labels[1:], G.compose, initial=G.identity))
-        s = v * act.mode_phase(G.inverse(labels[0]), modes[0], ctx.h_trunc)
+        s = act.mode_phase(G.inverse(labels[0]), modes[0], ctx.h_trunc)
         for j in range(1, len(modes)):
             s = s * act.mode_phase(prefix[j - 1], modes[j], ctx.h_trunc)
-        return [((modes, tuple(prefix)), s)]
+        return [((modes, tuple(prefix)), 1, _Flat(s), 0)]
 
     return c._map(terms, partial(CyclicChain,
                                  ctx.as_diagonal(coinvariant=True)))
@@ -486,14 +581,16 @@ def coinvariants_to_homogeneous(c: CyclicChain) -> CyclicChain:
     ctx = c.ctx
     G, act = ctx.group, ctx.action
 
-    def terms(key, s):
+    def terms(key, v):
         modes, grp = key
         slots = []
+        s = None
         for j in range(len(modes)):
             pinv = G.inverse(grp[j - 1])
-            s = s * act.mode_phase(pinv, modes[j], ctx.h_trunc)
+            ph = act.mode_phase(pinv, modes[j], ctx.h_trunc)
+            s = ph if s is None else s * ph
             slots.append((modes[j], G.compose(pinv, grp[j])))
-        return [(tuple(slots), s)]
+        return [(tuple(slots), 1, _Flat(s), 0)]
 
     return c._map(terms, partial(CyclicChain, ctx.as_crossed()))
 
@@ -503,7 +600,7 @@ def project_algebra_factor(c: CyclicChain) -> CyclicChain:
     word and the coefficient unchanged."""
     if c.ctx.kind != "diag":
         raise ValueError("expected a diagonal chain")
-    return c._map(lambda k, v: [(k[0], v)],
+    return c._map(lambda k, v: [(k[0], 1, None, 0)],
                   partial(CyclicChain, c.ctx.as_torus()))
 
 
@@ -561,40 +658,35 @@ class EquivariantChain(Chain):
         translates the group word.
 
         The boundary of each inner word is planned once per inner context
-        and mode (`_boundary_plan`) and kept on the context.  Per word this
-        leaves one product by each entry's scalar (none for a scalar 1),
-        one shared u shift and cut for the degree-raising entries, and the
-        left translation of the group word.  The translation phases come
-        from the action of the diagonal inner context."""
+        (`_boundary_plan`) and kept on the context.  Per word this
+        leaves the plan's entries, each with the left translation of the
+        group word, for the one sum of `Chain._map`, which cuts the
+        degree-raising entries at the u window.  The translation phases
+        come from the action of the diagonal inner context."""
+        return self._map(self._inner_terms(mode),
+                         u_cap=self.inner_ctx.u_trunc)
+
+    def _inner_terms(self, mode):
+        """The entries of the inner boundary on one word: its inner word's
+        plan, each target paired with the left-translated group word."""
         if mode not in ("mixed", "hochschild"):
             raise ValueError(f"unknown boundary mode {mode!r}")
         ctx = self.inner_ctx
-        plans, ut = ctx._plans, ctx.u_trunc
         G = self.action.group
 
         def terms(key, c):
             ik, gw = key
-            plan = plans.get((ik, mode))
-            if plan is None:
-                plan = plans[(ik, mode)] = _boundary_plan(ctx, ik, mode)
-            raised = c.shift(1).truncate(ut) if mode == "mixed" else None
-            out = []
-            for k2, ginv, s, shift in plan:
-                v = raised if shift else c
-                if s is not None:
-                    v = v * s
-                gw2 = gw if ginv is None else tuple(G.compose(ginv, x)
-                                                    for x in gw)
-                out.append(((k2, gw2), v))
-            return out
+            return [((k2, gw if ginv is None else
+                      tuple(G.compose(ginv, x) for x in gw)), sign, s, shift)
+                    for k2, ginv, sign, s, shift in _plan(ctx, ik, mode)]
 
-        return self._map(terms)
+        return terms
 
     # -- group-word operators ----------------------------------------------
 
     def _group_terms(self, key, c, odd=0):
-        """Alternating boundary of the group word of one word with
-        coefficient c, every sign flipped when odd is 1."""
+        """Alternating boundary of the group word of one word as entries,
+        every sign flipped when odd is 1."""
         ik, gw = key
         G = self.action.group
         faces = []                      # (key, sign parity, scalar or None)
@@ -610,20 +702,20 @@ class EquivariantChain(Chain):
                 gw2 = gw[:i - 1] + (G.compose(gw[i - 1], gw[i]),) + gw[i + 1:]
                 faces.append(((ik, gw2), i % 2, None))
             faces.append(((ik, gw[:-1]), p % 2, None))
-        return [(k2, _signed(c if s is None else c * s, sg != odd))
-                for k2, sg, s in faces]
+        return [(k2, -1 if sg != odd else 1, None if s is None else _Flat(s),
+                 0) for k2, sg, s in faces]
 
     def group_boundary(self) -> "EquivariantChain":
         return self._map(self._group_terms)
 
     def total_boundary(self, mode: str = "mixed") -> "EquivariantChain":
-        """Inner boundary plus (-1)^(inner degree) group-word boundary."""
-        out = dict(self.inner_boundary(mode).coeffs)
-        for key, c in self.coeffs.items():
-            odd = _key_degree(self.inner_ctx, key[0]) % 2
-            for k2, v in self._group_terms(key, c, odd):
-                _acc(out, k2, v)
-        return self._spawn(out)
+        """Inner boundary plus (-1)^(inner degree) group-word boundary,
+        summed in one accumulator (scalars._chain_sums)."""
+        ictx = self.inner_ctx
+        return self._spawn(_chain_sums(chain(
+            _as_items(self.inner_boundary(mode)),
+            ((c, self._group_terms(k, c, _key_degree(ictx, k[0]) % 2))
+             for k, c in self.coeffs.items()))))
 
     def prepend_unit(self) -> "EquivariantChain":
         """The contracting homotopy of the free normal form: prepend the
@@ -631,7 +723,7 @@ class EquivariantChain(Chain):
         if not self.homogeneous:
             raise ValueError("the homotopy lives on homogeneous chains")
         e = self.action.group.identity
-        return self._map(lambda k, v: [((k[0], (e,) + k[1]), v)])
+        return self._map(lambda k, v: [((k[0], (e,) + k[1]), 1, None, 0)])
 
     # -- coordinate changes -------------------------------------------------
 
@@ -640,7 +732,7 @@ class EquivariantChain(Chain):
         if not (self.homogeneous and self.inner_ctx.kind == "diag"):
             raise ValueError("expects homogeneous chains with diagonal "
                              "inner words")
-        return self._map(lambda k, v: [((k[0][0], k[1]), v)],
+        return self._map(lambda k, v: [((k[0][0], k[1]), 1, None, 0)],
                          partial(EquivariantChain, self.inner_ctx.as_torus(),
                                  self.action, True))
 
@@ -658,7 +750,7 @@ class EquivariantChain(Chain):
             ik2, s = _translate(self.inner_ctx, self.action, gw[0], ik)
             word = tuple(G.compose(G.inverse(gw[i]), gw[i + 1])
                          for i in range(len(gw) - 1))
-            return [((ik2, word), v * s)]
+            return [((ik2, word), 1, _Flat(s), 0)]
 
         return self._map(terms, partial(EquivariantChain, self.inner_ctx,
                                         self.action, False))
@@ -671,7 +763,7 @@ class EquivariantChain(Chain):
 
         def terms(key, v):
             gw = accumulate(key[1], G.compose, initial=G.identity)
-            return [((key[0], tuple(gw)), v)]
+            return [((key[0], tuple(gw)), 1, None, 0)]
 
         return self._map(terms, partial(EquivariantChain, self.inner_ctx,
                                         self.action, True))
@@ -683,19 +775,36 @@ def equivariant_embed(f: CyclicChain) -> EquivariantChain:
     if f.ctx.kind != "diag" or not f.ctx.coinvariant:
         raise ValueError("expected a coinvariant diagonal chain")
     e = f.ctx.group.identity
-    return f._map(lambda k, v: [((k, (e,)), v)],
+    return f._map(lambda k, v: [((k, (e,)), 1, None, 0)],
                   partial(EquivariantChain, f.ctx, f.ctx.action, True))
 
 
-def _signed_prepend(x: EquivariantChain, flip: int = 0) -> EquivariantChain:
-    """The free homotopy adapted to the signed group differential of the
-    total complex: prepend the identity, weighted by the parity of the
-    inner word, every sign flipped when flip is 1 (the homotopy of -x
-    without a negated copy of x)."""
+def _as_items(x, shift=0):
+    """The words of x as items (coefficient, [entry]) of
+    scalars._chain_sums, each word its own target, moved by u^shift."""
+    return ((c, [(k, 1, None, shift)]) for k, c in x.coeffs.items())
+
+
+def _homotopy_items(x: EquivariantChain, flip: int, mode=None):
+    """The items of scalars._chain_sums for the free homotopy adapted to
+    the signed group differential of the total complex, applied to x or,
+    when mode is given, to the inner boundary of x in that mode: prepend
+    the identity, weighted by the parity of the inner word, every sign
+    flipped when flip is 1.  The inner boundary's entries are composed
+    with the homotopy, so its chain is never built."""
     e = x.action.group.identity
-    return x._map(lambda k, v: [((k[0], (e,) + k[1]),
-                                 _signed(v, _key_degree(x.inner_ctx, k[0]) % 2
-                                         != flip))])
+    ictx = x.inner_ctx
+    if mode is None:
+        return ((c, [((ik, (e,) + gw),
+                      -1 if _key_degree(ictx, ik) % 2 != flip else 1,
+                      None, 0)])
+                for (ik, gw), c in x.coeffs.items())
+    inner = x._inner_terms(mode)
+    return ((c, [((k2, (e,) + gw2),
+                  -sign if _key_degree(ictx, k2) % 2 != flip else sign,
+                  s, shift)
+                 for (k2, gw2), sign, s, shift in inner(key, c)])
+            for key, c in x.coeffs.items())
 
 
 def q_map(f: CyclicChain, mode: str = "mixed") -> EquivariantChain:
@@ -705,28 +814,34 @@ def q_map(f: CyclicChain, mode: str = "mixed") -> EquivariantChain:
     lift, and each further layer is the signed free homotopy applied to
     the failure of the layers so far to intertwine the differentials.
     The series stops when both running layers vanish (the u window and
-    the degree floor prune everything), never at a fixed cutoff."""
+    the degree floor prune everything), never at a fixed cutoff.  Each
+    layer is one sum (scalars._chain_sums) of the homotopy composed with
+    the inner boundary, and the layers are summed once, at the end."""
     emb = equivariant_embed(f)
     if f.is_zero():
         return emb
     df = f.boundary() if mode == "hochschild" else f.mixed_boundary()
     V = emb
     W = equivariant_embed(df)
-    out = emb
+    layers = [emb]
     lows = [v.low for v in f.coeffs.values() if v.low is not None]
     head = min(lows) if lows else 0
     limit = max(_key_degree(f.ctx, k) for k in f.coeffs)
     limit += 2 * max(f.ctx.u_trunc - min(head, 0) + 1, 1) + 4
+    ut = f.ctx.u_trunc
     rounds = 0
     while not (V.is_zero() and W.is_zero()):
         rounds += 1
         if rounds > limit:
             raise ArithmeticError("equivariant splitting series did not "
                                   "stabilise within its degree bound")
-        V = _signed_prepend(W) + _signed_prepend(V.inner_boundary(mode), 1)
-        W = _signed_prepend(W.inner_boundary(mode), 1)
-        out = out + V
-    return out
+        V, W = (emb._spawn(_chain_sums(chain(
+                    _homotopy_items(W, 0),
+                    _homotopy_items(V, 1, mode)), ut)),
+                emb._spawn(_chain_sums(_homotopy_items(W, 1, mode), ut)))
+        layers.append(V)
+    return emb._spawn(_chain_sums(
+        item for layer in layers for item in _as_items(layer)))
 
 
 # -- front/back splitting and the localisation composite -------------------
@@ -745,12 +860,14 @@ def alexander_whitney(c: CyclicChain) -> EquivariantChain:
     def terms(key, v):
         alg, grp = key
         out = []
-        fronts = [(alg, v)]
+        fronts = [(alg, None)]          # (front word, its face phases)
         for p in range(len(alg) - 1, -1, -1):
-            out += [((w, grp[p:]), s) for w, s in fronts]
+            out += [((w, grp[p:]), 1, None if s is None else _Flat(s), 0)
+                    for w, s in fronts]
             if p:
-                fronts = [t for w, s in fronts
-                          for t in _scaled(s, _alg_face(tctx, w, len(w) - 1))]
+                fronts = [(w2, f.series if s is None else s * f.series)
+                          for w, s in fronts
+                          for w2, f in _alg_face(tctx, w, len(w) - 1)]
         return out
 
     return c._map(terms, partial(EquivariantChain, tctx, c.ctx.action, True))
@@ -760,7 +877,8 @@ def augmentation_cap(t: EquivariantChain) -> CyclicChain:
     """Evaluate the single-slot part of each group word at 1 and keep the
     algebra word; on front/back splittings this recovers the plain
     projection onto the algebra half."""
-    return t._map(lambda k, v: [(k[0], v)] if len(k[1]) == 1 else [],
+    return t._map(lambda k, v: [(k[0], 1, None, 0)] if len(k[1]) == 1
+                  else [],
                   partial(CyclicChain, t.inner_ctx))
 
 
@@ -869,13 +987,12 @@ def chern_word_chain(u_trunc: int) -> CyclicChain:
 
 
 def _entry_terms(entry):
+    """The plane waves of a matrix entry as (slot label, _Flat) pairs."""
     if isinstance(entry, CrossedElement):
-        out = []
-        for g, tor in entry.coeffs.items():
-            out.extend(((m, g), hl) for m, hl in tor.coeffs.items())
-        return out
+        return [((m, g), _Flat(hl)) for g, tor in entry.coeffs.items()
+                for m, hl in tor.coeffs.items()]
     if isinstance(entry, TorusElement):
-        return list(entry.coeffs.items())
+        return [(m, _Flat(hl)) for m, hl in entry.coeffs.items()]
     raise TypeError("matrix entries must be torus or crossed elements")
 
 
@@ -885,7 +1002,11 @@ def chern_character(matrix, u_trunc: int) -> CyclicChain:
 
     Rejects matrices that fail E*E = E, quoting a failing entry.  Unit
     letters in the coefficient table become the identity matrix; words
-    are contracted along matrix index cycles."""
+    are contracted along matrix index cycles.  Each path's slot series are
+    multiplied as flat integer terms (scalars._Flat.times), and its last
+    slot's product goes straight into one _Accumulator under (word, u
+    power), scaled by the table coefficient; a word keeps the least window
+    of its paths, and each coefficient is frozen once."""
     rows = [list(r) for r in matrix]
     r = len(rows)
     if any(len(row) != r for row in rows):
@@ -921,23 +1042,37 @@ def chern_character(matrix, u_trunc: int) -> CyclicChain:
                    for j in range(r)] for i in range(r)]
     e_terms = [[_entry_terms(rows[i][j]) for j in range(r)]
                for i in range(r)]
-    out: dict = {}
+    sums = _Accumulator()
+    wins: dict = {}
 
-    def walk(word, n, q, i0, i, labels, scal):
+    def walk(word, n, q, i0, i, labels, path):
         slot = len(labels)
-        if slot == len(word):
-            _acc(out, tuple(labels),
-                 ULaurent.from_hbar(scal, u_trunc, power=n) * q)
-            return
         grid = e_terms if word[slot] else unit_terms
-        last = slot == len(word) - 1
-        for j in (i0,) if last else range(r):
-            for lab, hl in grid[i][j]:
-                walk(word, n, q, i0, j, labels + [lab],
-                     hl if scal is None else scal * hl)
+        if slot < len(word) - 1:
+            for j in range(r):
+                for lab, f in grid[i][j]:
+                    walk(word, n, q, i0, j, labels + [lab],
+                         f if path is None else path.times(f))
+            return
+        for lab, f in grid[i][i0]:
+            key = (tuple(labels) + (lab,), n)
+            if path is None:
+                w, den, pairs = f.trunc, f.den, f.pairs(None)
+            else:
+                w = f.window(path.trunc, path.low)
+                den, pairs = path.den * f.den, path.pairs(f)
+            old = wins.get(key)
+            if old is None or w < old:
+                wins[key] = w
+            for lev, xs, ys in pairs:
+                sums.add(key, lev, xs, ys, w, q.numerator,
+                         den * q.denominator)
 
     for n in range(u_trunc + 1):
         for word, q in chern_coefficients(n).items():
             for i0 in range(r):
                 walk(word, n, q, i0, i0, [], None)
-    return CyclicChain(ctx, out)
+    walk = None                 # the recursive closure holds the sums
+    return CyclicChain(ctx, {
+        word: ULaurent(u_trunc, {n: HbarLaurent(wins[word, n], by_power)})
+        for (word, n), by_power in sums.freeze(wins).items()})

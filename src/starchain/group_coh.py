@@ -30,7 +30,7 @@ from itertools import product
 
 from .cyclic import CyclicChain, EquivariantChain, _mul_labels, d_map
 from .groups import CyclicGroup
-from .scalars import FieldElement, HbarLaurent, ULaurent, _as_field
+from .scalars import FieldElement, HbarLaurent, ULaurent, _Flat, _as_field
 from .sparse import Sparse, _acc
 from .torus import (_SCALARS, TorusElement, TorusForm, TranslationAction,
                     omega_pairing, symplectic_form)
@@ -342,7 +342,7 @@ def cap(chain: EquivariantChain, xi: GroupCochain,
                 mismatches.append((key, "group degree below cochain"))
             return []
         val = xi.evaluate(gw[:k])
-        return [] if val.is_zero() else [((ik, gw[k:]), v * val)]
+        return [] if val.is_zero() else [((ik, gw[k:]), 1, _Flat(val), 0)]
 
     return chain._map(terms)
 
@@ -376,15 +376,14 @@ class TraceFunctional:
     compose to the identity; other degrees contribute nothing.
     """
 
-    __slots__ = ("xi", "action")
+    __slots__ = ("xi",)
 
-    def __init__(self, xi: GroupCochain, action: TranslationAction):
+    def __init__(self, xi: GroupCochain):
         wit = xi.cocycle_witness()
         if wit is not None:
             raise ValueError(
                 f"cochain is not closed: coboundary at {wit[0]} is {wit[1]}")
         self.xi = xi
-        self.action = action
 
     @property
     def degree(self) -> int:
@@ -425,7 +424,7 @@ def _trace_words(chain: CyclicChain, degree: int, weight=None) -> ULaurent:
         slot = key[0]
         for nxt in key[1:]:
             (slot, s), = _mul_labels(ctx, slot, nxt)
-            scal = s * scal
+            scal = s.series * scal
         terms.append(coeff * scal)
     return _series_sum(terms, ctx.u_trunc)
 

@@ -22,7 +22,11 @@ the zeta rows of that level and summed under (output key, level, hbar
 power, zeta exponent, pi power) with no normalisation.  Freezing makes one
 FieldElement per output coefficient at the lcm of the levels of every pair
 that reaches it, also where part of the sum cancels, so that level, which
-is what it prints at, does not depend on the order of the terms.
+is what it prints at, does not depend on the order of the terms.  The same
+accumulator sums the chain operators (_chain_sums, over scalars cached as
+_Flat terms) and the idempotent character's paths (cyclic.chern_character),
+each output term over a denominator of its own.  A product of two u-series
+with one power each is the product of their hbar series.
 
 The only other route is the product by a one-term monomial u hbar^k,
 u = (n/d) zeta^a pi^b, a relabelling, not a series product; most scalars
@@ -463,9 +467,10 @@ def _common_den(fes) -> int:
 def _flat(coeffs: dict[int, FieldElement], den: int, level: int):
     """The coefficients of {power: FieldElement} as flat (power, a, b, n)
     terms at level, a multiple of their levels, every numerator n over den,
-    a multiple of their denominators."""
+    a multiple of their denominators, in ascending powers."""
     terms = []
-    for k, fe in coeffs.items():
+    for k in sorted(coeffs):
+        fe = coeffs[k]
         s = den // fe.den
         num = fe.num if fe.level == level else \
             _lift({}, fe.num, level // fe.level, level)
@@ -497,29 +502,58 @@ class _Accumulator:
     """Sparse integer accumulator (Gilbert, Moler and Schreiber, SIAM J.
     Matrix Anal. Appl. 13, 1992) for coefficient products: integer
     numerators keyed by (output key, level, hbar power, zeta exponent, pi
-    power), all over one denominator that the caller fixes.  Each product
-    is added at the level of its two factors, both written there.  Nothing
-    is normalised while terms are added; `freeze` makes one FieldElement
-    per output coefficient and level, with one `_normal` each."""
+    power), each key's over one denominator of its own.  Each product is
+    added at the level of its two factors, both written there.  Nothing is
+    normalised while terms are added; `freeze` makes one FieldElement per
+    output coefficient and level, with one `_normal` each.
+
+    Its callers: the product kernel `_series_products` and the Weyl star,
+    which give every product over one denominator, and the chain kernel
+    `_chain_sums` (every chain operator) and `cyclic.chern_character`,
+    whose denominators differ from term to term: a key's denominator grows
+    to the lcm of those of its products, and its sums are rescaled when it
+    does."""
 
     __slots__ = ("_sums",)
 
     def __init__(self):
+        # key -> [den, {level: {power: {(a, b): n}}}]
         self._sums: dict = {}
 
     @staticmethod
     def _into(sums, level: int, xs, ys, trunc: int, scale: int) -> None:
         """Add scale times the product of the flat term lists xs and ys,
-        both at level, into sums, {power: {(a, b): n}}, keeping the powers
-        through trunc; zeta powers are reduced through the rows of the
-        level."""
+        both at level and in the power basis, ys in ascending powers, into
+        sums, {power: {(a, b): n}}, keeping the powers through trunc; zeta
+        powers are reduced through the rows of the level.  A factor that is
+        one rational term (the unit of a sign, a rational coefficient)
+        scales the other's terms instead."""
+        if len(ys) == 1 and not (ys[0][1] or ys[0][2]):
+            one, other = ys[0], xs
+        elif len(xs) == 1 and not (xs[0][1] or xs[0][2]):
+            one, other = xs[0], ys
+        else:
+            one = None
+        if one is not None:
+            i, _, _, n1 = one
+            n1 *= scale
+            for j, a, b, n2 in other:
+                k = i + j
+                if k > trunc:
+                    continue
+                out = sums.get(k)
+                if out is None:
+                    out = sums[k] = {}
+                t = (a, b)
+                out[t] = out.get(t, 0) + n1 * n2
+            return
         rows = _zeta_rows(level)
         for i, a1, b1, n1 in xs:
             n1 *= scale
             for j, a2, b2, n2 in ys:
                 k = i + j
                 if k > trunc:
-                    continue
+                    break
                 out = sums.get(k)
                 if out is None:
                     out = sums[k] = {}
@@ -529,14 +563,35 @@ class _Accumulator:
                     t = (a3, bb)
                     out[t] = out.get(t, 0) + c * rc
 
-    def add(self, key, level: int, xs, ys, trunc: int,
-            scale: int = 1) -> None:
-        """Add scale * xs * ys, both at level, through hbar^trunc, under
-        key."""
-        sums = self._sums.get((key, level))
+    def add(self, key, level: int, xs, ys, trunc: int, scale: int = 1,
+            den: int = 1) -> None:
+        """Add scale * xs * ys / den, both at level, through hbar^trunc,
+        under key."""
+        by_level, f = self._slot(key, den)
+        sums = by_level.get(level)
         if sums is None:
-            sums = self._sums[key, level] = {}
-        self._into(sums, level, xs, ys, trunc, scale)
+            sums = by_level[level] = {}
+        self._into(sums, level, xs, ys, trunc, scale * f)
+
+    def _slot(self, key, den: int):
+        """(sums, f): the sums of key, {level: {power: {(a, b): n}}}, and
+        the factor f that brings a numerator over den to their
+        denominator, which grows to the lcm with den, the sums rescaled,
+        when den does not divide it."""
+        entry = self._sums.get(key)
+        if entry is None:
+            entry = self._sums[key] = [den, {}]
+            return entry[1], 1
+        old = entry[0]
+        if old % den:
+            entry[0] = new = old // math.gcd(old, den) * den
+            f = new // old
+            for sums in entry[1].values():
+                for num in sums.values():
+                    for t in num:
+                        num[t] *= f
+            old = new
+        return entry[1], old // den
 
     def product(self, level: int, xs, ys, trunc: int):
         """xs * ys, both at level, through hbar^trunc as flat terms, not
@@ -546,17 +601,23 @@ class _Accumulator:
         return [(k, a, b, n) for k, num in sums.items()
                 for (a, b), n in num.items() if n]
 
-    def freeze(self, den: int) -> dict:
-        """{key: {power: FieldElement}}, every sum over den; the sums at
-        one key and power but at several levels are added as FieldElements,
-        so the coefficient sits at the lcm of the levels of its products,
-        as the pairwise sum has it.  A coefficient that summed to zero is
-        kept as zero."""
+    def freeze(self, windows=None) -> dict:
+        """{key: {power: FieldElement}}, the powers above windows[key]
+        skipped when windows is given; the sums at one key and power but at
+        several levels are added as FieldElements, so the coefficient sits
+        at the lcm of the levels of its products, as the pairwise sum has
+        it.  A coefficient that summed to zero is kept as zero.  The sums
+        are consumed, each released once its coefficients are made."""
         out: dict = {}
-        for (key, lev), sums in self._sums.items():
-            by_power = out.setdefault(key, {})
-            for k, num in sums.items():
-                _acc(by_power, k, _normal(lev, num, den))
+        for key, (den, by_level) in self._sums.items():
+            top = None if windows is None else windows[key]
+            by_power = out[key] = {}
+            for lev, sums in by_level.items():
+                for k, num in sums.items():
+                    if top is None or k <= top:
+                        _acc(by_power, k, _normal(lev, num, den))
+            by_level.clear()
+        self._sums = {}
         return out
 
 
@@ -805,10 +866,101 @@ def _series_products(xs: dict, ys: dict, target, pairing=None) -> dict:
                 else:
                     pairs.append((t, lev, a, b, 1))
                 windows[t] = min(w, windows.get(t, w))
+    full = xden * yden * phase_den
     for t, lev, a, b, den in pairs:
-        acc.add(t, lev, a, b, windows[t], phase_den // den)
-    sums = acc.freeze(xden * yden * phase_den)
+        acc.add(t, lev, a, b, windows[t], phase_den // den, full)
+    sums = acc.freeze()
     return {t: HbarLaurent(w, sums.get(t, {})) for t, w in windows.items()}
+
+
+def _lift_flat(terms, step: int, level: int):
+    """Flat (power, a, b, n) terms written at level // step, at level."""
+    _check_level(level)
+    rows = _zeta_rows(level)
+    return [(k, a2, b, n * rc) for k, a, b, n in terms
+            for a2, rc in rows[a * step % level]]
+
+
+class _Flat:
+    """An hbar series as flat integer terms, the operand of the chain
+    kernel (_chain_sums) and of the character's path products: its
+    window `trunc`, lowest power `low`, and its coefficients grouped by
+    level as (power, a, b, n) terms, every numerator over one denominator
+    `den`.  Built from a series it keeps it as `series`; built from a
+    FieldElement it has no window (the scalar multiplies a series
+    coefficient by coefficient and keeps its window).  A group lifted to a
+    higher level is kept, so a cached scalar (a star or face phase, a
+    boundary plan entry) lifts each group once."""
+
+    __slots__ = ("series", "trunc", "low", "den", "groups", "_lifts")
+
+    def __init__(self, series):
+        if isinstance(series, FieldElement):
+            coeffs, trunc, low = {0: series}, None, 0
+        else:
+            coeffs, trunc, low = series.coeffs, series.trunc, series.low
+        den = _common_den(coeffs.values())
+        self._set(trunc, low, den, {lev: _flat(g, den, lev) for lev, g
+                                    in _level_groups(coeffs).items()}, series)
+
+    def _set(self, trunc, low, den, groups, series=None):
+        self.trunc, self.low, self.den, self.groups = trunc, low, den, groups
+        self.series = series
+        self._lifts = {}
+
+    def window(self, trunc: int, low: int) -> int:
+        """The window of its product with a series of window trunc and
+        lowest power low (_min_trunc of two nonzero series)."""
+        if self.trunc is None:
+            return trunc
+        return min(trunc + self.low, self.trunc + low)
+
+    def _at(self, level: int, lev: int):
+        """The group at level lev as flat terms at level, a multiple."""
+        if level == lev:
+            return self.groups[lev]
+        out = self._lifts.get((lev, level))
+        if out is None:
+            out = self._lifts[lev, level] = _lift_flat(
+                self.groups[lev], level // lev, level)
+        return out
+
+    def pairs(self, other):
+        """[(level, xs, ys)]: each level group of self against each of
+        other (None for 1), both as flat terms at the lcm of their levels,
+        where their products sit."""
+        if other is None:
+            return [(lev, xs, _UNIT) for lev, xs in self.groups.items()]
+        out = []
+        for lx in self.groups:
+            for ly in other.groups:
+                lev = lx if lx == ly else math.lcm(lx, ly)
+                out.append((lev, self._at(lev, lx), other._at(lev, ly)))
+        return out
+
+    def times(self, other: "_Flat") -> "_Flat":
+        """self * other as the series product has it: the window by the
+        product rule, each pair of level groups at the lcm of their levels,
+        the powers above the window dropped."""
+        w = other.window(self.trunc, self.low)
+        sums: dict = {}
+        for lev, xs, ys in self.pairs(other):
+            _Accumulator._into(sums.setdefault(lev, {}), lev, xs, ys, w, 1)
+        out = object.__new__(_Flat)
+        out._set(w, self.low + other.low, self.den * other.den, {
+            lev: [(k, a, b, n) for k in sorted(by_power)
+                  for (a, b), n in by_power[k].items() if n]
+            for lev, by_power in sums.items()})
+        return out
+
+
+_UNIT = ((0, 0, 0, 1),)
+
+
+@lru_cache(maxsize=None)
+def _flat_phase(pairing: int, trunc: int) -> _Flat:
+    """_star_phase(pairing, trunc) as a _Flat."""
+    return _Flat(_star_phase(pairing, trunc))
 
 
 class ULaurent(_Laurent):
@@ -854,6 +1006,13 @@ class ULaurent(_Laurent):
         if not isinstance(other, ULaurent):
             return Sparse.__mul__(self, other)
         trunc = _min_trunc(self.trunc, self.low, other.trunc, other.low)
+        if len(self.coeffs) == 1 and len(other.coeffs) == 1:
+            # one u power each (i + j lies inside trunc): the hbar product
+            # alone, which takes the relabelling route for a one-term
+            # factor; its window is the kernel's min(t_x + low_y, t_y + low_x)
+            (i, x), = self.coeffs.items()
+            (j, y), = other.coeffs.items()
+            return ULaurent(trunc, {i + j: x * y})
         return ULaurent(trunc, _series_products(
             self.coeffs, other.coeffs,
             lambda i, j: i + j if i + j <= trunc else None))
@@ -870,6 +1029,103 @@ class ULaurent(_Laurent):
 
     def __repr__(self):
         return f"ULaurent({to_text(self)!r}, u_trunc={self.trunc})"
+
+
+def _chain_sums(items, u_cap=None) -> dict:
+    """{target: ULaurent}: the sum of the values of the entries of items,
+    pairs (c, entries) of a ULaurent c and a list of entries (target, sign,
+    scalar, u shift); a linear map of chains passes each word's coefficient
+    with the map's entries on that word.
+
+    An entry stands for sign * scalar * u^shift * c: sign is an int, and
+    scalar a _Flat or None for 1.  Its u window is that of c moved by the
+    shift and, for a shifted entry, cut at u_cap; each of its hbar windows
+    is the product rule's (_min_trunc).  Every product of a coefficient of
+    c by the scalar is added, with the sign as its scale, into one
+    _Accumulator under (target, u power) at the lcm of the levels of the
+    pair, with no negated copy and no intermediate series.  A target keeps
+    the least u window of its entries and, per u power, the least hbar
+    window, and each coefficient is frozen once, at the lcm of the levels
+    of every product that reaches it.  A target that one entry with no
+    scalar reaches takes c itself, or its negation, moved by the shift.  So the sums do not depend
+    on how their terms are grouped, also where part of a sum cancels.
+    Targets keep the order in which they are first reached."""
+    acc = _Accumulator()
+    slot, into = acc._slot, acc._into
+    uwin: dict = {}
+    hwin: dict = {}
+    # target -> its one entry so far, or None once it is a sum
+    single: dict = {}
+
+    def flat_add(target, c, box, sign, s, shift, ut):
+        parts = box[0]
+        if parts is None:
+            parts = box[0] = [(p, _Flat(h)) for p, h in c.coeffs.items()]
+        for p, part in parts:
+            q = p + shift
+            if q > ut:
+                continue
+            if s is None:
+                w, den = part.trunc, part.den
+            elif s.low is None:         # a zero scalar adds nothing
+                continue
+            else:
+                w, den = s.window(part.trunc, part.low), part.den * s.den
+            key = (target, q)
+            old = hwin.get(key)
+            if old is None or w < old:
+                hwin[key] = w
+            by_level, f = slot(key, den)
+            for lev, xs, ys in part.pairs(s):
+                sums = by_level.get(lev)
+                if sums is None:
+                    sums = by_level[lev] = {}
+                into(sums, lev, xs, ys, w, sign * f)
+
+    for c, entries in items:
+        box = [None]                    # c's u powers as _Flats
+        ctrunc = c.trunc
+        for target, sign, s, shift in entries:
+            ut = ctrunc + shift
+            if shift and u_cap is not None and ut > u_cap:
+                ut = u_cap
+            w = uwin.get(target)
+            if w is None:
+                uwin[target] = ut
+                single[target] = (c, box, sign, s, shift, ut)
+                continue
+            if ut < w:
+                uwin[target] = ut
+            first = single[target]
+            if first is not None:
+                single[target] = None
+                flat_add(target, *first)
+            flat_add(target, c, box, sign, s, shift, ut)
+    for target, first in single.items():
+        if first is not None and first[3] is not None:
+            single[target] = None
+            flat_add(target, *first)
+    series: dict = {}
+    for (target, q), by_power in acc.freeze(hwin).items():
+        if q <= uwin[target]:
+            series.setdefault(target, {})[q] = \
+                HbarLaurent(hwin[target, q], by_power)
+    out = {}
+    for target, ut in uwin.items():
+        first = single[target]
+        if first is None:
+            out[target] = ULaurent(ut, series.get(target, {}))
+            continue
+        c, _, sign, _, shift, _ = first
+        v = c
+        if sign != 1:
+            v = -v if sign == -1 else v * sign
+        if shift:
+            v = v.shift(shift)
+            if v.trunc > ut:
+                v = v.truncate(ut)
+        out[target] = v
+    return out
 
 
 # -- canonical serialization ----------------------------------------------

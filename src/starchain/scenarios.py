@@ -546,7 +546,7 @@ def _suite_characters(cfg: ScenarioConfig, rng) -> list:
 def _suite_trace_cocycles(cfg: ScenarioConfig, rng) -> list:
     act = cfg.action()
     ctx = ChainContext.crossed(act, h_trunc=cfg.h_trunc, u_trunc=cfg.u_trunc)
-    T = TraceFunctional(cfg.group_cochain(), act)
+    T = TraceFunctional(cfg.group_cochain())
 
     def noncocycle():
         x = _rand_chain(rng, ctx, _slot_words(rng, ctx,
@@ -690,7 +690,7 @@ def index_check(cfg: ScenarioConfig) -> Report:
                       runtime=time.monotonic() - t0)
     if crossed:
         xi = cfg.group_cochain()
-        lhs = TraceFunctional(xi, act).pair(ch)
+        lhs = TraceFunctional(xi).pair(ch)
         law = "equivariant-index-pairing"
     else:
         xi = GroupCochain.constant(cfg.group(), 1)

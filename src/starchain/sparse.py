@@ -8,8 +8,9 @@ zero coefficient is never stored, and negation and scalar multiples act
 coefficient by coefficient.  A subclass keeps its metadata slots and
 rebuilds itself through `_spawn(coeffs, other=None)`; a sum passes its
 second operand as `other`, so the two windows combine.  Chains add the one
-operator kernel: `Chain._map` sums an operator's values on single words,
-and `Chain._store` keeps one canonical representative per word.
+operator kernel: `Chain._map` sums an operator's signed, scaled values on
+single words in one integer accumulator (scalars._chain_sums), and
+`Chain._store` keeps one canonical representative per word.
 
 Equality is decided on a window, by one of three rules:
 
@@ -185,7 +186,7 @@ class Chain(Sparse):
     makes the two chains unequal.
 
     Every chain operator is linear and given by its value on one word, so
-    `_map` holds the one loop they all share.  `_store` is the one way a
+    `_map` holds the one sum they all share.  `_store` is the one way a
     chain keeps its terms."""
 
     __slots__ = ()
@@ -205,15 +206,18 @@ class Chain(Sparse):
                 _acc(clean, *kv)
         self.coeffs = {k: v for k, v in clean.items() if not v.is_zero()}
 
-    def _map(self, terms, build=None):
-        """The linear map with value terms(key, coeff), a list of (key,
-        value) pairs, on each word: the values summed per key over the
-        words in storage order, then built by `build` (default `_spawn`)."""
-        out: dict = {}
-        for key, c in self.coeffs.items():
-            for k2, v in terms(key, c):
-                _acc(out, k2, v)
-        return (build or self._spawn)(out)
+    def _map(self, terms, build=None, u_cap=None):
+        """The linear map with value terms(key, coeff) on each word, a list
+        of entries (target, sign, scalar or None, u shift), built by `build`
+        (default `_spawn`).  The one route for every chain operator is
+        `scalars._chain_sums`: each entry's products go into one integer
+        accumulator, signed by its scale, and every output coefficient is
+        frozen once, so the sums do not depend on how their terms are
+        grouped; a shifted entry's u window is cut at u_cap."""
+        # imported here: scalars builds its series on this module
+        from .scalars import _chain_sums
+        return (build or self._spawn)(_chain_sums(
+            ((c, terms(k, c)) for k, c in self.coeffs.items()), u_cap))
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .scalars import (FieldElement, HbarLaurent, _Accumulator, _as_field,
                       _common_den, _flat, _level_groups, _level_pairs,
-                      _min_trunc)
+                      _min_trunc, _zeta_rows)
 from .sparse import Filtered, _acc
 
 
@@ -236,9 +236,13 @@ class WeylElement(Filtered):
         yden = _common_den(other.coeffs.values())
         bound = _moyal_den_bound(self.coeffs, other.coeffs, self.dim)
         acc = _Accumulator()
+        den = xden * yden * bound
         for lev, xg, yg in _level_pairs(_level_groups(self.coeffs),
                                         _level_groups(other.coeffs)):
-            i_exp = lev // 4
+            # i = zeta^(lev / 4) in the power basis: a single term unless
+            # lev / 4 >= phi(lev); a flat term list stays in the basis
+            i_row = _zeta_rows(lev)[lev // 4]
+            i_exp = i_row[0][0] if i_row == ((lev // 4, 1),) else None
             ys = [(key, _flat({0: c}, yden, lev)) for key, c in yg.items()]
             for (a1, b1, k1), c1 in xg.items():
                 x = _flat({0: c1}, xden, lev)
@@ -247,10 +251,15 @@ class WeylElement(Filtered):
                         continue
                     cc = acc.product(lev, x, y, 0)
                     for a, b, st, n, d in _moyal_terms(a1, b1, a2, b2):
-                        term = (k1 + k2 + st, st % 2 * i_exp, 0,
-                                n * (bound // d))
-                        acc.add((a, b), lev, cc, (term,), order)
-        sums = acc.freeze(xden * yden * bound)
+                        k, m = k1 + k2 + st, n * (bound // d)
+                        if not st % 2:
+                            terms = ((k, 0, 0, m),)
+                        elif i_exp is not None:
+                            terms = ((k, i_exp, 0, m),)
+                        else:
+                            terms = [(k, e, 0, m * rc) for e, rc in i_row]
+                        acc.add((a, b), lev, cc, terms, order, 1, den)
+        sums = acc.freeze()
         return WeylElement(self.dim, order,
                            {(a, b, k): fe for (a, b), by_power in sums.items()
                             for k, fe in by_power.items()})

@@ -323,7 +323,7 @@ def test_criterion_06_character_cycles():
 
 def test_criterion_07_twisted_trace_cocycle():
     xi = GroupCochain.polynomial(Z, 1, {(1,): 1})
-    T = TraceFunctional(xi, Z_ACT)
+    T = TraceFunctional(xi)
     ctx = ChainContext.crossed(Z_ACT, h_trunc=H, u_trunc=U)
     rng = random.Random(107)
     for _ in range(100):
@@ -362,7 +362,7 @@ def test_criterion_09_equivariant_pairings():
     xi1 = GroupCochain.polynomial(Z, 1, {(1,): 1})
     cls = equivariant_ahat(Z_ACT, h_t).cup(
         equivariant_theta(Z_ACT, h_t).exponential())
-    assert TraceFunctional(xi1, Z_ACT).pair(ch_const).is_zero()
+    assert TraceFunctional(xi1).pair(ch_const).is_zero()
     assert phi_pair(cls, xi1, ch_const).is_zero()
 
     # (b) trivial cochain degenerates to the plain pairing value
@@ -372,7 +372,7 @@ def test_criterion_09_equivariant_pairings():
     ch = chern_character(e, u_t)
     xi0 = GroupCochain.constant(Z, 1)
     want = ULaurent.from_hbar(inv_i_hbar(h_t), u_t)
-    lhs = TraceFunctional(xi0, Z_ACT).pair(ch)
+    lhs = TraceFunctional(xi0).pair(ch)
     rhs = phi_pair(cls, xi0, ch)
     assert lhs == want
     assert rhs == want

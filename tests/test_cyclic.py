@@ -11,8 +11,7 @@ from starchain.cyclic import (
     ChainContext,
     CyclicChain,
     EquivariantChain,
-    _raw_boundary_terms,
-    _raw_connes_terms,
+    _raw_terms,
     _translate,
     alexander_whitney,
     augmentation_cap,
@@ -343,11 +342,10 @@ def reference_inner_boundary(x, mode):
     canon = ctx.kind == "diag" and ctx.coinvariant
     out = {}
     for (ik, gw), c in x.coeffs.items():
-        raw = _raw_boundary_terms(ctx, ik, c)
-        if mode == "mixed":
-            raw += [(k2, v.shift(1).truncate(ctx.u_trunc))
-                    for k2, v in _raw_connes_terms(ctx, ik, c)]
-        for k2, v in raw:
+        for k2, sign, s, shift in _raw_terms(ctx, ik, mode):
+            v = c * sign if s is None else c * sign * s.series
+            if shift:
+                v = v.shift(shift).truncate(ctx.u_trunc)
             gw2 = gw
             if canon and not G.is_identity(k2[1][0]):
                 g = k2[1][0]

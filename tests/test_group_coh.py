@@ -255,14 +255,14 @@ def test_cap_drops_leading_legs():
 def test_trace_functional_rejects_noncocycles():
     eta = GroupCochain.polynomial(Z, 1, {(2,): 1})
     with pytest.raises(ValueError, match="not closed"):
-        TraceFunctional(eta, ACT)
+        TraceFunctional(eta)
 
 
 def test_trace_of_unit():
     ctx = ChainContext.crossed(ACT, h_trunc=H, u_trunc=U)
     c = CyclicChain.word(ctx, (((0, 0), 0),))
     want = u_scalar(inv_i_hbar())
-    assert TraceFunctional(GroupCochain.constant(Z, 1), ACT).pair(c) == want
+    assert TraceFunctional(GroupCochain.constant(Z, 1)).pair(c) == want
     assert trace_pair(c) == want
     tctx = ChainContext.torus(1, h_trunc=H, u_trunc=U)
     assert trace_pair(CyclicChain.word(tctx, ((0, 0),))) == want
@@ -278,12 +278,12 @@ def test_trace_word_fixture():
     t = TorusElement.plane_wave(1, (1, 1), H).star(
         ACT.apply(1, TorusElement.plane_wave(1, (-1, -1), H)))
     want = u_scalar(t.trace() * FieldElement.rational(-1))
-    assert TraceFunctional(xi, ACT).pair(c) == want
+    assert TraceFunctional(xi).pair(c) == want
 
 
 def test_trace_skips_offdegree_and_nonidentity():
     ctx = ChainContext.crossed(ACT, h_trunc=H, u_trunc=U)
-    T = TraceFunctional(GroupCochain.polynomial(Z, 1, {(1,): 1}), ACT)
+    T = TraceFunctional(GroupCochain.polynomial(Z, 1, {(1,): 1}))
     assert T.pair(CyclicChain.word(ctx, (((0, 0), 0),))).is_zero()
     assert T.pair(CyclicChain.word(
         ctx, (((0, 0), 1), ((0, 0), 2)))).is_zero()
@@ -296,9 +296,9 @@ def test_traces_kill_mixed_boundaries():
     carry = GroupCochain.table(
         Z4, 2, {(a, b): (a + b) // 4 for a in range(4) for b in range(4)})
     pairs = [
-        (TraceFunctional(GroupCochain.polynomial(Z, 1, {(1,): 1}), ACT), ctx),
-        (TraceFunctional(GroupCochain.polynomial(Z, 2, {(1, 1): 1}), ACT), ctx),
-        (TraceFunctional(carry, FIN_ACT), fin_ctx),
+        (TraceFunctional(GroupCochain.polynomial(Z, 1, {(1,): 1})), ctx),
+        (TraceFunctional(GroupCochain.polynomial(Z, 2, {(1, 1): 1})), ctx),
+        (TraceFunctional(carry), fin_ctx),
     ]
     for T, cx in pairs:
         for _ in range(12):
@@ -318,9 +318,9 @@ def test_trace_pairing_conjugation_invariant():
           [E[1][0], E[1][1] - E[1][0].star(c)]]
     ch2 = chern_character(E2, 1)
     xi2 = GroupCochain.polynomial(Z, 2, {(1, 1): 1})
-    T = TraceFunctional(xi2, ACT)
+    T = TraceFunctional(xi2)
     assert T.pair(ch) == T.pair(ch2)
-    T0 = TraceFunctional(GroupCochain.constant(Z, 1), ACT)
+    T0 = TraceFunctional(GroupCochain.constant(Z, 1))
     assert T0.pair(ch) == T0.pair(ch2)
     assert T0.pair(ch) == u_scalar(inv_i_hbar(), 1)
 
@@ -374,12 +374,12 @@ def assert_same_through_common_window(got, want):
 CARRY = GroupCochain.table(
     Z4, 2, {(a, b): (a + b) // 4 for a in range(4) for b in range(4)})
 FOLD_FUNCTIONALS = {
-    "twisted": [TraceFunctional(xi, TW_ACT) for xi in (
+    "twisted": [TraceFunctional(xi) for xi in (
         GroupCochain.constant(Z, 3),
         GroupCochain.polynomial(Z, 1, {(1,): 1}),
         GroupCochain.polynomial(Z, 2, {(1, 1): 1}))],
-    "order-4": [TraceFunctional(GroupCochain.constant(Z4, 1), FIN_ACT),
-                TraceFunctional(CARRY, FIN_ACT)],
+    "order-4": [TraceFunctional(GroupCochain.constant(Z4, 1)),
+                TraceFunctional(CARRY)],
 }
 
 
@@ -495,12 +495,12 @@ def test_index_pairing_crossed_degenerates():
     assert ch.mixed_boundary().is_zero()
     cls = equivariant_ahat(ACT, H).cup(equivariant_theta(ACT, H).exponential())
     xi0 = GroupCochain.constant(Z, 1)
-    lhs = TraceFunctional(xi0, ACT).pair(ch)
+    lhs = TraceFunctional(xi0).pair(ch)
     rhs = phi_pair(cls, xi0, ch)
     assert lhs == u_scalar(inv_i_hbar())
     assert rhs == lhs
     xi2 = GroupCochain.polynomial(Z, 2, {(1, 1): 1})
-    assert phi_pair(cls, xi2, ch) == TraceFunctional(xi2, ACT).pair(ch)
+    assert phi_pair(cls, xi2, ch) == TraceFunctional(xi2).pair(ch)
 
 
 def test_equivariant_pairing_constant_idempotent():
@@ -509,5 +509,5 @@ def test_equivariant_pairing_constant_idempotent():
     ch = chern_character([[one, zero], [zero, zero]], U)
     xi = GroupCochain.polynomial(Z, 1, {(1,): 1})
     cls = equivariant_ahat(ACT, H).cup(equivariant_theta(ACT, H).exponential())
-    assert TraceFunctional(xi, ACT).pair(ch).is_zero()
+    assert TraceFunctional(xi).pair(ch).is_zero()
     assert phi_pair(cls, xi, ch).is_zero()

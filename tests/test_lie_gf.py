@@ -236,7 +236,7 @@ def test_i_xi_matches_twisted_traces():
                 GroupCochain.polynomial(Z, 1, {(1,): 1}),
                 GroupCochain.polynomial(Z, 2, {(1, 1): 1})]
     for k, xi in enumerate(cochains):
-        T = TraceFunctional(xi, ACT)
+        T = TraceFunctional(xi)
         for _ in range(6):
             c = rand_chain(k)
             assert i_xi(TRACE, xi, c) == T.pair(c)

@@ -15,6 +15,7 @@ from starchain.scalars import (
     cyclotomic_polynomial,
     hbar_exp,
     to_text,
+    _series_products,
     _zeta_rows,
 )
 from starchain.sparse import _acc
@@ -665,6 +666,32 @@ def one_term_u(terms):
          one_term_u(((2, ONE), (1, ONE), (0, ONE))))
 def test_u_product_against_pairwise_oracle(x, y):
     assert_same_u(x * y, pairwise_u_product(x, y))
+
+
+# one u power on each side: the hbar product alone (HbarLaurent.__mul__),
+# against the kernel route (_series_products) that it replaces there
+@st.composite
+def one_power_u(draw):
+    trunc = draw(st.integers(-1, 3))
+    power = draw(st.integers(-2, trunc))
+    return ULaurent(trunc, {power: draw(hbar_series(mixed=True,
+                                                     levels=(4, 12, 60)))})
+
+
+@settings(max_examples=40, deadline=None)
+@given(one_power_u(), one_power_u())
+@example(ULaurent(2, {1: HbarLaurent(3, {-1: FieldElement.zeta(12)})}),
+         ULaurent(1, {0: HbarLaurent(2, {1: FieldElement.zeta(60, 7),
+                                         2: FieldElement.i_unit()})}))
+@example(ULaurent(1, {1: HbarLaurent.one(2)}),
+         ULaurent(0, {-1: HbarLaurent(4, {0: FieldElement.zeta(12, 5),
+                                          3: FieldElement.zeta(60)})}))
+def test_one_term_u_product_against_kernel(x, y):
+    trunc = min(x.trunc + y.low, y.trunc + x.low)
+    kernel = ULaurent(trunc, _series_products(
+        x.coeffs, y.coeffs, lambda i, j: i + j if i + j <= trunc else None))
+    assert_same_u(x * y, kernel)
+    assert_same_u(y * x, kernel)
 
 
 @settings(max_examples=40, deadline=None)
