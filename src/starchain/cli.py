@@ -29,7 +29,7 @@ def _load_config(args) -> ScenarioConfig:
 def _print_report(report, stream) -> None:
     for c in report.checks:
         mark = "pass" if c.passed else "FAIL"
-        line = f"[{mark}] {c.name} ({c.law})"
+        line = f"[{mark}] {c.name} ({c.law}) {c.runtime:.2f}s"
         if not c.passed:
             line += f": expected {c.expected}, got {c.actual}"
         print(line, file=stream)

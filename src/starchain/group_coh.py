@@ -26,7 +26,7 @@ against class data with the degree-halving u-weights.
 import math
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import combinations, product
 
 from .cyclic import CyclicChain, EquivariantChain, _mul_labels, d_map
 from .groups import CyclicGroup
@@ -354,17 +354,50 @@ def _series_sum(terms: list, u_trunc: int) -> ULaurent:
     return sum(terms[1:], terms[0]) if terms else ULaurent.zero(u_trunc)
 
 
+def _int_det(rows) -> int:
+    """Determinant of a square integer matrix (a list of rows) by
+    fraction-free (Bareiss) elimination: every division is exact, so the
+    entries stay integers, in O(n^3) operations.  The 0x0 determinant is
+    1."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
+                return 0
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
+        p = a[k][k]
+        for i in range(k + 1, n):
+            row, f = a[i], a[i][k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * p - f * a[k][j]) // prev
+        prev = p
+    return sign * a[-1][-1] if n else 1
+
+
 def word_to_form(dim: int, word, h_trunc: int) -> TorusForm:
-    """(1/n!) w0 dw1 ^ ... ^ dwn on plane-wave symbols."""
-    acc = TorusForm.from_function(
-        TorusElement.plane_wave(dim, word[0], h_trunc))
-    for m in word[1:]:
-        acc = acc.wedge(
-            TorusForm.from_function(
-                TorusElement.plane_wave(dim, m, h_trunc)).d())
-        if acc.is_zero():
-            return acc
-    return acc * Fraction(1, math.factorial(len(word) - 1))
+    """(1/n!) w0 dw1 ^ ... ^ dwn on the plane waves w_j = e_(m_j), in
+    closed form.  d e_m = 2 pi i sum_k m[k] e_m dx_k, so the form is the
+    one plane wave e_M, M = m_0 + ... + m_n, with the coefficient
+    (2 pi i)^n det(m_j[S])_(j=1..n) / n! on each increasing n-set S of
+    the 2d directions: zero when n > 2d, and on every S whose minor
+    vanishes.  The minors are integer determinants (_int_det)."""
+    n = len(word) - 1
+    out = {}
+    if n <= 2 * dim:
+        total = tuple(map(sum, zip(*word)))
+        scale = Fraction(2 ** n, math.factorial(n))
+        unit = FieldElement.i_unit() ** n
+        for S in combinations(range(2 * dim), n):
+            det = _int_det([m[k] for k in S] for m in word[1:])
+            if det:
+                out[S] = TorusElement.plane_wave(
+                    dim, total, h_trunc,
+                    FieldElement.pi_power(n, scale * det) * unit)
+    return TorusForm(dim, out)
 
 
 class TraceFunctional:
@@ -434,7 +467,9 @@ def phi_pair(classes: EquivariantClassCocycle, xi: GroupCochain,
     """Transposed pairing: push the chain to group-decorated torus words,
     cap with the cochain, evaluate the class data on the remaining legs,
     integrate against the word forms, and weight each class component by
-    u to half its total degree, with the dimension shift u^(-d).
+    u to half its total degree, with the dimension shift u^(-d).  Only
+    the class parts whose form degree fills the top degree with the
+    word's are wedged, each evaluated once per call.
 
     Torus chains are read as group-degree zero directly; crossed chains
     go through the full decomposition first.
@@ -453,20 +488,27 @@ def phi_pair(classes: EquivariantClassCocycle, xi: GroupCochain,
     else:
         dec = cap(d_map(chain), xi, mismatches)
         items = list(dec.coeffs.items())
+    parts = classes.bidegrees()
+    vals: dict = {}
     terms = []
     for (ik, gw), v in items:
         p = len(gw)
         form = word_to_form(dim, ik, h)
         if form.is_zero():
             continue
-        for (P, Q) in classes.bidegrees():
+        for (P, Q) in parts:
             if P != p:
                 continue
             if (P + Q) % 2:
                 if mismatches is not None:
                     mismatches.append(((ik, gw), "odd class degree"))
                 continue
-            val = classes.evaluate(P, Q, gw)
+            # the integral reads only the top degree
+            if Q + len(ik) - 1 != 2 * dim:
+                continue
+            val = vals.get((P, Q, gw))
+            if val is None:
+                val = vals[P, Q, gw] = classes.evaluate(P, Q, gw)
             tot = val.wedge(form).integrate()
             if tot.is_zero():
                 continue

@@ -350,12 +350,15 @@ TRACE = "trace"
 def tau_t_pair(chain: CyclicChain) -> ULaurent:
     """Evaluate the symbol-and-integrate functional on a torus chain:
     each word contributes its normalized derivative form integrated over
-    the surface, weighted by u^(-dim); only words whose form reaches the
-    top degree survive the integral."""
+    the surface, weighted by u^(-dim); only words of 2 dim + 1 letters
+    whose modes sum to zero survive the integral, so no other word's
+    form is built."""
     assert chain.ctx.kind == "torus"
     dim = chain.ctx.dim
     terms = []
     for key, v in chain.coeffs.items():
+        if len(key) != 2 * dim + 1 or any(map(sum, zip(*key))):
+            continue
         total = word_to_form(dim, key, chain.ctx.h_trunc).integrate()
         if total.is_zero():
             continue

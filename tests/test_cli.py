@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -279,6 +280,23 @@ def test_cli_list_and_verify(tmp_path, capsys):
     body = json.loads(rep_path.read_text(encoding="utf-8"))
     assert body["suite"] == "moyal-associativity"
     assert all(rec["passed"] for rec in body["checks"])
+
+
+def test_cli_shows_check_runtimes_but_reports_omit_them(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config().to_dict()),
+                        encoding="utf-8")
+    rep_path = tmp_path / "rep.json"
+    assert main(["verify", "normalization", "--config", str(cfg_path),
+                 "--report", str(rep_path)]) == 0
+    shown = capsys.readouterr().out.splitlines()
+    checks = [line for line in shown if line.startswith("[")]
+    assert checks
+    for line in checks:
+        assert re.fullmatch(r"\[pass\] \S+ \(.+\) \d+\.\d\ds", line), line
+    plain = tmp_path / "plain.json"
+    emit_report(run_suite("normalization", small_config()), plain)
+    assert rep_path.read_bytes() == plain.read_bytes()
 
 
 def test_cli_error_paths(tmp_path, capsys):

@@ -1,14 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from starchain.cyclic import ChainContext, CyclicChain, chern_character
 from starchain.group_coh import (EquivariantClassCocycle, GroupCochain, cap,
                                  equivariant_ahat, equivariant_theta,
                                  form_pullback, phi_pair, TraceFunctional, trace_pair,
-                                 word_to_form)
+                                 word_to_form, _int_det)
 from starchain.cyclic import d_map
 from starchain.groups import CyclicGroup
 from starchain.scalars import FieldElement, HbarLaurent, ULaurent, to_text
@@ -437,6 +439,82 @@ def test_word_to_form_basics():
         TorusElement.plane_wave(1, (2, 1), H)
     # three exterior derivatives exceed the surface dimension
     assert word_to_form(1, ((0, 0), (1, 0), (0, 1), (1, 1)), H).is_zero()
+    # parallel rows: det 0 on the only 2-set, though no row is zero
+    assert word_to_form(1, ((1, 1), (1, 2), (2, 4)), H).is_zero()
+    # n = 2d at dim 3 has the one top key, on the summed mode
+    word = ((0,) * 6,) + tuple(tuple(int(i == j) for i in range(6))
+                               for j in range(6))
+    f = word_to_form(3, word, H)
+    assert list(f.coeffs) == [tuple(range(6))]
+    assert list(f.coeffs[tuple(range(6))].coeffs) == [(1,) * 6]
+
+
+def generic_word_to_form(dim, word, h_trunc):
+    """The reference for word_to_form: (1/n!) w0 dw1 ^ ... ^ dwn built
+    through the generic TorusForm.d and wedge."""
+    acc = TorusForm.from_function(
+        TorusElement.plane_wave(dim, word[0], h_trunc))
+    for m in word[1:]:
+        acc = acc.wedge(TorusForm.from_function(
+            TorusElement.plane_wave(dim, m, h_trunc)).d())
+        if acc.is_zero():
+            return acc
+    return acc * Fraction(1, math.factorial(len(word) - 1))
+
+
+def form_layout(form):
+    """Every key, window, printed coefficient and level of a form."""
+    return {S: {m: (c.trunc, to_text(c),
+                    {k: fe.level for k, fe in c.coeffs.items()})
+                for m, c in v.coeffs.items()}
+            for S, v in form.coeffs.items()}
+
+
+@st.composite
+def form_words(draw):
+    dim = draw(st.integers(1, 3))
+    slots = st.tuples(*[st.integers(-3, 3)] * (2 * dim))
+    word = tuple(draw(st.lists(slots, min_size=1, max_size=2 * dim + 2)))
+    return dim, word, draw(st.sampled_from((0, 2, 5)))
+
+
+# parallel nonzero modes (every minor vanishes), a zero-mode slot, and
+# n = 2d at dim 3
+@settings(max_examples=150, deadline=None)
+@given(form_words())
+@example((1, ((1, 1), (1, 2), (2, 4)), H))
+@example((2, ((1, 0, 2, 0), (0, 0, 0, 0), (1, 1, 0, 1)), H))
+@example((3, ((1, -1, 0, 2, 0, 3), (1, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0),
+              (0, 2, 1, 0, 0, -3), (0, 0, 0, 1, 2, 0), (3, 0, 0, 0, 1, -1),
+              (0, 0, 2, 0, 0, 1)), H))
+def test_word_to_form_matches_the_generic_wedge(case):
+    dim, word, h = case
+    got = word_to_form(dim, word, h)
+    want = generic_word_to_form(dim, word, h)
+    assert got.dim == want.dim == dim
+    assert form_layout(got) == form_layout(want)
+
+
+@st.composite
+def int_matrices(draw):
+    n = draw(st.integers(0, 8))
+    bound = draw(st.sampled_from((1, 3, 50)))
+    entries = st.integers(-bound, bound)
+    return [draw(st.lists(entries, min_size=n, max_size=n))
+            for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+@example([])
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 1], [0, 2, 3], [4, 5, 6]])
+@example([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+@example([[0, 1, 2], [0, 3, 4], [0, 5, 6]])
+def test_int_det_matches_sympy(rows):
+    want = sympy.Matrix(len(rows), len(rows),
+                        [x for r in rows for x in r]).det(method="berkowitz")
+    assert _int_det(rows) == int(want)
 
 
 def test_phi_pair_unit():
