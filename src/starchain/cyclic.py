@@ -1004,9 +1004,9 @@ def chern_character(matrix, u_trunc: int) -> CyclicChain:
     letters in the coefficient table become the identity matrix; words
     are contracted along matrix index cycles.  Each path's slot series are
     multiplied as flat integer terms (scalars._Flat.times), and its last
-    slot's product goes straight into one _Accumulator under (word, u
-    power), scaled by the table coefficient; a word keeps the least window
-    of its paths, and each coefficient is frozen once."""
+    slot's product is one _Accumulator.add under (word, u power), scaled
+    by the table coefficient; the accumulator keeps each word's least
+    window and lcm denominator, and freezes each coefficient once."""
     rows = [list(r) for r in matrix]
     r = len(rows)
     if any(len(row) != r for row in rows):
@@ -1043,7 +1043,6 @@ def chern_character(matrix, u_trunc: int) -> CyclicChain:
     e_terms = [[_entry_terms(rows[i][j]) for j in range(r)]
                for i in range(r)]
     sums = _Accumulator()
-    wins: dict = {}
 
     def walk(word, n, q, i0, i, labels, path):
         slot = len(labels)
@@ -1057,22 +1056,14 @@ def chern_character(matrix, u_trunc: int) -> CyclicChain:
         for lab, f in grid[i][i0]:
             key = (tuple(labels) + (lab,), n)
             if path is None:
-                w, den, pairs = f.trunc, f.den, f.pairs(None)
+                sums.add(key, f, None, q.numerator, q.denominator)
             else:
-                w = f.window(path.trunc, path.low)
-                den, pairs = path.den * f.den, path.pairs(f)
-            old = wins.get(key)
-            if old is None or w < old:
-                wins[key] = w
-            for lev, xs, ys in pairs:
-                sums.add(key, lev, xs, ys, w, q.numerator,
-                         den * q.denominator)
+                sums.add(key, path, f, q.numerator, q.denominator)
 
     for n in range(u_trunc + 1):
         for word, q in chern_coefficients(n).items():
             for i0 in range(r):
                 walk(word, n, q, i0, i0, [], None)
     walk = None                 # the recursive closure holds the sums
-    return CyclicChain(ctx, {
-        word: ULaurent(u_trunc, {n: HbarLaurent(wins[word, n], by_power)})
-        for (word, n), by_power in sums.freeze(wins).items()})
+    return CyclicChain(ctx, {word: ULaurent(u_trunc, {n: h})
+                             for (word, n), h in sums.freeze().items()})

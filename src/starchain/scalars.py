@@ -12,21 +12,27 @@ operands at the lcm level.
 
 Every product has one route.  Products run through one sparse integer
 accumulator (_Accumulator; Gilbert, Moler and Schreiber, SIAM J. Matrix
-Anal. Appl. 13, 1992): the Weyl star product and, through the kernel
-_series_products, every product of two sums with hbar-series coefficients
-(two hbar series, the torus star and symbol products, the crossed star, the
-u product).  Each operand is brought over one denominator and flattened
-into (power, a, b, n) terms, lifted to the lcm level of each pair of
-factors; the numerators of every product of terms are multiplied through
+Anal. Appl. 13, 1992), and every windowed product enters it through one
+call, _Accumulator.add(key, x, s, scale, den), on operands flattened once
+into _Flat terms: (power, a, b, n) integer numerators over one
+denominator, grouped by level.  The call holds the window rule: a product
+is reliable through min(t_x + low_y, t_y + low_x) (_min_trunc), and a key
+keeps the least window of its products and the lcm of their
+denominators.  Each pair of level groups is lifted to the lcm of its
+levels; the numerators of every product of terms are multiplied through
 the zeta rows of that level and summed under (output key, level, hbar
-power, zeta exponent, pi power) with no normalisation.  Freezing makes one
-FieldElement per output coefficient at the lcm of the levels of every pair
-that reaches it, also where part of the sum cancels, so that level, which
-is what it prints at, does not depend on the order of the terms.  The same
-accumulator sums the chain operators (_chain_sums, over scalars cached as
-_Flat terms) and the idempotent character's paths (cyclic.chern_character),
-each output term over a denominator of its own.  A product of two u-series
-with one power each is the product of their hbar series.
+power, zeta exponent, pi power) with no normalisation.  Freezing cuts each
+key at its window and makes one FieldElement per output coefficient at the
+lcm of the levels of every pair that reaches it, also where part of the
+sum cancels, so that level, which is what it prints at, does not depend on
+the order of the terms.  Its callers only say what to multiply: the
+kernel _series_products (two hbar series, the torus star and symbol
+products, the crossed star, the u product), the chain kernel _chain_sums
+(every chain operator, over scalars cached as _Flat terms) and the
+idempotent character's paths (cyclic.chern_character).  The Weyl star,
+whose cut is a filtration order, adds its level-level term lists to the
+same accumulator (add_terms).  A product of two u-series with one power
+each is the product of their hbar series.
 
 The only other route is the product by a one-term monomial u hbar^k,
 u = (n/d) zeta^a pi^b, a relabelling, not a series product; most scalars
@@ -434,15 +440,13 @@ def _as_field(x, level: int):
 
 def _min_trunc(a_trunc, a_low, b_trunc, b_low):
     """Reliability window of a product, given windows and lowest exponents
-    (None for a zero series)."""
-    cands = []
-    if b_low is not None:
-        cands.append(a_trunc + b_low)
-    if a_low is not None:
-        cands.append(b_trunc + a_low)
-    if not cands:
-        return min(a_trunc, b_trunc)
-    return min(cands)
+    (None for a zero series): min(a_trunc + b_low, b_trunc + a_low) over
+    the terms that exist."""
+    if a_low is None:
+        return min(a_trunc, b_trunc) if b_low is None else a_trunc + b_low
+    if b_low is None:
+        return b_trunc + a_low
+    return min(a_trunc + b_low, b_trunc + a_low)
 
 
 def _term(fe: FieldElement):
@@ -474,7 +478,7 @@ def _flat(coeffs: dict[int, FieldElement], den: int, level: int):
         s = den // fe.den
         num = fe.num if fe.level == level else \
             _lift({}, fe.num, level // fe.level, level)
-        terms.extend((k, a, b, n * s) for (a, b), n in num.items())
+        terms += [(k, a, b, n * s) for (a, b), n in num.items()]
     return terms
 
 
@@ -499,25 +503,25 @@ def _level_pairs(gx: dict, gy: dict):
 
 
 class _Accumulator:
-    """Sparse integer accumulator (Gilbert, Moler and Schreiber, SIAM J.
-    Matrix Anal. Appl. 13, 1992) for coefficient products: integer
-    numerators keyed by (output key, level, hbar power, zeta exponent, pi
-    power), each key's over one denominator of its own.  Each product is
-    added at the level of its two factors, both written there.  Nothing is
-    normalised while terms are added; `freeze` makes one FieldElement per
-    output coefficient and level, with one `_normal` each.
+    """Sparse integer accumulator for coefficient products (see the module
+    docstring): integer numerators keyed by (output key, level, hbar
+    power, zeta exponent, pi power), each key's over one denominator and
+    under one window of its own.  Nothing is normalised while terms are
+    added; `freeze` makes one FieldElement per output coefficient and
+    level, with one `_normal` each.
 
-    Its callers: the product kernel `_series_products` and the Weyl star,
-    which give every product over one denominator, and the chain kernel
-    `_chain_sums` (every chain operator) and `cyclic.chern_character`,
-    whose denominators differ from term to term: a key's denominator grows
-    to the lcm of those of its products, and its sums are rescaled when it
-    does."""
+    `add` is the entry point of every windowed product and holds the
+    window rule (_min_trunc): a key keeps the least window of its
+    products, and its denominator grows to the lcm of theirs, its sums
+    rescaled when it does.  Its callers: `_series_products`, `_chain_sums`
+    and `cyclic.chern_character`.  The Weyl star, whose cut is a
+    filtration order and whose coefficients are scalars, adds level-level
+    term lists through `add_terms`."""
 
     __slots__ = ("_sums",)
 
     def __init__(self):
-        # key -> [den, {level: {power: {(a, b): n}}}]
+        # key -> [den, window, {level: {power: {(a, b): n}}}]
         self._sums: dict = {}
 
     @staticmethod
@@ -563,35 +567,60 @@ class _Accumulator:
                     t = (a3, bb)
                     out[t] = out.get(t, 0) + c * rc
 
-    def add(self, key, level: int, xs, ys, trunc: int, scale: int = 1,
+    def add(self, key, x: "_Flat", s: "_Flat" = None, scale: int = 1,
             den: int = 1) -> None:
-        """Add scale * xs * ys / den, both at level, through hbar^trunc,
-        under key."""
-        by_level, f = self._slot(key, den)
+        """Add scale * x * s / den under key, s None for 1, through the
+        product's window: x's own when s is None or a scalar (no window),
+        else _min_trunc of the two.  The key's window is lowered to it
+        also when s has no terms (an empty phase)."""
+        if s is None:
+            w = x.trunc
+        else:
+            w = x.trunc if s.trunc is None else \
+                _min_trunc(x.trunc, x.low, s.trunc, s.low)
+            den *= s.den
+        by_level, f = self._slot(key, x.den * den, w)
+        f *= scale
+        into = self._into
+        for lev, xs, ys in x.pairs(s):
+            sums = by_level.get(lev)
+            if sums is None:
+                sums = by_level[lev] = {}
+            into(sums, lev, xs, ys, w, f)
+
+    def add_terms(self, key, level: int, xs, ys, trunc: int, scale: int = 1,
+                  den: int = 1) -> None:
+        """Add scale * xs * ys / den, flat term lists both at level,
+        through hbar^trunc, under key: one level pair of `add`, for the
+        Weyl star."""
+        by_level, f = self._slot(key, den, trunc)
         sums = by_level.get(level)
         if sums is None:
             sums = by_level[level] = {}
         self._into(sums, level, xs, ys, trunc, scale * f)
 
-    def _slot(self, key, den: int):
+    def _slot(self, key, den: int, trunc: int):
         """(sums, f): the sums of key, {level: {power: {(a, b): n}}}, and
         the factor f that brings a numerator over den to their
         denominator, which grows to the lcm with den, the sums rescaled,
-        when den does not divide it."""
+        when den does not divide it.  The key's window is lowered to
+        trunc."""
         entry = self._sums.get(key)
         if entry is None:
-            entry = self._sums[key] = [den, {}]
-            return entry[1], 1
+            entry = self._sums[key] = [den, trunc, {}]
+            return entry[2], 1
+        if trunc < entry[1]:
+            entry[1] = trunc
         old = entry[0]
         if old % den:
             entry[0] = new = old // math.gcd(old, den) * den
             f = new // old
-            for sums in entry[1].values():
+            for sums in entry[2].values():
                 for num in sums.values():
                     for t in num:
                         num[t] *= f
             old = new
-        return entry[1], old // den
+        return entry[2], old // den
 
     def product(self, level: int, xs, ys, trunc: int):
         """xs * ys, both at level, through hbar^trunc as flat terms, not
@@ -601,22 +630,25 @@ class _Accumulator:
         return [(k, a, b, n) for k, num in sums.items()
                 for (a, b), n in num.items() if n]
 
-    def freeze(self, windows=None) -> dict:
-        """{key: {power: FieldElement}}, the powers above windows[key]
-        skipped when windows is given; the sums at one key and power but at
-        several levels are added as FieldElements, so the coefficient sits
-        at the lcm of the levels of its products, as the pairwise sum has
-        it.  A coefficient that summed to zero is kept as zero.  The sums
+    def freeze(self) -> dict:
+        """{key: HbarLaurent}: each key's sums through its window, a key
+        with no terms as the zero series at its window.  The sums at one
+        key and power but at several levels are added as FieldElements,
+        so the coefficient sits at the lcm of the levels of its products,
+        as the pairwise sum has it, also where it sums to zero.  The sums
         are consumed, each released once its coefficients are made."""
         out: dict = {}
-        for key, (den, by_level) in self._sums.items():
-            top = None if windows is None else windows[key]
-            by_power = out[key] = {}
+        for key, (den, top, by_level) in self._sums.items():
+            by_power: dict = {}
             for lev, sums in by_level.items():
                 for k, num in sums.items():
-                    if top is None or k <= top:
+                    if k <= top:
                         _acc(by_power, k, _normal(lev, num, den))
             by_level.clear()
+            # already cut at top; only the zero sums are left to drop
+            h = out[key] = object.__new__(HbarLaurent)
+            h.trunc = top
+            h.coeffs = {k: v for k, v in by_power.items() if v.num}
         self._sums = {}
         return out
 
@@ -751,24 +783,6 @@ class HbarLaurent(_Laurent):
                       for e, v in self.coeffs.items() if e + k <= trunc}
         return out
 
-    def invert(self) -> "HbarLaurent":
-        """Inverse when the lowest coefficient is a monomial scalar."""
-        if self.is_zero():
-            raise ZeroDivisionError("cannot invert the zero series")
-        l = self.low
-        c0 = self.coeffs[l]
-        lead_inv = c0.inv_monomial()
-        # self = c0 h^l (1 + n) with n of positive valuation
-        n = (self.shift(-l) * lead_inv) - 1
-        acc = HbarLaurent.one(n.trunc)
-        term = HbarLaurent.one(n.trunc)
-        j = 0
-        while not term.is_zero() and j <= n.trunc + 1:
-            term = term * (-n)
-            acc = acc + term
-            j += 1
-        return (acc * lead_inv).shift(-l)
-
     def __repr__(self):
         return f"HbarLaurent({to_text(self)!r}, trunc={self.trunc})"
 
@@ -804,26 +818,6 @@ def _star_phase(pairing: int, trunc: int) -> HbarLaurent:
     return hbar_exp(arg)
 
 
-@lru_cache(maxsize=None)
-def _phase_terms(pairing: int, trunc: int, level: int):
-    """(terms, den): _star_phase(pairing, trunc) at level as flat terms,
-    every numerator over den, the lcm of its denominators."""
-    coeffs = _star_phase(pairing, trunc).coeffs
-    den = _common_den(coeffs.values())
-    return _flat(coeffs, den, level), den
-
-
-def _by_level(series: dict) -> dict:
-    """{level: [(key, group, trunc, low)]}: the coefficients of each
-    HbarLaurent value of series grouped by level (_level_groups), with the
-    key, window and lowest power of their series."""
-    out: dict = {}
-    for key, c in series.items():
-        for lev, group in _level_groups(c.coeffs).items():
-            out.setdefault(lev, []).append((key, group, c.trunc, c.low))
-    return out
-
-
 def _series_products(xs: dict, ys: dict, target, pairing=None) -> dict:
     """{t: HbarLaurent}: the sum of cx * cy over the pairs of a term
     kx: cx of xs and a term ky: cy of ys, both {key: HbarLaurent}, with
@@ -831,46 +825,29 @@ def _series_products(xs: dict, ys: dict, target, pairing=None) -> dict:
     nonzero p = pairing(kx, ky) multiplies the pair by
     exp(-2 pi^2 i hbar p).
 
-    Windows are those of the series products.  A pair's product is
-    reliable through w = min(t_x + low_y, t_y + low_x), and its lowest
-    power low_x + low_y lies inside w; the phase, reliable through w,
-    lowers the window to w + min(0, low_x + low_y), and is empty when w
-    is negative.  A target's window is the least window of its pairs,
-    so the windows are settled first and every pair is then summed
-    through its target's window only, in one _Accumulator over xden *
-    yden times the lcm of the phase denominators.  Each level group of
-    one operand meets each of the other once: both are flattened at the
-    lcm of their levels, and their pairs are added there."""
-    xden = _common_den(fe for c in xs.values() for fe in c.coeffs.values())
-    yden = _common_den(fe for c in ys.values() for fe in c.coeffs.values())
+    Each nonzero series is flattened once (_Flat), and every pair is one
+    _Accumulator.add, which settles the windows and levels.  A phased
+    pair adds the product cx * cy (_Flat.times) times the phase reliable
+    through that product's window w, so the pair is reliable through
+    w + min(0, low_x + low_y); a phase that is empty there (w < 0) adds
+    no terms but still sets its target's window."""
     acc = _Accumulator()
-    pairs = []
-    windows: dict = {}
-    phase_den = 1
-    for lev, ex, ey in _level_pairs(_by_level(xs), _by_level(ys)):
-        fy = [(k, _flat(g, yden, lev), tr, low) for k, g, tr, low in ey]
-        for kx, gx, tx, lowx in ex:
-            a = _flat(gx, xden, lev)
-            for ky, b, ty, lowy in fy:
-                t = target(kx, ky)
-                if t is None:
-                    continue
-                w = min(tx + lowy, ty + lowx)
-                p = pairing(kx, ky) if pairing else 0
-                if p:
-                    terms, den = _phase_terms(p, w, lev)
-                    phase_den = math.lcm(phase_den, den)
-                    pairs.append((t, lev, acc.product(lev, a, b, w),
-                                  terms, den))
-                    w += min(0, lowx + lowy)
-                else:
-                    pairs.append((t, lev, a, b, 1))
-                windows[t] = min(w, windows.get(t, w))
-    full = xden * yden * phase_den
-    for t, lev, a, b, den in pairs:
-        acc.add(t, lev, a, b, windows[t], phase_den // den, full)
-    sums = acc.freeze()
-    return {t: HbarLaurent(w, sums.get(t, {})) for t, w in windows.items()}
+    fy = [(ky, _Flat(c)) for ky, c in ys.items() if c.coeffs]
+    for kx, c in xs.items():
+        if not c.coeffs:
+            continue
+        a = _Flat(c)
+        for ky, b in fy:
+            t = target(kx, ky)
+            if t is None:
+                continue
+            p = pairing(kx, ky) if pairing else 0
+            if p:
+                ab = a.times(b)
+                acc.add(t, ab, _flat_phase(p, ab.trunc))
+            else:
+                acc.add(t, a, b)
+    return acc.freeze()
 
 
 def _lift_flat(terms, step: int, level: int):
@@ -882,10 +859,10 @@ def _lift_flat(terms, step: int, level: int):
 
 
 class _Flat:
-    """An hbar series as flat integer terms, the operand of the chain
-    kernel (_chain_sums) and of the character's path products: its
-    window `trunc`, lowest power `low`, and its coefficients grouped by
-    level as (power, a, b, n) terms, every numerator over one denominator
+    """An hbar series as flat integer terms, the operand of
+    _Accumulator.add: its window `trunc`, lowest power `low` (None for no
+    terms), and its coefficients grouped by level as (power, a, b, n)
+    terms in ascending powers, every numerator over one denominator
     `den`.  Built from a series it keeps it as `series`; built from a
     FieldElement it has no window (the scalar multiplies a series
     coefficient by coefficient and keeps its window).  A group lifted to a
@@ -899,21 +876,10 @@ class _Flat:
             coeffs, trunc, low = {0: series}, None, 0
         else:
             coeffs, trunc, low = series.coeffs, series.trunc, series.low
-        den = _common_den(coeffs.values())
-        self._set(trunc, low, den, {lev: _flat(g, den, lev) for lev, g
-                                    in _level_groups(coeffs).items()}, series)
-
-    def _set(self, trunc, low, den, groups, series=None):
-        self.trunc, self.low, self.den, self.groups = trunc, low, den, groups
-        self.series = series
-        self._lifts = {}
-
-    def window(self, trunc: int, low: int) -> int:
-        """The window of its product with a series of window trunc and
-        lowest power low (_min_trunc of two nonzero series)."""
-        if self.trunc is None:
-            return trunc
-        return min(trunc + self.low, self.trunc + low)
+        self.den = den = _common_den(coeffs.values())
+        self.groups = {lev: _flat(g, den, lev)
+                       for lev, g in _level_groups(coeffs).items()}
+        self.trunc, self.low, self.series, self._lifts = trunc, low, series, {}
 
     def _at(self, level: int, lev: int):
         """The group at level lev as flat terms at level, a multiple."""
@@ -932,25 +898,34 @@ class _Flat:
         if other is None:
             return [(lev, xs, _UNIT) for lev, xs in self.groups.items()]
         out = []
-        for lx in self.groups:
-            for ly in other.groups:
-                lev = lx if lx == ly else math.lcm(lx, ly)
-                out.append((lev, self._at(lev, lx), other._at(lev, ly)))
+        for lx, xs in self.groups.items():
+            for ly, ys in other.groups.items():
+                if lx == ly:
+                    out.append((lx, xs, ys))
+                else:
+                    lev = math.lcm(lx, ly)
+                    out.append((lev, self._at(lev, lx), other._at(lev, ly)))
         return out
 
     def times(self, other: "_Flat") -> "_Flat":
-        """self * other as the series product has it: the window by the
-        product rule, each pair of level groups at the lcm of their levels,
-        the powers above the window dropped."""
-        w = other.window(self.trunc, self.low)
-        sums: dict = {}
+        """self * other for two nonzero series, as the series product has
+        it: the window by the product rule (_min_trunc), each pair of
+        level groups at the lcm of their levels, the powers above the
+        window dropped."""
+        w = _min_trunc(self.trunc, self.low, other.trunc, other.low)
+        groups: dict = {}
         for lev, xs, ys in self.pairs(other):
-            _Accumulator._into(sums.setdefault(lev, {}), lev, xs, ys, w, 1)
+            sums = groups.get(lev)
+            if sums is None:
+                sums = groups[lev] = {}
+            _Accumulator._into(sums, lev, xs, ys, w, 1)
+        for lev, sums in groups.items():
+            groups[lev] = [(k, a, b, n) for k in sorted(sums)
+                           for (a, b), n in sums[k].items() if n]
         out = object.__new__(_Flat)
-        out._set(w, self.low + other.low, self.den * other.den, {
-            lev: [(k, a, b, n) for k in sorted(by_power)
-                  for (a, b), n in by_power[k].items() if n]
-            for lev, by_power in sums.items()})
+        out.trunc, out.low, out.den, out.groups = \
+            w, self.low + other.low, self.den * other.den, groups
+        out.series, out._lifts = None, {}
         return out
 
 
@@ -1039,48 +1014,31 @@ def _chain_sums(items, u_cap=None) -> dict:
 
     An entry stands for sign * scalar * u^shift * c: sign is an int, and
     scalar a _Flat or None for 1.  Its u window is that of c moved by the
-    shift and, for a shifted entry, cut at u_cap; each of its hbar windows
-    is the product rule's (_min_trunc).  Every product of a coefficient of
-    c by the scalar is added, with the sign as its scale, into one
-    _Accumulator under (target, u power) at the lcm of the levels of the
-    pair, with no negated copy and no intermediate series.  A target keeps
-    the least u window of its entries and, per u power, the least hbar
-    window, and each coefficient is frozen once, at the lcm of the levels
-    of every product that reaches it.  A target that one entry with no
-    scalar reaches takes c itself, or its negation, moved by the shift.  So the sums do not depend
-    on how their terms are grouped, also where part of a sum cancels.
-    Targets keep the order in which they are first reached."""
+    shift and, for a shifted entry, cut at u_cap.  Every coefficient of
+    c times the scalar is one _Accumulator.add, with the sign as its
+    scale, under (target, u power), with no negated copy and no
+    intermediate series; the accumulator settles the hbar windows and
+    levels, and a zero scalar adds nothing, not even a window.  A target
+    keeps the least u window of its entries.  A target that one entry
+    with no scalar reaches takes c itself, or its negation, moved by the
+    shift.  So the sums do not depend on how their terms are grouped,
+    also where part of a sum cancels.  Targets keep the order in which
+    they are first reached."""
     acc = _Accumulator()
-    slot, into = acc._slot, acc._into
     uwin: dict = {}
-    hwin: dict = {}
     # target -> its one entry so far, or None once it is a sum
     single: dict = {}
 
     def flat_add(target, c, box, sign, s, shift, ut):
+        if s is not None and s.low is None:     # a zero scalar
+            return
         parts = box[0]
         if parts is None:
             parts = box[0] = [(p, _Flat(h)) for p, h in c.coeffs.items()]
         for p, part in parts:
             q = p + shift
-            if q > ut:
-                continue
-            if s is None:
-                w, den = part.trunc, part.den
-            elif s.low is None:         # a zero scalar adds nothing
-                continue
-            else:
-                w, den = s.window(part.trunc, part.low), part.den * s.den
-            key = (target, q)
-            old = hwin.get(key)
-            if old is None or w < old:
-                hwin[key] = w
-            by_level, f = slot(key, den)
-            for lev, xs, ys in part.pairs(s):
-                sums = by_level.get(lev)
-                if sums is None:
-                    sums = by_level[lev] = {}
-                into(sums, lev, xs, ys, w, sign * f)
+            if q <= ut:
+                acc.add((target, q), part, s, sign)
 
     for c, entries in items:
         box = [None]                    # c's u powers as _Flats
@@ -1106,10 +1064,9 @@ def _chain_sums(items, u_cap=None) -> dict:
             single[target] = None
             flat_add(target, *first)
     series: dict = {}
-    for (target, q), by_power in acc.freeze(hwin).items():
+    for (target, q), h in acc.freeze().items():
         if q <= uwin[target]:
-            series.setdefault(target, {})[q] = \
-                HbarLaurent(hwin[target, q], by_power)
+            series.setdefault(target, {})[q] = h
     out = {}
     for target, ut in uwin.items():
         first = single[target]

@@ -678,9 +678,33 @@ def index_check(cfg: ScenarioConfig) -> Report:
     matrix = cfg.idempotent_matrix()
     act = cfg.action()
     crossed = isinstance(matrix[0][0], CrossedElement)
-    try:
+    if crossed:
+        xi = cfg.group_cochain()
+        law = "equivariant-index-pairing"
+    else:
+        xi = GroupCochain.constant(cfg.group(), 1)
+        law = "index-pairing"
+    ch = lhs = None
+
+    def pairing():
+        # the character and both sides are built inside the check, so its
+        # runtime covers the whole pairing
+        nonlocal ch, lhs
         ch = chern_character(matrix, cfg.u_trunc)
+        lhs = TraceFunctional(xi).pair(ch) if crossed else trace_pair(ch)
+        classes = equivariant_ahat(act, cfg.h_trunc).cup(
+            equivariant_theta(act, cfg.h_trunc).exponential())
+        rhs = phi_pair(classes, xi, ch)
+        return lhs, rhs, lhs == rhs
+
+    try:
+        checks = [_check(
+            "trace-side-equals-integral-side", law,
+            (cfg.idempotent, cfg.cochain, cfg.dim, cfg.h_trunc, cfg.u_trunc),
+            pairing)]
     except ValueError as exc:
+        if ch is not None:      # raised after the character was built
+            raise
         rec = CheckRecord(
             "idempotency", "character-cycle",
             _digest(cfg.idempotent, cfg.dim), "idempotent matrix",
@@ -688,25 +712,6 @@ def index_check(cfg: ScenarioConfig) -> Report:
         return Report([rec], suite="index-check", seed=cfg.seed,
                       config_digest=cfg.digest(),
                       runtime=time.monotonic() - t0)
-    if crossed:
-        xi = cfg.group_cochain()
-        lhs = TraceFunctional(xi).pair(ch)
-        law = "equivariant-index-pairing"
-    else:
-        xi = GroupCochain.constant(cfg.group(), 1)
-        lhs = trace_pair(ch)
-        law = "index-pairing"
-
-    def integral_side():
-        classes = equivariant_ahat(act, cfg.h_trunc).cup(
-            equivariant_theta(act, cfg.h_trunc).exponential())
-        rhs = phi_pair(classes, xi, ch)
-        return lhs, rhs, lhs == rhs
-
-    checks = [_check(
-        "trace-side-equals-integral-side", law,
-        (cfg.idempotent, cfg.cochain, cfg.dim, cfg.h_trunc, cfg.u_trunc),
-        integral_side)]
     if not crossed:
         want = ULaurent.from_hbar(_reciprocal_volume(cfg.dim, cfg.h_trunc),
                                   cfg.u_trunc)

@@ -119,38 +119,6 @@ class TorusElement(Sparse):
                               * FieldElement.i_unit())
         return TorusElement(self.dim, out)
 
-    def star_inverse(self) -> "TorusElement":
-        """Inverse for elements whose lowest hbar order sits on a single
-        plane wave with an invertible monomial coefficient; the rest is
-        summed as a geometric series inside one fixed window.
-        """
-        if self.is_zero():
-            raise ValueError("cannot invert zero")
-        low = min(c.low for c in self.coeffs.values())
-        leads = [m for m, c in self.coeffs.items() if c.low == low]
-        if len(leads) != 1:
-            raise ValueError("leading part is not a single plane wave")
-        m = leads[0]
-        c = self.coeffs[m]
-        c0 = c.coeffs[low]
-        window = c.trunc - low
-        neg = tuple(-a for a in m)
-        guess = TorusElement.plane_wave(
-            self.dim, neg, window,
-            HbarLaurent.from_field(c0.inv_monomial(), window, -low))
-        rem = guess.star(self) - TorusElement.one(self.dim, window)
-        rem = rem.truncate(window)
-        # every mode of rem has positive hbar valuation, so the series stops
-        acc = TorusElement.one(self.dim, window)
-        term = acc
-        rounds = 0
-        while not term.is_zero():
-            term = term.star(-rem).truncate(window)
-            acc = acc + term
-            rounds += 1
-            assert rounds <= window + 2
-        return acc.star(guess).truncate(window)
-
     def trace(self) -> HbarLaurent:
         """Normalized trace: (1/(i hbar))^d times the zero-mode coefficient.
 

@@ -258,11 +258,15 @@ class WeylElement(Filtered):
                             terms = ((k, i_exp, 0, m),)
                         else:
                             terms = [(k, e, 0, m * rc) for e, rc in i_row]
-                        acc.add((a, b), lev, cc, terms, order, 1, den)
-        sums = acc.freeze()
-        return WeylElement(self.dim, order,
-                           {(a, b, k): fe for (a, b), by_power in sums.items()
-                            for k, fe in by_power.items()})
+                        acc.add_terms((a, b), lev, cc, terms, order,
+                                      den=den)
+        # freeze drops the zero sums, and every term's degree is that of
+        # its pair, within order: nothing is left for __init__ to drop
+        out = object.__new__(WeylElement)
+        out.dim, out.order = self.dim, order
+        out.coeffs = {(a, b, k): fe for (a, b), h in acc.freeze().items()
+                      for k, fe in h.coeffs.items()}
+        return out
 
     def poly_mul(self, other: "WeylElement") -> "WeylElement":
         """Commutative product of the underlying symbols (no hbar corrections)."""

@@ -241,6 +241,26 @@ def test_index_check_flags_non_idempotent():
     assert "entry" in rec.actual
 
 
+def test_index_check_times_the_whole_pairing(monkeypatch):
+    # the character is built inside the first check, so a slow build
+    # shows in that check's runtime
+    import time
+
+    from starchain import scenarios
+    build = scenarios.chern_character
+
+    def slow(matrix, u_trunc):
+        time.sleep(0.2)
+        return build(matrix, u_trunc)
+
+    monkeypatch.setattr(scenarios, "chern_character", slow)
+    report = index_check(small_config(h_trunc=2, u_trunc=1,
+                                      idempotent="conjugated"))
+    assert report.all_passed()
+    assert report.checks[0].name == "trace-side-equals-integral-side"
+    assert report.checks[0].runtime >= 0.2
+
+
 def test_fixture_tables(tmp_path):
     cfg = small_config()
     files = emit_fixtures(cfg, tmp_path / "gold")

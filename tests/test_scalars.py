@@ -15,6 +15,8 @@ from starchain.scalars import (
     cyclotomic_polynomial,
     hbar_exp,
     to_text,
+    _Accumulator,
+    _Flat,
     _series_products,
     _zeta_rows,
 )
@@ -544,18 +546,6 @@ def test_hbar_exp_values_and_homomorphism():
         hbar_exp(HbarLaurent.one(4))
 
 
-def test_invert_random_units():
-    rng = random.Random(777)
-    for _ in range(20):
-        lowk = rng.randint(-2, 1)
-        lead = FieldElement.zeta(4, rng.randrange(4)) * Fraction(rng.randint(1, 5))
-        x = HbarLaurent.from_field(lead, 6, power=lowk) + rand_hbar(rng, 6, lowest=lowk + 1)
-        xi = x.invert()
-        prod = x * xi
-        assert prod == HbarLaurent.one(prod.trunc)
-        assert prod.trunc >= 4 + lowk  # window loss is bounded
-
-
 def test_coefficient_window_guard():
     x = HbarLaurent.from_rational(1, 3)
     assert x.coefficient(3).is_zero()
@@ -716,6 +706,83 @@ def test_u_product_laws_on_common_window(xyz):
     window = min(left.trunc, right.trunc)
     assert window >= x.low + min(y.low, z.low)
     assert left.truncate(window) == right.truncate(window)
+
+
+# ---------------------------------------------------------------------------
+# the accumulator's one entry point: _Accumulator.add on _Flat operands
+
+
+def hbar(trunc, terms, level=4):
+    """HbarLaurent through trunc with (power, numerator, denominator)
+    rational terms at level."""
+    return HbarLaurent(trunc, {k: FieldElement(level, {(0, 0): Fraction(n, d)})
+                               for k, n, d in terms})
+
+
+def assert_same_series(got, want):
+    assert got.trunc == want.trunc
+    assert got.coeffs.keys() == want.coeffs.keys()
+    for k, c in want.coeffs.items():
+        assert got.coeffs[k].level == c.level and got.coeffs[k] == c
+
+
+def test_add_keeps_the_least_window_of_a_key():
+    x, y = hbar(5, [(0, 1, 2), (3, 1, 1)]), hbar(4, [(1, 2, 3)])
+    z = hbar(2, [(0, 1, 1), (2, -1, 5)])
+    acc = _Accumulator()
+    acc.add("k", _Flat(x), _Flat(y))            # window min(5 + 1, 4 + 0)
+    acc.add("k", _Flat(x), _Flat(z))            # window min(5 + 0, 2 + 0)
+    acc.add("k", _Flat(y), _Flat(FieldElement.rational(3)))  # y's window, 4
+    acc.add("other", _Flat(y))
+    got = acc.freeze()
+    want = x * y + x * z + y * 3
+    assert want.trunc == 2
+    assert_same_series(got["k"], want)
+    assert_same_series(got["other"], y)
+
+
+def test_add_rescales_mixed_denominators():
+    x, y = hbar(3, [(0, 1, 6), (1, 5, 4)]), hbar(3, [(0, 2, 9), (2, 1, 10)])
+    sx = hbar(3, [(0, 1, 7), (1, 3, 2)])
+    s = _Flat(sx)
+    mixed = _Accumulator()
+    mixed.add("k", _Flat(x), s, 1, 3)
+    mixed.add("k", _Flat(y), s, -5, 2)
+    mixed.add("k", _Flat(x), None, 7, 11)
+    common = _Accumulator()
+    common.add("k", _Flat(x), s, 22, 66)
+    common.add("k", _Flat(y), s, -165, 66)
+    common.add("k", _Flat(x), None, 42, 66)
+    got = mixed.freeze()["k"]
+    assert_same_series(got, common.freeze()["k"])
+    want = x * sx / 3 - y * sx * Fraction(5, 2) + x * Fraction(7, 11)
+    assert got == want and got.trunc == want.trunc
+
+
+def test_add_with_an_empty_phase_sets_a_window_and_adds_nothing():
+    x = hbar(-1, [(-3, 1, 1), (-2, 2, 1)])
+    empty = _Flat(HbarLaurent(-1, {}))
+    acc = _Accumulator()
+    acc.add("k", _Flat(x), empty)
+    acc.add("both", _Flat(hbar(5, [(0, 1, 1)])))
+    acc.add("both", _Flat(x), empty)
+    got = acc.freeze()
+    # the window of x * 0 is -1 + low(x) = -4
+    assert got["k"].trunc == -4 and got["k"].is_zero()
+    assert got["both"].trunc == -4 and got["both"].is_zero()
+
+
+def test_add_keeps_the_lcm_level_where_a_coefficient_cancels():
+    zeta = HbarLaurent(2, {0: FieldElement.zeta(12), 1: FieldElement.zeta(12)})
+    acc = _Accumulator()
+    acc.add("k", _Flat(zeta))
+    acc.add("k", _Flat(zeta), None, -1)
+    acc.add("k", _Flat(hbar(2, [(0, 1, 1)])))
+    got = acc.freeze()["k"]
+    # hbar^0: the level-12 terms cancel beside a level-4 one, so 1 sits
+    # at level 12; hbar^1 cancels altogether and is dropped
+    assert list(got.coeffs) == [0]
+    assert got.coeffs[0] == 1 and got.coeffs[0].level == 12
 
 
 # ---------------------------------------------------------------------------

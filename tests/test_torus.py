@@ -341,35 +341,6 @@ def test_trace_matches_symplectic_volume_integral():
         assert lhs == rhs
 
 
-def test_star_inverse_roundtrip():
-    rng = random.Random(2718)
-    for _ in range(10):
-        m = tuple(rng.randint(-2, 2) for _ in range(2))
-        lead = TorusElement.plane_wave(
-            1, m, 6, HbarLaurent.from_field(
-                FieldElement.zeta(4, rng.randrange(4)) * rng.randint(1, 3),
-                6, rng.randint(0, 1)))
-        u = lead
-        for _ in range(rng.randint(0, 2)):
-            n = tuple(rng.randint(-2, 2) for _ in range(2))
-            u = u + TorusElement.plane_wave(
-                1, n, 6, HbarLaurent.from_rational(rng.randint(-2, 2), 6,
-                                                   rng.randint(2, 3)))
-        ui = u.star_inverse()
-        w = ui.global_window()
-        one = TorusElement.one(1, w)
-        assert u.star(ui) == one
-        assert ui.star(u) == one
-
-
-def test_star_inverse_rejects_non_monomial_lead():
-    u = TorusElement.plane_wave(1, (1, 0), 4) + TorusElement.plane_wave(1, (0, 1), 4)
-    with pytest.raises(ValueError):
-        u.star_inverse()
-    with pytest.raises(ValueError):
-        TorusElement.zero(1).star_inverse()
-
-
 # ---------------------------------------------------------------------------
 # group action
 
