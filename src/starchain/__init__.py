@@ -31,11 +31,9 @@ from .cyclic import (
     homogeneous_projection,
     homogeneous_to_coinvariants,
     coinvariants_to_homogeneous,
-    project_algebra_factor,
     equivariant_embed,
     q_map,
     alexander_whitney,
-    augmentation_cap,
     d_map,
     chern_coefficients,
     chern_word_chain,
@@ -43,10 +41,8 @@ from .cyclic import (
 )
 from .forms import (
     FormalForm,
-    LValued,
     hkr,
     j_shift,
-    poincare_contract,
     mu_normalization_chain,
 )
 from .group_coh import (
@@ -68,13 +64,8 @@ from .lie_gf import (
     theta_hat_cochain,
     InvariantConnection,
     gf_form,
-    curvature,
-    sp_matrix,
-    trace_functional,
-    chern_weil,
     a_hat_series,
     gelfand_fuks_equivariant,
-    tau_t_pair,
     i_xi,
 )
 from .scenarios import (
@@ -110,20 +101,16 @@ __all__ = [
     "homogeneous_projection",
     "homogeneous_to_coinvariants",
     "coinvariants_to_homogeneous",
-    "project_algebra_factor",
     "equivariant_embed",
     "q_map",
     "alexander_whitney",
-    "augmentation_cap",
     "d_map",
     "chern_coefficients",
     "chern_word_chain",
     "chern_character",
     "FormalForm",
-    "LValued",
     "hkr",
     "j_shift",
-    "poincare_contract",
     "mu_normalization_chain",
     "GroupCochain",
     "EquivariantClassCocycle",
@@ -141,13 +128,8 @@ __all__ = [
     "theta_hat_cochain",
     "InvariantConnection",
     "gf_form",
-    "curvature",
-    "sp_matrix",
-    "trace_functional",
-    "chern_weil",
     "a_hat_series",
     "gelfand_fuks_equivariant",
-    "tau_t_pair",
     "i_xi",
     "CheckRecord",
     "ConfigError",

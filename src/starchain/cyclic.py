@@ -467,9 +467,6 @@ class CyclicChain(Chain):
     def _scalar(self, s):
         return self.ctx.scalar(s)
 
-    def degrees(self):
-        return sorted({_key_degree(self.ctx, k) for k in self.coeffs})
-
     def _slotwise(self, op, *args):
         """The map sending each word to op(ctx, word, *args), a list of
         (word, scalar or None) pairs, coinvariant targets canonicalised."""
@@ -526,8 +523,9 @@ class CyclicChain(Chain):
 
     def __repr__(self):
         n = len(self.coeffs)
+        degrees = sorted({_key_degree(self.ctx, k) for k in self.coeffs})
         return (f"CyclicChain({self.ctx.kind}, {n} word"
-                f"{'s' if n != 1 else ''}, degrees {self.degrees()})")
+                f"{'s' if n != 1 else ''}, degrees {degrees})")
 
 
 # -- crossed product <-> diagonal coinvariants -----------------------------
@@ -593,15 +591,6 @@ def coinvariants_to_homogeneous(c: CyclicChain) -> CyclicChain:
         return [(tuple(slots), 1, _Flat(s), 0)]
 
     return c._map(terms, partial(CyclicChain, ctx.as_crossed()))
-
-
-def project_algebra_factor(c: CyclicChain) -> CyclicChain:
-    """Forget the group word of a diagonal chain, keeping the algebra
-    word and the coefficient unchanged."""
-    if c.ctx.kind != "diag":
-        raise ValueError("expected a diagonal chain")
-    return c._map(lambda k, v: [(k[0], 1, None, 0)],
-                  partial(CyclicChain, c.ctx.as_torus()))
 
 
 # -- equivariant chains ----------------------------------------------------
@@ -871,15 +860,6 @@ def alexander_whitney(c: CyclicChain) -> EquivariantChain:
         return out
 
     return c._map(terms, partial(EquivariantChain, tctx, c.ctx.action, True))
-
-
-def augmentation_cap(t: EquivariantChain) -> CyclicChain:
-    """Evaluate the single-slot part of each group word at 1 and keep the
-    algebra word; on front/back splittings this recovers the plain
-    projection onto the algebra half."""
-    return t._map(lambda k, v: [(k[0], 1, None, 0)] if len(k[1]) == 1
-                  else [],
-                  partial(CyclicChain, t.inner_ctx))
 
 
 def d_map(c: CyclicChain, mode: str = "mixed") -> EquivariantChain:

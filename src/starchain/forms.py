@@ -9,10 +9,8 @@ legs are always stored sorted, with the reordering sign absorbed into
 the coefficient.
 
 The operations here are the chain-to-form rule (1/n!) w0 dw1 ^...^ dwn,
-the exterior derivative, the degree-dependent u-power reindexing that
-turns the u-scaled derivative into the plain one, and the Euler-ray
-contraction that splits a closed form into its constant part plus an
-explicit exact remainder.
+the exterior derivative, and the degree-dependent u-power reindexing that
+turns the u-scaled derivative into the plain one.
 """
 
 import math
@@ -66,34 +64,9 @@ class FormalForm(Sparse):
         return cls(dim, {}, order)
 
     @classmethod
-    def scalar(cls, dim: int, coeff: ULaurent, order: int = 16) -> "FormalForm":
-        z = (0,) * dim
-        return cls(dim, {((z, z), ()): coeff}, order)
-
-    @classmethod
     def monomial(cls, dim: int, a, b, legs, coeff: ULaurent,
                  order: int = 16) -> "FormalForm":
         return cls(dim, {((tuple(a), tuple(b)), tuple(legs)): coeff}, order)
-
-    # -- queries -----------------------------------------------------------
-
-    def form_degrees(self):
-        return sorted({len(legs) for _, legs in self.coeffs})
-
-    def degree_part(self, r: int) -> "FormalForm":
-        return self._spawn({k: v for k, v in self.coeffs.items()
-                            if len(k[1]) == r})
-
-    def scalar_part(self) -> ULaurent:
-        """Coefficient of the constant 0-form term."""
-        z = (0,) * self.dim
-        c = self.coeffs.get(((z, z), ()))
-        return c if c is not None else ULaurent.zero(self.global_window() or 0)
-
-    def __mul__(self, other):
-        if isinstance(other, FormalForm):
-            return self.wedge(other)
-        return Sparse.__mul__(self, other)
 
     # -- products and derivatives ------------------------------------------
 
@@ -158,38 +131,6 @@ class FormalForm(Sparse):
         return f"FormalForm<{' + '.join(bits) or '0'}{tag}>"
 
 
-class LValued:
-    """Finite table of linear rules on chains, one rule per degree.
-
-    Applying the table splits a chain by word degree, feeds each piece
-    to the matching rule, and sums the resulting forms; degrees missing
-    from the table contribute nothing.
-    """
-
-    __slots__ = ("dim", "table")
-
-    def __init__(self, dim: int, table):
-        self.dim = dim
-        self.table = dict(table)
-
-    @classmethod
-    def from_rule(cls, dim, degrees, rule) -> "LValued":
-        return cls(dim, {n: rule for n in degrees})
-
-    def degrees(self):
-        return sorted(self.table)
-
-    def apply(self, chain: CyclicChain) -> "FormalForm":
-        out = FormalForm.zero(self.dim)
-        for n, rule in sorted(self.table.items()):
-            part = CyclicChain(chain.ctx,
-                               {k: v for k, v in chain.coeffs.items()
-                                if len(k) - 1 == n})
-            if not part.is_zero():
-                out = out + rule(part)
-        return out
-
-
 def hkr(chain: CyclicChain, order: int = 16) -> FormalForm:
     """Words to forms: (1/n!) w0 dw1 ^ ... ^ dwn, extended u-linearly.
 
@@ -228,37 +169,6 @@ def j_shift(phi: FormalForm) -> FormalForm:
     for key, c in phi.coeffs.items():
         out[key] = c.shift(-phi.dim - len(key[1]))
     return FormalForm(phi.dim, out, phi.order, shifted=True)
-
-
-def poincare_contract(phi: FormalForm):
-    """Split a closed form as (constant part, certificate) with
-    phi = constant + d(certificate).
-
-    The certificate comes from contracting along the Euler rays: each
-    term of weight w = polynomial degree + form degree with w > 0 is
-    divided by w and contracted with the radial field.  A form that is
-    not closed is rejected, quoting its nonzero derivative.
-    """
-    exact = phi.d_hat()
-    if not exact.is_zero():
-        raise ValueError(f"form is not closed; derivative is {exact!r}")
-    d = phi.dim
-    cert: dict = {}
-    for ((a, b), legs), c in phi.coeffs.items():
-        w = sum(a) + sum(b) + len(legs)
-        if w == 0:
-            continue
-        for pos, j in enumerate(legs):
-            if j < d:
-                mono = (tuple(v + 1 if t == j else v
-                              for t, v in enumerate(a)), b)
-            else:
-                mono = (a, tuple(v + 1 if t == j - d else v
-                                 for t, v in enumerate(b)))
-            rest = legs[:pos] + legs[pos + 1:]
-            _acc(cert, (mono, rest), c * Fraction((-1) ** pos, w))
-    certificate = FormalForm(d, cert, phi.order + 1, phi.shifted)
-    return phi.scalar_part(), certificate
 
 
 def _perm_sign(perm) -> int:

@@ -5,10 +5,10 @@ scalars (GroupCochain) or in torus forms (EquivariantClassCocycle, the
 class data).  Over the infinite cyclic group both are stored as integer
 polynomials, so coboundary identities can be certified exactly on a
 finite grid (a polynomial of bounded degree vanishing on enough lattice
-points vanishes identically); over a finite cyclic group scalar
-cochains are stored as exhaustive tables and grids run over the whole
-group.  Opaque callables are also accepted, with grid checks that are
-then honest samples rather than proofs.
+points vanishes identically); over a finite cyclic group the grid is
+the whole group, so a cochain given by a callable is certified exactly
+there.  Over the infinite group a callable's grid checks are honest
+samples rather than proofs.
 
 The two kinds share one polynomial evaluator (`_poly_eval`), one
 inhomogeneous coboundary (`_coboundary`, with the first argument acting
@@ -113,19 +113,6 @@ class GroupCochain:
         return cls(group, degree, "polynomial", data, normalized=norm)
 
     @classmethod
-    def table(cls, group: CyclicGroup, degree: int, mapping) -> "GroupCochain":
-        if group.order is None:
-            raise ValueError("table cochains need a finite group")
-        data = {}
-        for args, c in mapping.items():
-            args = tuple(group.normalize(g) for g in args)
-            assert len(args) == degree
-            data[args] = _as_field(c, 4)
-        norm = all(v.is_zero() for a, v in data.items()
-                   if any(group.is_identity(g) for g in a))
-        return cls(group, degree, "table", data, normalized=norm)
-
-    @classmethod
     def from_function(cls, group: CyclicGroup, degree: int, fn,
                       normalized=False) -> "GroupCochain":
         return cls(group, degree, "callable", fn, normalized=normalized)
@@ -137,12 +124,7 @@ class GroupCochain:
         assert len(args) == self.degree
         if self.kind == "polynomial":
             return _poly_eval(self.data.items(), args, FieldElement.zero())
-        if self.kind == "table":
-            return self.data.get(args, FieldElement.zero())
         return self.data(args)
-
-    def __call__(self, *args):
-        return self.evaluate(args)
 
     # -- differential ------------------------------------------------------
 
@@ -156,7 +138,8 @@ class GroupCochain:
     def cocycle_witness(self, span: int | None = None):
         """None when the coboundary vanishes on the certifying grid,
         otherwise one offending (arguments, value) pair.  Exact for the
-        polynomial and table kinds, sampled for opaque callables."""
+        polynomial kind and over a finite group, sampled for callables on
+        the infinite group."""
         if span is None:
             span = 3 if self.kind != "polynomial" else \
                 max((sum(e) for e in self.data), default=0) + 1
@@ -166,9 +149,6 @@ class GroupCochain:
             if not v.is_zero():
                 return args, v
         return None
-
-    def is_cocycle(self, span: int | None = None) -> bool:
-        return self.cocycle_witness(span) is None
 
     def __repr__(self):
         return (f"GroupCochain(degree={self.degree}, kind={self.kind!r}, "
@@ -417,10 +397,6 @@ class TraceFunctional:
             raise ValueError(
                 f"cochain is not closed: coboundary at {wit[0]} is {wit[1]}")
         self.xi = xi
-
-    @property
-    def degree(self) -> int:
-        return self.xi.degree
 
     def pair(self, chain: CyclicChain) -> ULaurent:
         assert chain.ctx.kind == "crossed"

@@ -5,10 +5,9 @@ A cochain here is an alternating functional on tuples of inner
 derivations.  The module provides the Chevalley-Eilenberg differential
 with trivial coefficients, the flat invariant connection whose
 horizontal lifts turn such cochains into constant-coefficient forms on
-the torus, the curvature construction producing invariant polynomials
-from quadratic parts, the genus series in the Pontryagin basis, the
-equivariant class data recomputed from jet-level twist waves, and the
-trace-side pairings that evaluate chains against these functionals.
+the torus, the genus series in the Pontryagin basis, the equivariant
+class data recomputed from jet-level twist waves, and the twisted-trace
+pairing through the decomposition into group-decorated words.
 """
 
 import math
@@ -18,7 +17,7 @@ from itertools import combinations, permutations
 from .cyclic import CyclicChain, d_map
 from .forms import _perm_sign
 from .group_coh import (EquivariantClassCocycle, GroupCochain, _series_sum,
-                        phi_pair, word_to_form)
+                        phi_pair)
 from .scalars import FieldElement, HbarLaurent, ULaurent
 from .sparse import _acc
 from .torus import TorusElement, TorusForm, TranslationAction, WeylSection
@@ -57,9 +56,6 @@ class LieCochain:
         xs = tuple(xs)
         assert len(xs) == self.arity
         return self.fn(xs)
-
-    def __call__(self, *xs):
-        return self.evaluate(xs)
 
     def __repr__(self):
         return f"LieCochain(arity={self.arity})"
@@ -112,14 +108,6 @@ class InvariantConnection:
     def component(self, j: int) -> Derivation:
         return self.coeffs[j]
 
-    def is_flat(self) -> bool:
-        n = 2 * self.dim
-        for a in range(n):
-            for b in range(a + 1, n):
-                if not self.coeffs[a].bracket(self.coeffs[b]).rep.is_zero():
-                    return False
-        return True
-
     def __repr__(self):
         return f"InvariantConnection(dim={self.dim})"
 
@@ -145,85 +133,6 @@ def gf_form(lam: LieCochain, conn: InvariantConnection,
             continue
         parts[legs] = one * series
     return TorusForm(dim, parts)
-
-
-def curvature(x: Derivation, y: Derivation) -> Derivation:
-    """Quadratic-truncation curvature: bracket of the quadratic parts
-    minus the quadratic part of the bracket."""
-    px = Derivation(x.rep.quadratic_part())
-    py = Derivation(y.rep.quadratic_part())
-    direct = px.bracket(py).rep
-    through = x.bracket(y).rep.quadratic_part()
-    return Derivation(direct - through)
-
-
-def sp_matrix(d: Derivation, dim: int, order: int = 16):
-    """Matrix of a quadratic derivation on the span of the generators,
-    basis ordered x_0..x_{d-1}, xi_0..xi_{d-1}; entries are exact field
-    scalars."""
-    basis = [WeylElement.x_hat(dim, j, order) for j in range(dim)] + \
-        [WeylElement.xi_hat(dim, j, order) for j in range(dim)]
-    n = 2 * dim
-    cols = []
-    for b in basis:
-        img = d.apply(b)
-        col = []
-        for i in range(dim):
-            e = tuple(1 if t == i else 0 for t in range(dim))
-            z = (0,) * dim
-            col.append(img.coefficient(e, z, 0))
-        for i in range(dim):
-            e = tuple(1 if t == i else 0 for t in range(dim))
-            z = (0,) * dim
-            col.append(img.coefficient(z, e, 0))
-        cols.append(col)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def trace_functional(n: int, dim: int, order: int = 16):
-    """Symmetrized trace of n-fold matrix products in the generator
-    representation; an invariant polynomial on the quadratic algebra."""
-
-    def mat_mul(a, b):
-        size = len(a)
-        return [[sum((a[i][k] * b[k][j] for k in range(size)),
-                     FieldElement.zero())
-                 for j in range(size)] for i in range(size)]
-
-    def p(args):
-        assert len(args) == n
-        mats = [sp_matrix(a, dim, order) for a in args]
-        total = FieldElement.zero()
-        for perm in permutations(range(n)):
-            acc = mats[perm[0]]
-            for t in range(1, n):
-                acc = mat_mul(acc, mats[perm[t]])
-            tr = FieldElement.zero()
-            for i in range(len(acc)):
-                tr = tr + acc[i][i]
-            total = total + tr
-        return total * Fraction(1, math.factorial(n))
-
-    return p
-
-
-def chern_weil(p, n: int) -> LieCochain:
-    """Curvature 2n-cochain of an invariant n-linear polynomial: full
-    antisymmetrization of p applied to pairwise curvatures, averaged by
-    1/(2n)!."""
-
-    def fn(xs):
-        total = FieldElement.zero()
-        for perm in permutations(range(2 * n)):
-            args = [curvature(xs[perm[2 * t]], xs[perm[2 * t + 1]])
-                    for t in range(n)]
-            v = p(args)
-            if _perm_sign(perm) < 0:
-                v = v * (-1)
-            total = total + v
-        return total * Fraction(1, math.factorial(2 * n))
-
-    return LieCochain(2 * n, fn)
 
 
 # -- the genus series ------------------------------------------------------
@@ -345,25 +254,6 @@ def gelfand_fuks_equivariant(action: TranslationAction, h_trunc: int = 8,
 # -- trace-side pairings ---------------------------------------------------
 
 TRACE = "trace"
-
-
-def tau_t_pair(chain: CyclicChain) -> ULaurent:
-    """Evaluate the symbol-and-integrate functional on a torus chain:
-    each word contributes its normalized derivative form integrated over
-    the surface, weighted by u^(-dim); only words of 2 dim + 1 letters
-    whose modes sum to zero survive the integral, so no other word's
-    form is built."""
-    assert chain.ctx.kind == "torus"
-    dim = chain.ctx.dim
-    terms = []
-    for key, v in chain.coeffs.items():
-        if len(key) != 2 * dim + 1 or any(map(sum, zip(*key))):
-            continue
-        total = word_to_form(dim, key, chain.ctx.h_trunc).integrate()
-        if total.is_zero():
-            continue
-        terms.append((v * total).shift(-dim))
-    return _series_sum(terms, chain.ctx.u_trunc)
 
 
 def i_xi(lam, xi: GroupCochain, chain: CyclicChain,

@@ -319,12 +319,6 @@ class FieldElement:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = _as_field(other, self.level)
-        if o is NotImplemented:
-            return NotImplemented
-        return o + (-self)
-
     def _scaled(self, n: int, d: int) -> "FieldElement":
         """self * n/d for integers n and d > 0, at self's level."""
         return _normal(self.level, {k: v * n for k, v in self.num.items()},
@@ -953,27 +947,12 @@ class ULaurent(_Laurent):
     def one(cls, u_trunc: int, h_trunc: int, level: int = 4) -> "ULaurent":
         return cls.from_hbar(HbarLaurent.one(h_trunc, level), u_trunc)
 
-    def _h_trunc(self) -> int:
-        """The hbar window of the first coefficient, 0 when there is none."""
-        for v in self.coeffs.values():
-            return v.trunc
-        return 0
-
-    def coefficient(self, k: int) -> HbarLaurent:
-        if k > self.trunc:
-            raise ValueError(f"u^{k} is beyond the reliable window {self.trunc}")
-        return self.coeffs.get(k, HbarLaurent.zero(self._h_trunc()))
-
     def _coerce(self, other):
         if isinstance(other, ULaurent):
             return other
         if isinstance(other, HbarLaurent):
             return ULaurent.from_hbar(other, self.trunc)
-        fe = _as_field(other, 4)
-        if fe is NotImplemented:
-            return None
-        return ULaurent.from_hbar(HbarLaurent.from_field(fe, self._h_trunc()),
-                                  self.trunc)
+        return None
 
     __add__ = __radd__ = Sparse.__add__
 
@@ -993,14 +972,6 @@ class ULaurent(_Laurent):
             lambda i, j: i + j if i + j <= trunc else None))
 
     __rmul__ = __mul__
-
-    shift_hbar = Sparse.shift
-
-    def window(self, lo: int, hi: int) -> "ULaurent":
-        """Restrict to u-powers in [lo, hi] (used by the cyclic/negative
-        complex selectors)."""
-        return ULaurent(min(hi, self.trunc),
-                        {k: v for k, v in self.coeffs.items() if lo <= k <= hi})
 
     def __repr__(self):
         return f"ULaurent({to_text(self)!r}, u_trunc={self.trunc})"

@@ -83,12 +83,6 @@ class Sparse:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         s = self._scalar(other)
         if s is None:

@@ -256,11 +256,6 @@ class CrossedElement(Sparse):
         return CrossedElement(self.action, coeffs)
 
     @classmethod
-    def pure(cls, action: TranslationAction, g: int,
-             a: TorusElement) -> "CrossedElement":
-        return cls(action, {g: a})
-
-    @classmethod
     def one(cls, action: TranslationAction, trunc: int) -> "CrossedElement":
         return cls(action, {0: TorusElement.one(action.dim, trunc)})
 
@@ -360,9 +355,6 @@ class TorusForm(Sparse):
     def basis_form(cls, dim: int, directions, coeff: TorusElement) -> "TorusForm":
         return cls(dim, {tuple(directions): coeff})
 
-    def component(self, directions) -> TorusElement:
-        return self.coeffs.get(tuple(directions), TorusElement.zero(self.dim))
-
     def degree_part(self, r: int) -> "TorusForm":
         return TorusForm(self.dim,
                          {k: v for k, v in self.coeffs.items() if len(k) == r})
@@ -458,10 +450,6 @@ class WeylSection(Filtered):
 
     def global_window(self) -> int:
         return self.order
-
-    @classmethod
-    def zero(cls, dim: int, order: int) -> "WeylSection":
-        return cls(dim, order, {})
 
     @classmethod
     def from_base(cls, f: TorusElement, order: int) -> "WeylSection":

@@ -181,12 +181,6 @@ class WeylElement(Filtered):
                            {key: v for key, v in self.coeffs.items()
                             if not (key[0] == z and key[1] == z)})
 
-    def quadratic_part(self) -> "WeylElement":
-        """Terms of polynomial degree exactly 2 with no hbar."""
-        return WeylElement(self.dim, self.order,
-                           {key: v for key, v in self.coeffs.items()
-                            if key[2] == 0 and sum(key[0]) + sum(key[1]) == 2})
-
     # -- linear structure --------------------------------------------------
 
     def _scalar(self, s):
@@ -202,12 +196,6 @@ class WeylElement(Filtered):
                 raise ValueError("element is not divisible by hbar^%d" % m)
             out[(a, b, k - m)] = v
         return self._at(self.order - 2 * m, out)
-
-    def shift_hbar(self, m: int) -> "WeylElement":
-        if m < 0:
-            return self.divide_hbar(-m)
-        out = {(a, b, k + m): v for (a, b, k), v in self.coeffs.items()}
-        return self._at(self.order + 2 * m, out)
 
     # -- products ----------------------------------------------------------
 
@@ -282,22 +270,6 @@ class WeylElement(Filtered):
                     continue
                 _acc(out, key, c1 * c2)
         return WeylElement(self.dim, order, out)
-
-    def partial_x(self, i: int) -> "WeylElement":
-        out = {}
-        for (a, b, k), v in self.coeffs.items():
-            if a[i]:
-                a2 = tuple(e - 1 if j == i else e for j, e in enumerate(a))
-                out[(a2, b, k)] = v * a[i]
-        return WeylElement(self.dim, self.order - 1, out)
-
-    def partial_xi(self, i: int) -> "WeylElement":
-        out = {}
-        for (a, b, k), v in self.coeffs.items():
-            if b[i]:
-                b2 = tuple(e - 1 if j == i else e for j, e in enumerate(b))
-                out[(a, b2, k)] = v * b[i]
-        return WeylElement(self.dim, self.order - 1, out)
 
     def __repr__(self):
         parts = []

@@ -9,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+import starchain
 from starchain.cli import main
 from starchain.scalars import FieldElement, HbarLaurent, ULaurent, _zeta_rows
 from starchain.scenarios import (FIELD_RANGES, CheckRecord, ConfigError,
@@ -16,6 +17,12 @@ from starchain.scenarios import (FIELD_RANGES, CheckRecord, ConfigError,
                                  emit_fixtures, emit_report, index_check,
                                  run_suite)
 from starchain.torus import TorusElement
+
+
+def test_every_export_resolves():
+    assert len(starchain.__all__) == len(set(starchain.__all__))
+    for name in starchain.__all__:
+        assert hasattr(starchain, name), name
 
 
 def small_config(**overrides):

@@ -1,17 +1,8 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from starchain.cyclic import ChainContext, CyclicChain
-from starchain.forms import (
-    FormalForm,
-    LValued,
-    hkr,
-    j_shift,
-    mu_normalization_chain,
-    poincare_contract,
-)
+from starchain.forms import FormalForm, hkr, j_shift, mu_normalization_chain
 from starchain.scalars import FieldElement, HbarLaurent, ULaurent
 from starchain.scenarios import ScenarioConfig, run_suite
 
@@ -26,6 +17,16 @@ def one():
 
 def rat(q):
     return ULaurent.from_hbar(HbarLaurent.from_rational(Fraction(q), H), U)
+
+
+def scalar_form(dim, c):
+    z = (0,) * dim
+    return FormalForm.monomial(dim, z, z, (), c)
+
+
+def degree_part(phi, r):
+    return FormalForm(phi.dim, {k: v for k, v in phi.coeffs.items()
+                                if len(k[1]) == r}, phi.order)
 
 
 def x_form(e=1):
@@ -120,9 +121,9 @@ def test_wedge_graded_commutative_and_associative():
         b = rand_form(rng, terms=2)
         c = rand_form(rng, terms=2)
         assert a.wedge(b.wedge(c)) == a.wedge(b).wedge(c)
-        for p in a.form_degrees():
-            for q in b.form_degrees():
-                ap, bq = a.degree_part(p), b.degree_part(q)
+        for p in {len(legs) for _, legs in a.coeffs}:
+            for q in {len(legs) for _, legs in b.coeffs}:
+                ap, bq = degree_part(a, p), degree_part(b, q)
                 flip = bq.wedge(ap)
                 if p * q % 2:
                     flip = -flip
@@ -133,7 +134,7 @@ def test_wedge_graded_commutative_and_associative():
 
 def test_hkr_degree_zero():
     c = CyclicChain.word(SYM, (((0,), (0,)),))
-    assert hkr(c) == FormalForm.scalar(1, one())
+    assert hkr(c) == scalar_form(1, one())
 
 
 def test_hkr_paper_two_chain():
@@ -172,7 +173,7 @@ def test_sym_vocabulary_closure():
 
 def test_j_shift_windows_at_d1():
     c = rand_coeff(random.Random(16))
-    zero_form = FormalForm.scalar(1, c)
+    zero_form = scalar_form(1, c)
     assert j_shift(zero_form).coeffs[(((0,), (0,)), ())] == c.shift(-1)
     two_form = FormalForm.monomial(1, (0,), (0,), (0, 1), c)
     assert j_shift(two_form).coeffs[(((0,), (0,)), (0, 1))] == c.shift(-3)
@@ -186,44 +187,6 @@ def test_j_shift_intertwines_derivatives():
         lhs = j_shift(phi.d_hat().shift(1))
         rhs = j_shift(phi).d_hat()
         assert lhs == rhs
-
-
-# -- Euler contraction -----------------------------------------------------
-
-def test_contract_constant():
-    c = rat(Fraction(5, 2))
-    scalar, cert = poincare_contract(FormalForm.scalar(1, c))
-    assert scalar == c
-    assert cert.is_zero()
-
-
-def test_contract_exact_two_generator_form():
-    xxi = FormalForm.monomial(1, (1,), (1,), (), one())
-    scalar, cert = poincare_contract(xxi.d_hat())
-    assert scalar.is_zero()
-    assert cert == xxi
-
-
-def test_contract_closed_one_form():
-    phi = x_form(2).d_hat()
-    scalar, cert = poincare_contract(phi)
-    assert scalar.is_zero()
-    assert cert.d_hat() == phi
-
-
-def test_contract_certificate_identity_random():
-    rng = random.Random(18)
-    for _ in range(20):
-        phi = rand_form(rng).d_hat() + FormalForm.scalar(2, rand_coeff(rng))
-        scalar, cert = poincare_contract(phi)
-        rebuilt = FormalForm.scalar(2, scalar, cert.order) + cert.d_hat()
-        assert rebuilt == phi
-
-
-def test_contract_rejects_non_closed():
-    phi = FormalForm.monomial(1, (1,), (0,), (1,), one())
-    with pytest.raises(ValueError, match="not closed"):
-        poincare_contract(phi)
 
 
 # -- the normalization chain -----------------------------------------------
@@ -252,17 +215,3 @@ def test_mu_chain_boundary_is_commutator():
         HbarLaurent.from_field(FieldElement.i_unit() * (-1), H, 1), U)
     expect = CyclicChain(mu.ctx, {(unit, unit): minus_i_hbar})
     assert mu.boundary() == expect
-
-
-# -- rule tables -----------------------------------------------------------
-
-def test_lvalued_matches_direct_rule():
-    rng = random.Random(19)
-    table = LValued.from_rule(1, range(0, 4), hkr)
-    c = rand_sym_chain(rng, SYM, 1) + rand_sym_chain(rng, SYM, 2)
-    assert table.apply(c) == hkr(c)
-    short = LValued(1, {2: hkr})
-    deg2 = CyclicChain(SYM, {k: v for k, v in c.coeffs.items()
-                             if len(k) == 3})
-    assert short.apply(c) == hkr(deg2)
-    assert short.degrees() == [2]

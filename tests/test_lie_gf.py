@@ -3,19 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from starchain.cyclic import ChainContext, CyclicChain, chern_character
+from starchain.cyclic import ChainContext, CyclicChain
 from starchain.group_coh import (GroupCochain, equivariant_ahat,
                                  equivariant_theta, phi_pair, TraceFunctional)
 from starchain.groups import CyclicGroup
 from starchain.lie_gf import (TRACE, InvariantConnection, LieCochain,
-                              a_hat_series, chern_weil, curvature, gf_form,
+                              a_hat_series, gf_form,
                               gelfand_fuks_equivariant, i_xi,
-                              lie_differential, sp_matrix, tau_t_pair,
-                              theta_hat_cochain, trace_functional)
+                              lie_differential, theta_hat_cochain)
 from starchain.scalars import FieldElement, HbarLaurent, ULaurent
-from starchain.torus import TorusElement, TranslationAction, symplectic_form
-from starchain.weyl import Derivation, WeylElement, commutator, \
-    sp_quadratic_basis
+from starchain.torus import TranslationAction, symplectic_form
+from starchain.weyl import Derivation, WeylElement
 
 DIM = 1
 ORDER = 10
@@ -53,8 +51,8 @@ def test_cochains_alternate():
     rng = random.Random(5)
     lam = rand_cochain(rng, 2)
     x, y = Derivation(rand_weyl(rng)), Derivation(rand_weyl(rng))
-    assert lam(x, y) == lam(y, x) * (-1)
-    assert lam(x, x).is_zero()
+    assert lam.evaluate((x, y)) == lam.evaluate((y, x)) * (-1)
+    assert lam.evaluate((x, x)).is_zero()
 
 
 def test_differential_squares_to_zero():
@@ -69,7 +67,9 @@ def test_differential_squares_to_zero():
 
 def test_connection_flat_and_lift_values():
     conn = InvariantConnection(DIM, ORDER)
-    assert conn.is_flat()
+    for a in range(2 * DIM):
+        for b in range(a + 1, 2 * DIM):
+            assert conn.component(a).bracket(conn.component(b)).rep.is_zero()
     # x-lift sends x_hat to 1
     img = conn.component(0).apply(WeylElement.x_hat(DIM, 0, ORDER))
     assert img == WeylElement.one(DIM, ORDER) * (
@@ -79,9 +79,9 @@ def test_connection_flat_and_lift_values():
 def test_defect_cochain_value():
     conn = InvariantConnection(DIM, ORDER)
     th = theta_hat_cochain()
-    v = th(conn.component(0), conn.component(1))
+    v = th.evaluate((conn.component(0), conn.component(1)))
     assert v == HbarLaurent.from_field(FieldElement.i_unit(), 3, power=-1)
-    assert th(conn.component(0), conn.component(0)).is_zero()
+    assert th.evaluate((conn.component(0), conn.component(0))).is_zero()
 
 
 def test_gf_form_of_defect_is_scaled_symplectic():
@@ -104,67 +104,6 @@ def test_gf_intertwines_differentials():
         rhs = gf_form(lam, conn, H).d()
         assert lhs == rhs
         assert lhs.is_zero()
-
-
-def test_curvature_vanishes_on_quadratics():
-    rng = random.Random(31)
-    sp = sp_quadratic_basis(DIM, ORDER)
-    for a in sp:
-        for b in sp:
-            assert curvature(Derivation(a), Derivation(b)).rep.is_zero()
-
-
-def test_curvature_sees_higher_terms():
-    """A linear field bracketed with a cubic one lands in quadratics, so
-    the truncation misses it and the curvature records exactly that."""
-    x = Derivation(WeylElement.x_hat(DIM, 0, ORDER))
-    y = Derivation(WeylElement.monomial(DIM, (0,), (3,), 0, 1, ORDER))
-    r = curvature(x, y)
-    want = WeylElement.monomial(DIM, (0,), (2,), 0, 1, ORDER) * (
-        FieldElement.i_unit() * 3)
-    assert r.rep == want
-
-
-def test_sp_matrix_representation():
-    q = WeylElement.x_hat(DIM, 0, ORDER).star(WeylElement.xi_hat(DIM, 0, ORDER))
-    m = sp_matrix(Derivation(q), DIM, ORDER)
-    i = FieldElement.i_unit()
-    assert m[0][0] == i and m[1][1] == i * (-1)
-    assert m[0][1].is_zero() and m[1][0].is_zero()
-    # representation property: bracket goes to matrix commutator
-    sp = sp_quadratic_basis(DIM, ORDER)
-    for a in sp:
-        for b in sp:
-            da, db = Derivation(a), Derivation(b)
-            left = sp_matrix(da.bracket(db), DIM, ORDER)
-            ma = sp_matrix(da, DIM, ORDER)
-            mb = sp_matrix(db, DIM, ORDER)
-            comm = [[sum((ma[i][k] * mb[k][j] - mb[i][k] * ma[k][j]
-                          for k in range(2)), FieldElement.zero())
-                     for j in range(2)] for i in range(2)]
-            for i in range(2):
-                for j in range(2):
-                    assert left[i][j] == comm[i][j]
-
-
-def test_chern_weil_of_trace_vanishes():
-    cw = chern_weil(trace_functional(1, DIM, ORDER), 1)
-    for a in sp_quadratic_basis(DIM, ORDER):
-        for b in sp_quadratic_basis(DIM, ORDER):
-            assert cw(Derivation(a), Derivation(b)).is_zero()
-    rng = random.Random(41)
-    for _ in range(5):
-        x, y = Derivation(rand_weyl(rng)), Derivation(rand_weyl(rng))
-        assert cw(x, y).is_zero()
-
-
-def test_chern_weil_outputs_cocycles():
-    cw = chern_weil(trace_functional(2, DIM, ORDER), 2)
-    dcw = lie_differential(cw)
-    rng = random.Random(43)
-    for _ in range(2):
-        xs = tuple(Derivation(rand_weyl(rng, 2)) for _ in range(5))
-        assert dcw.evaluate(xs).is_zero()
 
 
 def test_genus_series_against_independent_expansion():
@@ -200,21 +139,6 @@ def test_jet_class_data_matches_arithmetic_route():
             for g in (1, -2, 3):
                 args = (g,) * p
                 assert jet.evaluate(p, q, args) == arith.evaluate(p, q, args)
-
-
-def test_tau_t_functional():
-    tctx = ChainContext.torus(1, h_trunc=H, u_trunc=U)
-    word = ((-1, -1), (1, 0), (0, 1))
-    val = tau_t_pair(CyclicChain.word(tctx, word))
-    want = ULaurent.from_hbar(
-        HbarLaurent.from_field(FieldElement.pi_power(2, 2), H),
-        U).shift(-1)
-    assert val == want
-    # modes off balance: zero mode of the product vanishes
-    assert tau_t_pair(CyclicChain.word(
-        tctx, ((0, 0), (1, 0), (0, 1)))).is_zero()
-    one = TorusElement.one(1, H)
-    assert tau_t_pair(chern_character([[one]], U)).is_zero()
 
 
 def test_i_xi_matches_twisted_traces():

@@ -476,8 +476,8 @@ def test_crossed_product_algebra():
     def rand_crossed():
         out = CrossedElement(act, {})
         for _ in range(2):
-            out = out + CrossedElement.pure(act, rng.randint(-1, 1),
-                                            rand_torus(rng))
+            out = out + CrossedElement(act, {rng.randint(-1, 1):
+                                             rand_torus(rng)})
         return out
 
     for _ in range(8):
@@ -488,10 +488,10 @@ def test_crossed_product_algebra():
         assert A.star(B).trace() == B.star(A).trace()
     # covariance relation
     b = rand_torus(rng)
-    ug = CrossedElement.pure(act, 1, TorusElement.one(1, 5))
-    ugi = CrossedElement.pure(act, -1, TorusElement.one(1, 5))
-    lhs = ug.star(CrossedElement.pure(act, 0, b)).star(ugi)
-    assert lhs == CrossedElement.pure(act, 0, act.apply(1, b))
+    ug = CrossedElement(act, {1: TorusElement.one(1, 5)})
+    ugi = CrossedElement(act, {-1: TorusElement.one(1, 5)})
+    lhs = ug.star(CrossedElement(act, {0: b})).star(ugi)
+    assert lhs == CrossedElement(act, {0: act.apply(1, b)})
 
 
 # ---------------------------------------------------------------------------
