@@ -44,7 +44,9 @@ Equivariant chains pair an inner chain with a word of group elements.
 The homogeneous form keeps p+1 group slots modulo the diagonal action
 (stored in the free normal form: inner part canonical, group word free);
 the non-homogeneous form keeps p independent group slots, dropping any
-word that contains the identity.  The total boundary is the inner one
+word that contains the identity.  A homogeneous chain may be normalized:
+it then drops every group word with two equal adjacent labels, the words
+the non-homogeneous form would drop.  The total boundary is the inner one
 plus (-1)^(inner degree) times the group-word one.  The front/back
 splitting of an honest diagonal chain is one over torus words.
 
@@ -602,34 +604,54 @@ class EquivariantChain(Chain):
     form: the inner part canonical, the group word unconstrained.  The
     non-homogeneous keys carry (k_1, ..., k_p) with no identity entries
     (words acquiring one are dropped, which realises the quotient by
-    degenerate words)."""
+    degenerate words).
 
-    __slots__ = ("inner_ctx", "action", "homogeneous")
+    A normalized homogeneous chain lives in the normalized bar complex:
+    a group word with two adjacent labels that are the same element is
+    degenerate and dropped as it is produced.  The degenerate words span
+    a subcomplex that the free homotopy, the group boundary and the left-
+    translated inner boundary all preserve (Mac Lane, Homology, IV.5), so
+    every operator commutes with the quotient.  Every operator within
+    the homogeneous form keeps the flag.  The coordinate changes build
+    unflagged chains, as the non-homogeneous form is normalized
+    already."""
+
+    __slots__ = ("inner_ctx", "action", "homogeneous", "normalized")
 
     def __init__(self, inner_ctx: ChainContext, action: TranslationAction,
-                 homogeneous: bool, coeffs):
+                 homogeneous: bool, coeffs, normalized: bool = False):
         if inner_ctx.kind not in ("diag", "torus"):
             raise ValueError("inner chains must be diagonal or torus words")
         self.inner_ctx = inner_ctx
         self.action = action
         self.homogeneous = homogeneous
+        self.normalized = normalized
         self._store(coeffs)
 
     def _admit(self, key, value):
-        """Drop a non-homogeneous word with an identity entry."""
+        """Drop a non-homogeneous word with an identity entry and, when
+        normalized, a homogeneous word with two equal adjacent labels
+        (compared reduced, so that -1 and 3 are one element of Z/4)."""
         gw = key[1]
+        G = self.action.group
         if self.homogeneous:
             if not gw:
                 raise ValueError("homogeneous keys need one group slot")
-        elif any(self.action.group.is_identity(g) for g in gw):
+            if self.normalized and len(gw) > 1:
+                labels = list(map(G.normalize, gw))
+                if any(a == b for a, b in zip(labels, labels[1:])):
+                    return None
+        elif any(G.is_identity(g) for g in gw):
             return None
         return key, value
 
     def _spawn(self, coeffs, other=None):
-        if other is not None and other.homogeneous != self.homogeneous:
-            raise ValueError("cannot mix coordinate systems")
+        if other is not None and (other.homogeneous, other.normalized) != \
+                (self.homogeneous, self.normalized):
+            raise ValueError("cannot mix coordinate systems or the full and "
+                             "normalized complexes")
         return EquivariantChain(self.inner_ctx, self.action,
-                                self.homogeneous, coeffs)
+                                self.homogeneous, coeffs, self.normalized)
 
     def _scalar(self, s):
         return self.inner_ctx.scalar(s)
@@ -723,7 +745,8 @@ class EquivariantChain(Chain):
                              "inner words")
         return self._map(lambda k, v: [((k[0][0], k[1]), 1, None, 0)],
                          partial(EquivariantChain, self.inner_ctx.as_torus(),
-                                 self.action, True))
+                                 self.action, True,
+                                 normalized=self.normalized))
 
     def to_nonhomogeneous(self) -> "EquivariantChain":
         """Divide out the diagonal action: act on the inner word by the
@@ -758,14 +781,17 @@ class EquivariantChain(Chain):
                                         self.action, True))
 
 
-def equivariant_embed(f: CyclicChain) -> EquivariantChain:
+def equivariant_embed(f: CyclicChain,
+                      normalized: bool = False) -> EquivariantChain:
     """A coinvariant diagonal chain as an equivariant chain with a single
-    identity group slot (its canonical free coordinate)."""
+    identity group slot (its canonical free coordinate), in the full or
+    the normalized bar complex."""
     if f.ctx.kind != "diag" or not f.ctx.coinvariant:
         raise ValueError("expected a coinvariant diagonal chain")
     e = f.ctx.group.identity
     return f._map(lambda k, v: [((k, (e,)), 1, None, 0)],
-                  partial(EquivariantChain, f.ctx, f.ctx.action, True))
+                  partial(EquivariantChain, f.ctx, f.ctx.action, True,
+                          normalized=normalized))
 
 
 def _as_items(x, shift=0):
@@ -796,7 +822,8 @@ def _homotopy_items(x: EquivariantChain, flip: int, mode=None):
             for key, c in x.coeffs.items())
 
 
-def q_map(f: CyclicChain, mode: str = "mixed") -> EquivariantChain:
+def q_map(f: CyclicChain, mode: str = "mixed",
+          normalized: bool = False) -> EquivariantChain:
     """Split a chain of coinvariants into the equivariant complex.
 
     Staircase construction: the group-degree-zero layer is the canonical
@@ -805,8 +832,17 @@ def q_map(f: CyclicChain, mode: str = "mixed") -> EquivariantChain:
     The series stops when both running layers vanish (the u window and
     the degree floor prune everything), never at a fixed cutoff.  Each
     layer is one sum (scalars._chain_sums) of the homotopy composed with
-    the inner boundary, and the layers are summed once, at the end."""
-    emb = equivariant_embed(f)
+    the inner boundary, and the layers are summed once, at the end.
+
+    By default the map lands in the full homogeneous bar complex, where
+    it is a chain map word for word.  With normalized=True every layer
+    lives in the normalized bar complex (see EquivariantChain): a word
+    with two equal adjacent group labels is dropped as it is produced.
+    That is the complex d_map and the pairings read, since
+    to_nonhomogeneous drops those words anyway, and most of the full
+    map's words are such words.  The full map stays the default because
+    its chain-map law is the stronger statement."""
+    emb = equivariant_embed(f, normalized)
     if f.is_zero():
         return emb
     df = f.boundary() if mode == "hochschild" else f.mixed_boundary()
@@ -868,10 +904,13 @@ def d_map(c: CyclicChain, mode: str = "mixed") -> EquivariantChain:
 
     Composite: project, rewrite as coinvariant diagonal words, split into
     the equivariant complex, forget the group half of the inner words,
-    divide out the diagonal action."""
+    divide out the diagonal action.  The split is taken in the normalized
+    bar complex (q_map with normalized=True): dividing out the diagonal
+    action drops every degenerate group word, so the output is the one
+    the full split gives."""
     h = homogeneous_projection(c)
     f = homogeneous_to_coinvariants(h)
-    qc = q_map(f, mode)
+    qc = q_map(f, mode, normalized=True)
     return qc.drop_group_slots().to_nonhomogeneous()
 
 
@@ -976,7 +1015,8 @@ def _entry_terms(entry):
     raise TypeError("matrix entries must be torus or crossed elements")
 
 
-def chern_character(matrix, u_trunc: int) -> CyclicChain:
+def chern_character(matrix, u_trunc: int,
+                    normalized: bool = False) -> CyclicChain:
     """Even character of an idempotent matrix over the quantized torus or
     its crossed product, through u^u_trunc.
 
@@ -986,7 +1026,17 @@ def chern_character(matrix, u_trunc: int) -> CyclicChain:
     multiplied as flat integer terms (scalars._Flat.times), and its last
     slot's product is one _Accumulator.add under (word, u power), scaled
     by the table coefficient; the accumulator keeps each word's least
-    window and lcm denominator, and freezes each coefficient once."""
+    window and lcm denominator, and freezes each coefficient once.
+
+    By default the character is the full chain, a cycle of the mixed
+    complex.  With normalized=True it is its image in the normalized
+    mixed complex (Loday, Cyclic Homology, 2.1.9): a path that puts a
+    scalar letter (mode 0, with the identity label on crossed words)
+    after slot 0 is dropped before it is multiplied out.  Every word kept
+    has the coefficient of the full character.  The trace, the twisted
+    traces with a normalized cochain and phi_pair all vanish on the
+    dropped words, so they read the same value on both; the full chain
+    stays the default, as only it is a cycle word for word."""
     rows = [list(r) for r in matrix]
     r = len(rows)
     if any(len(row) != r for row in rows):
@@ -1018,15 +1068,23 @@ def chern_character(matrix, u_trunc: int) -> CyclicChain:
                 raise ValueError(
                     "matrix is not idempotent: (E*E - E) is nonzero at "
                     f"entry ({i}, {j}): {diff!r}")
-    unit_terms = [[_entry_terms(one) if i == j else []
-                   for j in range(r)] for i in range(r)]
-    e_terms = [[_entry_terms(rows[i][j]) for j in range(r)]
-               for i in range(r)]
+    # the terms of each letter (0 the unit, 1 the idempotent) by matrix
+    # entry, at slot 0 and at the later slots
+    first = ([[_entry_terms(one) if i == j else [] for j in range(r)]
+              for i in range(r)],
+             [[_entry_terms(rows[i][j]) for j in range(r)] for i in range(r)])
+    later = first
+    if normalized:
+        scalar = _unit_label(ctx)
+        later = tuple([[[t for t in cell if t[0] != scalar] for cell in row]
+                       for row in grid] for grid in first)
+    # letters with no term after slot 0 (the unit, when normalized)
+    void = {x for x, grid in enumerate(later) if not any(map(any, grid))}
     sums = _Accumulator()
 
     def walk(word, n, q, i0, i, labels, path):
         slot = len(labels)
-        grid = e_terms if word[slot] else unit_terms
+        grid = (later if slot else first)[word[slot]]
         if slot < len(word) - 1:
             for j in range(r):
                 for lab, f in grid[i][j]:
@@ -1042,6 +1100,8 @@ def chern_character(matrix, u_trunc: int) -> CyclicChain:
 
     for n in range(u_trunc + 1):
         for word, q in chern_coefficients(n).items():
+            if void.intersection(word[1:]):
+                continue
             for i0 in range(r):
                 walk(word, n, q, i0, i0, [], None)
     walk = None                 # the recursive closure holds the sums

@@ -311,9 +311,18 @@ def cap(chain: EquivariantChain, xi: GroupCochain,
         mismatches=None) -> EquivariantChain:
     """Evaluate a cochain on the leading group legs and drop them.
     Keys of group degree below the cochain degree contribute zero and
-    are reported through the optional mismatch list."""
+    are reported through the optional mismatch list.
+
+    The non-homogeneous chains are the normalized bar complex: a word
+    with an identity leg is dropped.  So a positive-degree cochain must
+    be normalized (zero when an argument is the identity), or the cap
+    would lose its values there; it raises ValueError otherwise."""
     assert not chain.homogeneous
     k = xi.degree
+    if k and not xi.normalized:
+        raise ValueError(
+            f"cap reads the normalized complex: the degree-{k} cochain must "
+            "vanish when an argument is the identity")
 
     def terms(key, v):
         ik, gw = key
@@ -448,7 +457,8 @@ def phi_pair(classes: EquivariantClassCocycle, xi: GroupCochain,
     word's are wedged, each evaluated once per call.
 
     Torus chains are read as group-degree zero directly; crossed chains
-    go through the full decomposition first.
+    go through d_map first, which splits them in the normalized bar
+    complex, and the cap then needs a normalized cochain.
     """
     dim = classes.action.dim
     h = chain.ctx.h_trunc

@@ -59,16 +59,19 @@ SCHEMA_VERSION = 1
 # configuration runs in bounded time and memory.  Timed on a 2-vCPU host
 # under CPython 3.11, every suite and index_check each in its own process,
 # on configs/default.json (h_trunc 6, u_trunc 3, weyl_order 6, dim 1) with
-# one field raised; all ten jobs take 30 s there, at most 68 MiB each.
-#   h_trunc 20: 87 s, 30: 134 s (splitting-roundtrips 84 s), at most
-#     180 MiB; the cost grows with the window, and at 200
+# one field raised; all ten jobs take 6.4 s there, at most 60 MiB each.
+#   h_trunc 20: 15 s, 30: 22 s (character-cycles 16 s, splitting-roundtrips
+#     3 s), at most 159 MiB.  Before the splitting laws and d_map read the
+#     normalized bar complex, h_trunc 30 took 108 s, 77 s of it in
+#     splitting-roundtrips.  The cost grows with the window, and at 200
 #     moyal-associativity alone had not finished after 20 s.
-#   u_trunc 4: 330 s (character-cycles 140 s and 586 MiB); at 5
-#     index_check alone took over 150 s.
-#   weyl_order 10, 16, 24: 30-31 s, as at 6, since the drawn symbols have
-#     bounded degree.
-#   dim 2, 3, 4: 17, 12 and 9 s, at most 74 MiB; at 6 forms-bridge needs
-#     more than 1.5 GiB.
+#   u_trunc 4: 56 s (character-cycles 51 s and 587 MiB, on the full
+#     character); at 5, index_check alone took over 150 s when it still
+#     built the full character.
+#   weyl_order 10, 24: 6.5 and 6.0 s, as at 6, since the drawn symbols
+#     have bounded degree.
+#   dim 2, 3, 4 (shifts padded with zeros): 4.4, 4.9 and 5.7 s, at most
+#     62 MiB; at 6 forms-bridge needs more than 1.5 GiB.
 FIELD_RANGES = {"dim": (1, 4), "h_trunc": (0, 30), "u_trunc": (0, 4),
                 "weyl_order": (0, 24)}
 
@@ -493,6 +496,12 @@ def _suite_complexes(cfg: ScenarioConfig, rng) -> list:
 
 
 def _suite_splittings(cfg: ScenarioConfig, rng) -> list:
+    """The coinvariant rewrite is an isomorphism of crossed chains; the
+    splitting (q_map) and the decomposition (d_map) are chain maps.  The
+    two chain-map laws are checked in the normalized bar complex, the one
+    d_map and the pairings read: there a group word with two equal
+    adjacent labels is dropped as it is produced.  The full splitting's
+    law is a tier-1 test (test_splitting_is_a_chain_map)."""
     ctx = ChainContext.crossed(cfg.action(), h_trunc=cfg.h_trunc,
                                u_trunc=cfg.u_trunc)
     inputs = ("crossed", cfg.dim, cfg.seed)
@@ -509,7 +518,8 @@ def _suite_splittings(cfg: ScenarioConfig, rng) -> list:
 
     def unsplit():
         f = homogeneous_to_coinvariants(identity_chain([0, 1]))
-        return q_map(f.mixed_boundary()) != q_map(f).total_boundary()
+        return q_map(f.mixed_boundary(), normalized=True) != \
+            q_map(f, normalized=True).total_boundary()
 
     def undecomposed():
         x = _rand_chain(rng, ctx, _slot_words(rng, ctx,
@@ -690,7 +700,7 @@ def index_check(cfg: ScenarioConfig) -> Report:
         # the character and both sides are built inside the check, so its
         # runtime covers the whole pairing
         nonlocal ch, lhs
-        ch = chern_character(matrix, cfg.u_trunc)
+        ch = chern_character(matrix, cfg.u_trunc, normalized=xi.normalized)
         lhs = TraceFunctional(xi).pair(ch) if crossed else trace_pair(ch)
         classes = equivariant_ahat(act, cfg.h_trunc).cup(
             equivariant_theta(act, cfg.h_trunc).exponential())

@@ -256,9 +256,9 @@ def test_index_check_times_the_whole_pairing(monkeypatch):
     from starchain import scenarios
     build = scenarios.chern_character
 
-    def slow(matrix, u_trunc):
+    def slow(*args, **kwargs):
         time.sleep(0.2)
-        return build(matrix, u_trunc)
+        return build(*args, **kwargs)
 
     monkeypatch.setattr(scenarios, "chern_character", slow)
     report = index_check(small_config(h_trunc=2, u_trunc=1,

@@ -262,6 +262,27 @@ def test_cap_drops_leading_legs():
     assert misses == [(((((0, 0),), (5,))), "group degree below cochain")]
 
 
+def test_cap_rejects_unnormalized_cochains():
+    # the non-homogeneous chains drop every word with an identity leg, so
+    # a cochain that is nonzero there would lose those values
+    from starchain.cyclic import EquivariantChain
+    inner = ChainContext.torus(1, h_trunc=H, u_trunc=U)
+    chain = EquivariantChain(inner, ACT, False, {
+        (((0, 0),), (2,)): u_scalar(HbarLaurent.one(H))})
+    shifted = GroupCochain.polynomial(Z, 1, {(0,): 1, (1,): 1})
+    assert not shifted.normalized
+    with pytest.raises(ValueError, match="normalized"):
+        cap(chain, shifted)
+    ctx = ChainContext.crossed(ACT, h_trunc=H, u_trunc=U)
+    cls = equivariant_ahat(ACT, H)
+    with pytest.raises(ValueError, match="normalized"):
+        phi_pair(cls, shifted, CyclicChain.word(ctx, (((0, 0), 0),)))
+    # degree 0 reads no leg, so any constant caps
+    const = GroupCochain(Z, 0, "polynomial", {(): FieldElement.rational(2)})
+    assert not const.normalized
+    assert not cap(chain, const).is_zero()
+
+
 def test_trace_functional_rejects_noncocycles():
     eta = GroupCochain.polynomial(Z, 1, {(2,): 1})
     with pytest.raises(ValueError, match="not closed"):
