@@ -302,8 +302,8 @@ def _translate(ctx, action, g, key):
     if ctx.kind == "diag":
         alg, grp = key
         return ((alg, tuple(G.compose(ginv, x) for x in grp)),
-                action.word_phase(ginv, alg, ctx.h_trunc))
-    return key, action.word_phase(ginv, key, ctx.h_trunc)
+                action.word_phase((ginv,) * len(alg), alg, ctx.h_trunc))
+    return key, action.word_phase((ginv,) * len(key), key, ctx.h_trunc)
 
 
 def _raw_boundary_terms(ctx, key):
@@ -560,11 +560,10 @@ def homogeneous_to_coinvariants(c: CyclicChain) -> CyclicChain:
             raise ValueError("chain has a word outside the identity-product "
                              "component; project first")
         modes = tuple(m for m, _ in key)
-        prefix = list(accumulate(labels[1:], G.compose, initial=G.identity))
-        s = act.mode_phase(G.inverse(labels[0]), modes[0], ctx.h_trunc)
-        for j in range(1, len(modes)):
-            s = s * act.mode_phase(prefix[j - 1], modes[j], ctx.h_trunc)
-        return [((modes, tuple(prefix)), 1, _Flat(s), 0)]
+        prefix = tuple(accumulate(labels[1:], G.compose, initial=G.identity))
+        s = act.word_phase((G.inverse(labels[0]),) + prefix[:-1], modes,
+                           ctx.h_trunc)
+        return [((modes, prefix), 1, _Flat(s), 0)]
 
     return c._map(terms, partial(CyclicChain,
                                  ctx.as_diagonal(coinvariant=True)))
@@ -583,14 +582,11 @@ def coinvariants_to_homogeneous(c: CyclicChain) -> CyclicChain:
 
     def terms(key, v):
         modes, grp = key
-        slots = []
-        s = None
-        for j in range(len(modes)):
-            pinv = G.inverse(grp[j - 1])
-            ph = act.mode_phase(pinv, modes[j], ctx.h_trunc)
-            s = ph if s is None else s * ph
-            slots.append((modes[j], G.compose(pinv, grp[j])))
-        return [(tuple(slots), 1, _Flat(s), 0)]
+        pinv = [G.inverse(grp[j - 1]) for j in range(len(modes))]
+        slots = tuple((m, G.compose(p, g))
+                      for m, p, g in zip(modes, pinv, grp))
+        return [(slots, 1, _Flat(act.word_phase(pinv, modes, ctx.h_trunc)),
+                 0)]
 
     return c._map(terms, partial(CyclicChain, ctx.as_crossed()))
 

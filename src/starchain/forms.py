@@ -8,9 +8,9 @@ chain machinery ride along unchanged.  Antisymmetry is normalized away:
 legs are always stored sorted, with the reordering sign absorbed into
 the coefficient.
 
-The operations here are the chain-to-form rule (1/n!) w0 dw1 ^...^ dwn,
-the exterior derivative, and the degree-dependent u-power reindexing that
-turns the u-scaled derivative into the plain one.
+The operations here are the chain-to-form rule (1/n!) w0 dw1 ^...^ dwn
+in closed form (hkr), the exterior derivative, and the degree-dependent
+u-power reindexing that turns the u-scaled derivative into the plain one.
 """
 
 import math
@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .cyclic import ChainContext, CyclicChain
+from .group_coh import _minors
 from .scalars import FieldElement, HbarLaurent, ULaurent
 from .sparse import Sparse, _acc
 from .torus import _merge_directions
@@ -68,22 +69,7 @@ class FormalForm(Sparse):
                  order: int = 16) -> "FormalForm":
         return cls(dim, {((tuple(a), tuple(b)), tuple(legs)): coeff}, order)
 
-    # -- products and derivatives ------------------------------------------
-
-    def wedge(self, other: "FormalForm") -> "FormalForm":
-        assert isinstance(other, FormalForm) and other.dim == self.dim
-        out: dict = {}
-        for ((a1, b1), p), c1 in self.coeffs.items():
-            for ((a2, b2), q), c2 in other.coeffs.items():
-                legs, sign = _merge_directions(p, q)
-                if legs is None:
-                    continue
-                mono = (tuple(x + y for x, y in zip(a1, a2)),
-                        tuple(x + y for x, y in zip(b1, b2)))
-                c = c1 * c2
-                _acc(out, (mono, legs), -c if sign < 0 else c)
-        return FormalForm(self.dim, out, min(self.order, other.order),
-                          self.shifted)
+    # -- derivatives -------------------------------------------------------
 
     def d_hat(self) -> "FormalForm":
         """Exterior derivative in the fiber coordinates, known through
@@ -136,27 +122,37 @@ def hkr(chain: CyclicChain, order: int = 16) -> FormalForm:
 
     The rule reads the slots as commutative monomials, so it accepts both
     the commutative vocabulary and the Weyl one (on the latter it is the
-    symbol-level rule).  A unit in any positive slot dies through d(1)=0.
+    symbol-level rule).  With v_j the exponents of w_j (x, then xi) and
+    M their sum, a word is x^(M - e_S) dx_S times det(v_j[S])_(j>=1) / n!
+    on each leg set S with a nonzero minor (group_coh._minors); a unit
+    slot is a zero row, as d(1) = 0.  A word with n >= 1 is known through
+    order - 1 (d_hat's window), its coefficient times the context's one.
     """
-    if chain.ctx.kind not in ("weyl", "sym"):
+    ctx = chain.ctx
+    if ctx.kind not in ("weyl", "sym"):
         raise ValueError("the chains-to-forms rule wants monomial slots, "
-                         f"not kind {chain.ctx.kind!r}")
-    d = chain.ctx.dim
-    out = FormalForm.zero(d, order)
-    unit = chain.ctx.one()
+                         f"not kind {ctx.kind!r}")
+    d = ctx.dim
+    unit = ctx.one()
+    top = order
+    out: dict = {}
     for word, coeff in chain.coeffs.items():
         n = len(word) - 1
-        a0, b0 = word[0]
-        acc = FormalForm.monomial(d, a0, b0, (),
-                                  coeff * Fraction(1, math.factorial(n)),
-                                  order)
-        for a, b in word[1:]:
-            acc = acc.wedge(
-                FormalForm.monomial(d, a, b, (), unit, order).d_hat())
-            if acc.is_zero():
-                break
-        out = out + acc
-    return out
+        vs = [a + b for a, b in word]
+        total = tuple(map(sum, zip(*vs)))
+        if n:
+            top, coeff = order - 1, coeff * unit
+        scale = Fraction(1, math.factorial(n))
+        for S, det in _minors(vs[1:], 2 * d):
+            mono = list(total)
+            for k in S:
+                mono[k] -= 1
+            key = ((tuple(mono[:d]), tuple(mono[d:])), S)
+            _acc(out, key, coeff * (scale * det))
+            # a sum that cancels is dropped, as a sum of forms drops it
+            if out[key].is_zero():
+                del out[key]
+    return FormalForm(d, out, top)
 
 
 def j_shift(phi: FormalForm) -> FormalForm:

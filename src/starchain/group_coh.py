@@ -367,25 +367,33 @@ def _int_det(rows) -> int:
     return sign * a[-1][-1] if n else 1
 
 
+def _minors(vectors, size: int):
+    """(S, det) for every increasing n-set S of range(size), n the number
+    of vectors, whose minor det(v_j[S]) is not zero: the coefficient of
+    the legs S in the wedge of the n one-forms sum_k v_j[k] dx_k."""
+    for S in combinations(range(size), len(vectors)):
+        det = _int_det([v[k] for k in S] for v in vectors)
+        if det:
+            yield S, det
+
+
 def word_to_form(dim: int, word, h_trunc: int) -> TorusForm:
     """(1/n!) w0 dw1 ^ ... ^ dwn on the plane waves w_j = e_(m_j), in
     closed form.  d e_m = 2 pi i sum_k m[k] e_m dx_k, so the form is the
     one plane wave e_M, M = m_0 + ... + m_n, with the coefficient
     (2 pi i)^n det(m_j[S])_(j=1..n) / n! on each increasing n-set S of
-    the 2d directions: zero when n > 2d, and on every S whose minor
-    vanishes.  The minors are integer determinants (_int_det)."""
+    the 2d directions whose minor does not vanish (_minors); zero when
+    n > 2d."""
     n = len(word) - 1
     out = {}
     if n <= 2 * dim:
         total = tuple(map(sum, zip(*word)))
         scale = Fraction(2 ** n, math.factorial(n))
         unit = FieldElement.i_unit() ** n
-        for S in combinations(range(2 * dim), n):
-            det = _int_det([m[k] for k in S] for m in word[1:])
-            if det:
-                out[S] = TorusElement.plane_wave(
-                    dim, total, h_trunc,
-                    FieldElement.pi_power(n, scale * det) * unit)
+        for S, det in _minors(word[1:], 2 * dim):
+            out[S] = TorusElement.plane_wave(
+                dim, total, h_trunc,
+                FieldElement.pi_power(n, scale * det) * unit)
     return TorusForm(dim, out)
 
 

@@ -28,11 +28,10 @@ sum cancels, so that level, which is what it prints at, does not depend on
 the order of the terms.  Its callers only say what to multiply: the
 kernel _series_products (two hbar series, the torus star and symbol
 products, the crossed star, the u product), the chain kernel _chain_sums
-(every chain operator, over scalars cached as _Flat terms) and the
-idempotent character's paths (cyclic.chern_character).  The Weyl star,
-whose cut is a filtration order, adds its level-level term lists to the
-same accumulator (add_terms).  A product of two u-series with one power
-each is the product of their hbar series.
+(every chain operator, over scalars cached as _Flat terms), the
+idempotent character's paths (cyclic.chern_character) and the Weyl star
+(one add per coefficient pair and Moyal term).  A product of two
+u-series with one power each is the product of their hbar series.
 
 The only other route is the product by a one-term monomial u hbar^k,
 u = (n/d) zeta^a pi^b, a relabelling, not a series product; most scalars
@@ -488,14 +487,6 @@ def _level_groups(coeffs: dict) -> dict:
     return groups
 
 
-def _level_pairs(gx: dict, gy: dict):
-    """(level, x, y) for every pair of a group x of gx and a group y of gy,
-    both {level: group}; level is the lcm of the two groups' levels, the
-    level of each of their products."""
-    return [(math.lcm(lx, ly), x, y) for lx, x in gx.items()
-            for ly, y in gy.items()]
-
-
 class _Accumulator:
     """Sparse integer accumulator for coefficient products (see the module
     docstring): integer numerators keyed by (output key, level, hbar
@@ -507,10 +498,8 @@ class _Accumulator:
     `add` is the entry point of every windowed product and holds the
     window rule (_min_trunc): a key keeps the least window of its
     products, and its denominator grows to the lcm of theirs, its sums
-    rescaled when it does.  Its callers: `_series_products`, `_chain_sums`
-    and `cyclic.chern_character`.  The Weyl star, whose cut is a
-    filtration order and whose coefficients are scalars, adds level-level
-    term lists through `add_terms`."""
+    rescaled when it does.  Its callers: `_series_products`, `_chain_sums`,
+    `cyclic.chern_character` and `weyl.WeylElement.star`."""
 
     __slots__ = ("_sums",)
 
@@ -582,17 +571,6 @@ class _Accumulator:
                 sums = by_level[lev] = {}
             into(sums, lev, xs, ys, w, f)
 
-    def add_terms(self, key, level: int, xs, ys, trunc: int, scale: int = 1,
-                  den: int = 1) -> None:
-        """Add scale * xs * ys / den, flat term lists both at level,
-        through hbar^trunc, under key: one level pair of `add`, for the
-        Weyl star."""
-        by_level, f = self._slot(key, den, trunc)
-        sums = by_level.get(level)
-        if sums is None:
-            sums = by_level[level] = {}
-        self._into(sums, level, xs, ys, trunc, scale * f)
-
     def _slot(self, key, den: int, trunc: int):
         """(sums, f): the sums of key, {level: {power: {(a, b): n}}}, and
         the factor f that brings a numerator over den to their
@@ -615,14 +593,6 @@ class _Accumulator:
                         num[t] *= f
             old = new
         return entry[2], old // den
-
-    def product(self, level: int, xs, ys, trunc: int):
-        """xs * ys, both at level, through hbar^trunc as flat terms, not
-        accumulated."""
-        sums: dict = {}
-        self._into(sums, level, xs, ys, trunc, 1)
-        return [(k, a, b, n) for k, num in sums.items()
-                for (a, b), n in num.items() if n]
 
     def freeze(self) -> dict:
         """{key: HbarLaurent}: each key's sums through its window, a key
@@ -875,6 +845,16 @@ class _Flat:
                        for lev, g in _level_groups(coeffs).items()}
         self.trunc, self.low, self.series, self._lifts = trunc, low, series, {}
 
+    @classmethod
+    def of(cls, groups: dict, den: int, trunc: int, low: int) -> "_Flat":
+        """The series with the flat terms groups, {level: [(power, a, b,
+        n)]} in ascending powers, over den, reliable through trunc, its
+        lowest power low."""
+        out = object.__new__(cls)
+        out.groups, out.den, out.trunc, out.low = groups, den, trunc, low
+        out.series, out._lifts = None, {}
+        return out
+
     def _at(self, level: int, lev: int):
         """The group at level lev as flat terms at level, a multiple."""
         if level == lev:
@@ -916,11 +896,8 @@ class _Flat:
         for lev, sums in groups.items():
             groups[lev] = [(k, a, b, n) for k in sorted(sums)
                            for (a, b), n in sums[k].items() if n]
-        out = object.__new__(_Flat)
-        out.trunc, out.low, out.den, out.groups = \
-            w, self.low + other.low, self.den * other.den, groups
-        out.series, out._lifts = None, {}
-        return out
+        return _Flat.of(groups, self.den * other.den, w,
+                        self.low + other.low)
 
 
 _UNIT = ((0, 0, 0, 1),)

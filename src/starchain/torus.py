@@ -148,8 +148,9 @@ class TranslationAction:
     The vector is also kept as integers over one common denominator, so a
     phase costs an integer dot product and a cached root-of-unity lookup;
     the phase of one mode sits at level 4*den(g (m . vector)).  Both phases
-    are exponentials linear in the mode, so the eigenvalue of g on a word of
-    plane waves is the phase of the summed mode (word_phase).  Its root of
+    are exponentials linear in the mode, so the eigenvalue on a word of
+    plane waves whose slots are acted on by powers g_j is the phase of the
+    summed g_j (m_j . vector) and g_j <w, m_j> (word_phase).  Its root of
     unity is written at the lcm of the slot levels, the level the
     slot-by-slot product has: two slots of exp(2 pi i/8) (level 32 each)
     give i at level 32, not at the level 16 of the summed mode alone.
@@ -190,15 +191,9 @@ class TranslationAction:
         return _unit_phase(r // d, self._den // d)
 
     def apply(self, g: int, elt: TorusElement) -> TorusElement:
-        g = self.group.normalize(g)
-        out = {}
-        for m, c in elt.coeffs.items():
-            c = c * self.translation_phase(g, m)
-            if self.twist is not None:
-                c = c * _star_phase(2 * g * omega_pairing(self.twist, m),
-                                    c.trunc)
-            out[m] = c
-        return TorusElement(elt.dim, out)
+        return TorusElement(elt.dim, {
+            m: c * self.word_phase((g,), (m,), c.trunc)
+            for m, c in elt.coeffs.items()})
 
     def mode_phase(self, g: int, mode, trunc: int) -> HbarLaurent:
         """Scalar the g-th power multiplies the plane wave of `mode` by.
@@ -207,30 +202,30 @@ class TranslationAction:
         acting on a single mode never mixes modes; this returns the full
         eigenvalue (translation phase times twist phase) in one series.
         """
-        return self.word_phase(g, (mode,), trunc)
+        return self.word_phase((g,), (mode,), trunc)
 
-    def word_phase(self, g: int, modes, trunc: int) -> HbarLaurent:
-        """Scalar the g-th power multiplies a word of plane waves by: the
-        product of its slots' eigenvalues, computed once from the summed
-        mode and written at the lcm of the slot levels."""
-        g = self.group.normalize(g)
+    def word_phase(self, labels, modes, trunc: int) -> HbarLaurent:
+        """Scalar a word of plane waves is multiplied by when its slot j is
+        acted on by the labels[j]-th power: the product of the slots'
+        eigenvalues, computed once from the summed phases and written at
+        the lcm of the slot levels."""
         den = self._den
         total = 0
         slot_den = 1
         pairing = 0
-        for m in modes:
+        for g, m in zip(labels, modes):
             r = self._dot(g, m)
             total += r
             d = den // math.gcd(r, den)
             if slot_den % d:
                 slot_den = slot_den // math.gcd(slot_den, d) * d
             if self.twist is not None:
-                pairing += omega_pairing(self.twist, m)
+                pairing += g * omega_pairing(self.twist, m)
         # total / den has a denominator dividing slot_den
         c = HbarLaurent.from_field(
             _unit_phase(total % den * slot_den // den, slot_den), trunc)
-        if pairing and g:
-            c = c * _star_phase(2 * g * pairing, trunc)
+        if pairing:
+            c = c * _star_phase(2 * pairing, trunc)
         return c
 
     def __repr__(self):

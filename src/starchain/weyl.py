@@ -23,9 +23,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import (FieldElement, HbarLaurent, _Accumulator, _as_field,
-                      _common_den, _flat, _level_groups, _level_pairs,
-                      _min_trunc, _zeta_rows)
+from .scalars import (FieldElement, HbarLaurent, _Accumulator, _Flat,
+                      _as_field, _min_trunc)
 from .sparse import Filtered, _acc
 
 
@@ -79,19 +78,6 @@ def _moyal_product(a1, b1, a2, b2):
         _acc(sums, (a, b, st), Fraction(n, d))
     return tuple(((a, b, k), FieldElement(4, {(k % 2, 0): q}))
                  for (a, b, k), q in sums.items() if q)
-
-
-def _moyal_den_bound(xkeys, ykeys, dim: int) -> int:
-    """A multiple of every d of _moyal_terms over the key pairs:
-    prod_i S_i! T_i! 2^(S_i + T_i), S_i bounding s_i and T_i bounding t_i."""
-    bound = 1
-    if not (xkeys and ykeys):
-        return bound
-    for i in range(dim):
-        s = min(max(b[i] for _, b, _ in xkeys), max(a[i] for a, _, _ in ykeys))
-        t = min(max(a[i] for a, _, _ in xkeys), max(b[i] for _, b, _ in ykeys))
-        bound *= math.factorial(s) * math.factorial(t) << (s + t)
-    return bound
 
 
 class WeylElement(Filtered):
@@ -210,44 +196,34 @@ class WeylElement(Filtered):
             (i hbar / 2)^(|s|+|t|) (-1)^|t| / (s! t!)
                 * (d_xi^s d_x^t u) (d_x^s d_xi^t v)
         (_moyal_terms) and the filtration degree of every term matches
-        deg(u) + deg(v).  The terms' integer numerators are summed under
-        their output symbols in one accumulator (_Accumulator), over one
-        denominator: each pair's coefficient product is one integer product
-        at the lcm of the two coefficients' levels, and each of its Moyal
-        terms a relabelling of it added under the term's symbol (a, b) and
-        hbar power.  Each output coefficient is normalised once, at the lcm
-        of the levels of its own pairs.
+        deg(u) + deg(v).  Each pair of coefficients c1 hbar^k1, c2 hbar^k2
+        within the order is multiplied once, and each of its Moyal terms
+        (n/d) i^st hbar^st is one _Accumulator.add under the symbol (a, b);
+        each operand is reliable through hbar^(order // 2 + its power), so
+        no term within the order is cut.
         """
         assert isinstance(other, WeylElement) and other.dim == self.dim
         order = self._window(other)
-        xden = _common_den(self.coeffs.values())
-        yden = _common_den(other.coeffs.values())
-        bound = _moyal_den_bound(self.coeffs, other.coeffs, self.dim)
+        half = order // 2
+
+        def flat(key, c):
+            k = key[2]
+            return _Flat.of({c.level: [(k, a, b, n)
+                                       for (a, b), n in c.num.items()]},
+                            c.den, half + k, k)
+
+        ys = [(key, _deg(key), flat(key, c))
+              for key, c in other.coeffs.items()]
         acc = _Accumulator()
-        den = xden * yden * bound
-        for lev, xg, yg in _level_pairs(_level_groups(self.coeffs),
-                                        _level_groups(other.coeffs)):
-            # i = zeta^(lev / 4) in the power basis: a single term unless
-            # lev / 4 >= phi(lev); a flat term list stays in the basis
-            i_row = _zeta_rows(lev)[lev // 4]
-            i_exp = i_row[0][0] if i_row == ((lev // 4, 1),) else None
-            ys = [(key, _flat({0: c}, yden, lev)) for key, c in yg.items()]
-            for (a1, b1, k1), c1 in xg.items():
-                x = _flat({0: c1}, xden, lev)
-                for (a2, b2, k2), y in ys:
-                    if _deg((a1, b1, k1)) + _deg((a2, b2, k2)) > order:
-                        continue
-                    cc = acc.product(lev, x, y, 0)
-                    for a, b, st, n, d in _moyal_terms(a1, b1, a2, b2):
-                        k, m = k1 + k2 + st, n * (bound // d)
-                        if not st % 2:
-                            terms = ((k, 0, 0, m),)
-                        elif i_exp is not None:
-                            terms = ((k, i_exp, 0, m),)
-                        else:
-                            terms = [(k, e, 0, m * rc) for e, rc in i_row]
-                        acc.add_terms((a, b), lev, cc, terms, order,
-                                      den=den)
+        for (a1, b1, k1), c1 in self.coeffs.items():
+            x, room = flat((a1, b1, k1), c1), order - _deg((a1, b1, k1))
+            for (a2, b2, _), deg2, y in ys:
+                if deg2 > room:
+                    continue
+                xy = x.times(y)
+                for a, b, st, n, d in _moyal_terms(a1, b1, a2, b2):
+                    acc.add((a, b), xy, _Flat.of({4: [(st, st % 2, 0, n)]},
+                                                 d, half + st, st))
         # freeze drops the zero sums, and every term's degree is that of
         # its pair, within order: nothing is left for __init__ to drop
         out = object.__new__(WeylElement)

@@ -1,10 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
+from hypothesis import example, given, settings, strategies as st
+
 from starchain.cyclic import ChainContext, CyclicChain
 from starchain.forms import FormalForm, hkr, j_shift, mu_normalization_chain
-from starchain.scalars import FieldElement, HbarLaurent, ULaurent
+from starchain.scalars import FieldElement, HbarLaurent, ULaurent, to_text
 from starchain.scenarios import ScenarioConfig, run_suite
+from starchain.sparse import _acc
+from starchain.torus import _merge_directions
 
 H, U = 3, 2
 SYM = ChainContext.sym(1, h_trunc=H, u_trunc=U)
@@ -22,11 +27,6 @@ def rat(q):
 def scalar_form(dim, c):
     z = (0,) * dim
     return FormalForm.monomial(dim, z, z, (), c)
-
-
-def degree_part(phi, r):
-    return FormalForm(phi.dim, {k: v for k, v in phi.coeffs.items()
-                                if len(k[1]) == r}, phi.order)
 
 
 def x_form(e=1):
@@ -114,22 +114,6 @@ def test_forms_bridge_passes_at_dim_2():
     assert [c.passed for c in report.checks] == [True, True]
 
 
-def test_wedge_graded_commutative_and_associative():
-    rng = random.Random(12)
-    for _ in range(20):
-        a = rand_form(rng, terms=2)
-        b = rand_form(rng, terms=2)
-        c = rand_form(rng, terms=2)
-        assert a.wedge(b.wedge(c)) == a.wedge(b).wedge(c)
-        for p in {len(legs) for _, legs in a.coeffs}:
-            for q in {len(legs) for _, legs in b.coeffs}:
-                ap, bq = degree_part(a, p), degree_part(b, q)
-                flip = bq.wedge(ap)
-                if p * q % 2:
-                    flip = -flip
-                assert ap.wedge(bq) == flip
-
-
 # -- chains to forms -------------------------------------------------------
 
 def test_hkr_degree_zero():
@@ -161,6 +145,102 @@ def test_hkr_chain_map_to_u_scaled_derivative():
                 lhs = hkr(c.mixed_boundary())
                 rhs = hkr(c).d_hat().shift(1).truncate(ctx.u_trunc)
                 assert lhs == rhs
+
+
+# oracle: hkr once built (1/n!) w0 dw1 ^ ... ^ dwn slot by slot, from
+# d_hat and the wedge of forms; the closed form must give the same keys,
+# printed coefficients, u and hbar windows, levels and order.
+
+
+def wedge(f, g):
+    out: dict = {}
+    for ((a1, b1), p), c1 in f.coeffs.items():
+        for ((a2, b2), q), c2 in g.coeffs.items():
+            legs, sign = _merge_directions(p, q)
+            if legs is None:
+                continue
+            mono = (tuple(x + y for x, y in zip(a1, a2)),
+                    tuple(x + y for x, y in zip(b1, b2)))
+            c = c1 * c2
+            _acc(out, (mono, legs), -c if sign < 0 else c)
+    return FormalForm(f.dim, out, min(f.order, g.order), f.shifted)
+
+
+def per_slot_hkr(chain, order):
+    d, unit = chain.ctx.dim, chain.ctx.one()
+    out = FormalForm.zero(d, order)
+    for word, coeff in chain.coeffs.items():
+        n = len(word) - 1
+        acc = FormalForm.monomial(d, *word[0], (),
+                                  coeff * Fraction(1, math.factorial(n)),
+                                  order)
+        for a, b in word[1:]:
+            acc = wedge(acc,
+                        FormalForm.monomial(d, a, b, (), unit, order).d_hat())
+            if acc.is_zero():
+                break
+        out = out + acc
+    return out
+
+
+def form_layout(phi):
+    """The order, and every key with its coefficient's u window and, per
+    u power, hbar window, printed series and levels."""
+    return phi.order, {
+        key: (c.trunc, {p: (h.trunc, to_text(h),
+                            {k: fe.level for k, fe in h.coeffs.items()})
+                        for p, h in c.coeffs.items()})
+        for key, c in phi.coeffs.items()}
+
+
+@st.composite
+def hkr_chains(draw):
+    """A sym or weyl chain of dim 1 or 2 with up to three words of up to
+    2d + 3 slots, each coefficient a sum of u powers -1..1 over hbar
+    series of their own windows, some at level 12; and an order small
+    enough to cut."""
+    dim = draw(st.integers(1, 2))
+    h, u = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    ctx = draw(st.sampled_from((ChainContext.sym, ChainContext.weyl)))(
+        dim, h_trunc=h, u_trunc=u)
+    exps = st.tuples(*[st.integers(0, 1)] * dim)
+    slot = st.tuples(exps, exps)
+    words = draw(st.lists(st.lists(slot, min_size=1, max_size=2 * dim + 3)
+                          .map(tuple), min_size=1, max_size=3, unique=True))
+    coeffs = {}
+    for word in words:
+        c = ULaurent.zero(u)
+        for p in draw(st.lists(st.integers(-1, 1), min_size=1, max_size=2,
+                               unique=True)):
+            fe = FieldElement.zeta(draw(st.sampled_from((4, 12))),
+                                   draw(st.integers(0, 11)))
+            q = draw(st.fractions(min_value=-3, max_value=3,
+                                  max_denominator=4).filter(bool))
+            hb = HbarLaurent.from_field(fe * q, draw(st.integers(0, h)),
+                                        draw(st.integers(0, 1)))
+            c = c + ULaurent.from_hbar(hb, u, p)
+        coeffs[word] = c
+    return CyclicChain(ctx, coeffs), draw(st.integers(0, 8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hkr_chains())
+# the two orderings of x and xi give opposite forms that cancel, and a
+# unit slot kills its word
+@example((CyclicChain(SYM, {
+    (((0,), (0,)), ((1,), (0,)), ((0,), (1,))): one(),
+    (((0,), (0,)), ((0,), (1,)), ((1,), (0,))): one(),
+    (((1,), (0,)), ((0,), (0,))): one()}), 4))
+# the first two words cancel on x dx^dxi at u window 1, and the third adds
+# to it at u window 2: a sum of forms drops the cancelled term, window too
+@example((CyclicChain(SYM, {
+    (((1,), (0,)), ((1,), (0,)), ((0,), (1,))): one(),
+    (((1,), (0,)), ((0,), (1,)), ((1,), (0,))): one().truncate(1),
+    (((0,), (0,)), ((2,), (0,)), ((0,), (1,))): one()}), 4))
+def test_hkr_matches_the_per_slot_wedge(case):
+    chain, order = case
+    assert form_layout(hkr(chain, order)) == \
+        form_layout(per_slot_hkr(chain, order))
 
 
 def test_sym_vocabulary_closure():

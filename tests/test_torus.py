@@ -375,10 +375,14 @@ def test_integer_translation_phase_matches_fraction_formula(vector, mode, g):
     assert to_text(got) == to_text(want)
 
 
-def slotwise_phase(act, g, modes, trunc):
+def slotwise_phase(act, labels, modes, trunc):
+    """The product of the slots' eigenvalues, each its translation phase
+    times its twist phase exp(-4 pi^2 i hbar g <w, m>)."""
     scal = None
-    for m in modes:
-        ph = act.mode_phase(g, m, trunc)
+    for g, m in zip(labels, modes):
+        ph = HbarLaurent.from_field(act.translation_phase(g, m), trunc)
+        if act.twist is not None:
+            ph = ph * _star_phase(2 * g * omega_pairing(act.twist, m), trunc)
         scal = ph if scal is None else scal * ph
     return scal
 
@@ -392,13 +396,19 @@ PHASE_ACTIONS = (
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(PHASE_ACTIONS), st.integers(-5, 5),
-       st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+@given(st.sampled_from(PHASE_ACTIONS),
+       st.lists(st.tuples(st.integers(-5, 5),
+                          st.tuples(st.integers(-3, 3), st.integers(-3, 3))),
                 min_size=1, max_size=4),
        st.integers(0, 4))
-def test_word_phase_is_slotwise_product(act, g, modes, trunc):
-    got = act.word_phase(g, modes, trunc)
-    want = slotwise_phase(act, g, modes, trunc)
+# one label on every slot, as the action of g on a word has it
+@example(PHASE_ACTIONS[1], [(2, (1, 0)), (2, (0, 1)), (2, (-1, 2))], 3)
+# twist pairings of opposite sign that cancel in the sum
+@example(PHASE_ACTIONS[1], [(1, (1, 0)), (-1, (1, 0))], 3)
+def test_word_phase_is_slotwise_product(act, slots, trunc):
+    labels, modes = zip(*slots)
+    got = act.word_phase(labels, modes, trunc)
+    want = slotwise_phase(act, labels, modes, trunc)
     assert got.trunc == want.trunc
     assert to_text(got) == to_text(want)
     assert {k: v.level for k, v in got.coeffs.items()} == \
@@ -410,13 +420,14 @@ def test_word_phase_keeps_the_slot_level():
     # at level 32 (zeta^8), not at the level 16 of the summed mode alone
     act = TranslationAction(1, CyclicGroup(None), (Fraction(1, 8), 0))
     assert act.translation_phase(1, (1, 0)).level == 32
-    ph = act.word_phase(1, ((1, 0), (1, 0)), 3)
+    ph = act.word_phase((1, 1), ((1, 0), (1, 0)), 3)
     assert ph.coefficient(0) == I and ph.coefficient(0).level == 32
     assert to_text(ph) == "(1/1)·ζ^8·π^0·ħ^0·u^0"
-    assert to_text(ph) == to_text(slotwise_phase(act, 1, ((1, 0), (1, 0)), 3))
+    assert to_text(ph) == \
+        to_text(slotwise_phase(act, (1, 1), ((1, 0), (1, 0)), 3))
     # two slots of -1 at level 8 give 1 at level 8, not at level 4
     act = TranslationAction(1, CyclicGroup(None), (Fraction(1, 2), 0))
-    ph = act.word_phase(1, ((1, 0), (1, 0)), 3)
+    ph = act.word_phase((1, 1), ((1, 0), (1, 0)), 3)
     assert ph.coefficient(0) == 1 and ph.coefficient(0).level == 8
 
 
