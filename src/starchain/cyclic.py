@@ -64,15 +64,17 @@ accumulator.  Both chain classes keep their terms through `Chain._store`.
 
 The inner boundary of an equivariant chain depends only on the inner word:
 it acts on the group word by a left translation and on the coefficient by
-one scalar per output word.  Each inner word's mixed boundary is therefore
-built once per chain context, as a plan of (target inner word, g^-1 or
-None, sign, scalar or None, u shift) entries whose scalars fold together
-the star phase and the translation phase, built as flat terms once, and
-applied to every group word that carries that inner word; b and B take
-its faces and its degree-raising entries.  The plans live
-on the context, so they are cut at its own hbar and u windows and live no
-longer than it.  The splitting map composes them with its homotopy, so
-the inner boundary's chain is never built there.
+one scalar per entry.  Each inner word's mixed boundary is therefore
+built once per chain context, as a plan: its raw entries moved to their
+representatives by `_canonical`, the one coinvariant rewrite of entries,
+as (target inner word, g^-1 or None, sign, scalar or None, u shift), each
+scalar the star phase times the translation phase, built as flat terms
+once.  The plan is applied to every group word that carries that inner
+word, and the accumulator sums the entries of one target, so no plan sums
+its own values; b and B take its faces and its degree-raising entries.
+The plans live on the context, so they are cut at its own hbar and u
+windows and live no longer than it.  The splitting map composes them with
+its homotopy, so the inner boundary's chain is never built there.
 """
 
 from fractions import Fraction
@@ -340,77 +342,33 @@ def _raw_terms(ctx, key, mode):
 
 
 def _canonical(ctx, entries):
-    """Entries with every coinvariant diagonal target moved to its
-    representative, the translation phase folded into the scalar."""
-    if not (ctx.kind == "diag" and ctx.coinvariant):
-        return entries
+    """Entries (target, sign, scalar or None, u shift) as (target, g^-1 or
+    None, sign, scalar or None, u shift): a coinvariant diagonal target
+    whose first group slot g is not the identity moves to its
+    representative, the translation phase multiplied into the scalar, and
+    g^-1 marks the entry to left-translate a group word."""
+    canon = ctx.kind == "diag" and ctx.coinvariant
     G = ctx.group
     out = []
     for k2, sign, s, shift in entries:
-        if not G.is_identity(k2[1][0]):
-            k2, phase = _translate(ctx, ctx.action, k2[1][0], k2)
-            s = _Flat(phase if s is None else s.series * phase)
-        out.append((k2, sign, s, shift))
-    return out
-
-
-def _low(s):
-    """Lowest hbar power of a plan scalar (an int counts as power 0), or
-    None when it is zero."""
-    if isinstance(s, int):
-        return 0 if s else None
-    return s.low
-
-
-def _plan_scalar(v):
-    """(sign, scalar) of a summed plan value: an int is the sign, with no
-    scalar; a series is a _Flat with sign 1."""
-    return (v, None) if isinstance(v, int) else (1, _Flat(v))
-
-
-def _boundary_plan(ctx, ik):
-    """The mixed boundary b + uB of the inner word ik of ctx as two lists
-    of (target inner word, g^-1 or None, sign, scalar or None, u shift)
-    entries: the faces (u shift 0) and the degree-raising terms (u shift
-    1).
-
-    Both are taken on the coefficient 1, so each value is a sign times a
-    star phase: an int or an hbar series.  A coinvariant target whose
-    first group slot g is not the identity moves to its representative,
-    which multiplies the value by the translation phase and marks the
-    entry to left-translate the group word by g^-1.
-
-    The values of one (target, g^-1, u shift) are summed and a zero sum is
-    dropped.  When the sum starts at a higher hbar power than its summands
-    (two star phases whose constant terms cancel), its product would be
-    known through more powers than the separate products were, so those
-    entries stay apart and every window stays the per-face one.  An int
-    value is the entry's sign with no scalar (a product by a series can
-    narrow a window); a series value becomes a _Flat, built once with the
-    plan."""
-    G = ctx.group
-    canon = ctx.kind == "diag" and ctx.coinvariant
-    parts: dict = {}
-    for k2, sign, s, shift in _raw_terms(ctx, ik, "mixed"):
-        v = sign if s is None else s.series if sign == 1 else -s.series
         ginv = None
         if canon and not G.is_identity(k2[1][0]):
             ginv = G.inverse(k2[1][0])
             k2, phase = _translate(ctx, ctx.action, k2[1][0], k2)
-            v = v * phase
-        parts.setdefault((k2, ginv, shift), []).append(v)
-    faces, raised = [], []
-    for (k2, ginv, shift), vs in parts.items():
-        plan = raised if shift else faces
-        total = sum(vs[1:], vs[0])
-        low = _low(total)
-        if low is None:
-            continue
-        if low > min(map(_low, vs)):
-            plan += [(k2, ginv, *_plan_scalar(v), shift) for v in vs]
-            continue
-        plan.append((k2, ginv, *_plan_scalar(total), shift))
-    return faces, faces + raised
+            s = _Flat(phase if s is None else s.series * phase)
+        out.append((k2, ginv, sign, s, shift))
+    return out
+
+
+def _boundary_plan(ctx, ik):
+    """The mixed boundary b + uB of the inner word ik of ctx, taken on the
+    coefficient 1, as its entries moved to their representatives
+    (_canonical): the faces (u shift 0), then all of them with the
+    degree-raising terms (u shift 1).  The entries of one target are kept
+    apart; the accumulator that applies them sums their products, each
+    through its own window."""
+    mixed = _canonical(ctx, _raw_terms(ctx, ik, "mixed"))
+    return [e for e in mixed if not e[4]], mixed
 
 
 def _plan(ctx, ik, mode):
@@ -473,8 +431,9 @@ class CyclicChain(Chain):
         """The map sending each word to op(ctx, word, *args), a list of
         (word, scalar or None) pairs, coinvariant targets canonicalised."""
         ctx = self.ctx
-        return self._map(lambda k, c: _canonical(
-            ctx, [(k2, 1, s, 0) for k2, s in op(ctx, k, *args)]))
+        return self._map(lambda k, c: [
+            (k2, 1, s, 0) for k2, _, _, s, _ in _canonical(
+                ctx, [(k2, 1, s, 0) for k2, s in op(ctx, k, *args)])])
 
     def face(self, i: int) -> "CyclicChain":
         return self._slotwise(_face_key, i)

@@ -20,7 +20,11 @@ bidegree (p, q) in the bicomplex of group cochains valued in forms.
 On top of the cochains sit the cap against the leading group legs of an
 equivariant chain, the twisted trace functionals on crossed-product
 chains, and the transposed pairing that integrates a capped chain
-against class data with the degree-halving u-weights.
+against class data with the degree-halving u-weights.  Each pairing
+hands every word's coefficient, with its scalar and u shift, to one
+accumulator (scalars._chain_sums, through `_series_sum`), so a pairing's
+windows and levels follow the chain sums' rule whatever the order of
+its words.
 """
 
 import math
@@ -30,7 +34,8 @@ from itertools import combinations, product
 
 from .cyclic import CyclicChain, EquivariantChain, _mul_labels, d_map
 from .groups import CyclicGroup
-from .scalars import FieldElement, HbarLaurent, ULaurent, _Flat, _as_field
+from .scalars import (FieldElement, HbarLaurent, ULaurent, _chain_sums, _Flat,
+                      _as_field)
 from .sparse import Sparse, _acc
 from .torus import (_SCALARS, TorusElement, TorusForm, TranslationAction,
                     omega_pairing, symplectic_form)
@@ -336,11 +341,12 @@ def cap(chain: EquivariantChain, xi: GroupCochain,
     return chain._map(terms)
 
 
-def _series_sum(terms: list, u_trunc: int) -> ULaurent:
-    """The terms added in order, starting from the first; the zero series
-    at u_trunc when there are none.  A zero start would cut every term to
-    the u window u_trunc, while a shifted term may reach above it."""
-    return sum(terms[1:], terms[0]) if terms else ULaurent.zero(u_trunc)
+def _series_sum(items, u_trunc: int) -> ULaurent:
+    """The sum of a pairing: items are pairs (c, [(0, 1, scalar, u shift)])
+    of scalars._chain_sums, one a word, summed in its one accumulator, so
+    the windows and levels do not depend on the order of the words; the
+    zero series at u_trunc when no word reaches the target 0."""
+    return _chain_sums(items).get(0, ULaurent.zero(u_trunc))
 
 
 def _int_det(rows) -> int:
@@ -436,7 +442,7 @@ def _trace_words(chain: CyclicChain, degree: int, weight=None) -> ULaurent:
     ctx = chain.ctx
     G = ctx.group
     unit = TorusElement.one(ctx.dim, ctx.h_trunc).trace()
-    terms = []
+    items = []
     for key, coeff in chain.coeffs.items():
         if len(key) != degree + 1:
             continue
@@ -451,8 +457,8 @@ def _trace_words(chain: CyclicChain, degree: int, weight=None) -> ULaurent:
         for nxt in key[1:]:
             (slot, s), = _mul_labels(ctx, slot, nxt)
             scal = s.series * scal
-        terms.append(coeff * scal)
-    return _series_sum(terms, ctx.u_trunc)
+        items.append((coeff, [(0, 1, _Flat(scal), 0)]))
+    return _series_sum(items, ctx.u_trunc)
 
 
 def phi_pair(classes: EquivariantClassCocycle, xi: GroupCochain,
@@ -506,5 +512,5 @@ def phi_pair(classes: EquivariantClassCocycle, xi: GroupCochain,
             tot = val.wedge(form).integrate()
             if tot.is_zero():
                 continue
-            terms.append((v * tot).shift((P + Q) // 2 - dim))
+            terms.append((v, [(0, 1, _Flat(tot), (P + Q) // 2 - dim)]))
     return _series_sum(terms, chain.ctx.u_trunc)

@@ -18,7 +18,7 @@ from .cyclic import CyclicChain, d_map
 from .forms import _perm_sign
 from .group_coh import (EquivariantClassCocycle, GroupCochain, _series_sum,
                         phi_pair)
-from .scalars import FieldElement, HbarLaurent, ULaurent
+from .scalars import FieldElement, HbarLaurent, ULaurent, _Flat
 from .sparse import _acc
 from .torus import TorusElement, TorusForm, TranslationAction, WeylSection
 from .weyl import Derivation, WeylElement, extension_defect
@@ -282,5 +282,5 @@ def i_xi(lam, xi: GroupCochain, chain: CyclicChain,
         if val.is_zero():
             continue
         tr = TorusElement.plane_wave(dim, ik[0], h).trace()
-        terms.append(v * (tr * val))
+        terms.append((v, [(0, 1, _Flat(tr * val), 0)]))
     return _series_sum(terms, chain.ctx.u_trunc)

@@ -498,7 +498,8 @@ class _Accumulator:
     `add` is the entry point of every windowed product and holds the
     window rule (_min_trunc): a key keeps the least window of its
     products, and its denominator grows to the lcm of theirs, its sums
-    rescaled when it does.  Its callers: `_series_products`, `_chain_sums`,
+    rescaled when it does.  Its callers: `_series_products`, `_chain_sums`
+    (every chain operator, the boundary plans and the pairings),
     `cyclic.chern_character` and `weyl.WeylElement.star`."""
 
     __slots__ = ("_sums",)

@@ -38,7 +38,7 @@ import time
 from fractions import Fraction
 from functools import partial
 
-from .cyclic import (ChainContext, CyclicChain, chern_character,
+from .cyclic import (ChainContext, CyclicChain, _unit_label, chern_character,
                      chern_coefficients, chern_word_chain,
                      coinvariants_to_homogeneous, d_map,
                      homogeneous_to_coinvariants, q_map)
@@ -60,14 +60,17 @@ SCHEMA_VERSION = 1
 # under CPython 3.11, every suite and index_check each in its own process,
 # on configs/default.json (h_trunc 6, u_trunc 3, weyl_order 6, dim 1) with
 # one field raised; all ten jobs take 6.4 s there, at most 60 MiB each.
-#   h_trunc 20: 15 s, 30: 22 s (character-cycles 16 s, splitting-roundtrips
-#     3 s), at most 159 MiB.  Before the splitting laws and d_map read the
-#     normalized bar complex, h_trunc 30 took 108 s, 77 s of it in
-#     splitting-roundtrips.  The cost grows with the window, and at 200
-#     moyal-associativity alone had not finished after 20 s.
-#   u_trunc 4: 56 s (character-cycles 51 s and 587 MiB, on the full
-#     character); at 5, index_check alone took over 150 s when it still
-#     built the full character.
+#   h_trunc 20: 4.3 s, 30: 7.0 s (splitting-roundtrips 2.3 s,
+#     character-cycles 1.9 s), at most 49 MiB.  When character-cycles
+#     read the full character, h_trunc 30 took 13 s (8.6 s of it there,
+#     160 MiB) on the same host, and before the splitting laws and d_map
+#     read the normalized bar complex, 108 s.  The cost grows with the
+#     window, and at 200 moyal-associativity alone had not finished after
+#     20 s.
+#   u_trunc 4: 7.3 s (character-cycles 2.8 s and 81 MiB); 29 s when
+#     character-cycles read the full character (26 s and 587 MiB there);
+#     at 5, index_check alone took over 150 s when it still built the
+#     full character.
 #   weyl_order 10, 24: 6.5 and 6.0 s, as at 6, since the drawn symbols
 #     have bounded degree.
 #   dim 2, 3, 4 (shifts padded with zeros): 4.4, 4.9 and 5.7 s, at most
@@ -537,19 +540,31 @@ def _suite_splittings(cfg: ScenarioConfig, rng) -> list:
 
 
 def _suite_characters(cfg: ScenarioConfig, rng) -> list:
-    def cycle(chain):
-        got = chain.mixed_boundary()
+    """The abstract character is a cycle word for word.  The matrix
+    character is read in the normalized mixed complex, as index_check
+    reads it: a word with a scalar letter after slot 0 is degenerate
+    there (chern_character(normalized=True) drops those words), so the
+    cycle law holds once such words of its boundary are dropped."""
+    def cycle(got):
         return ("zero chain", "zero chain" if got.is_zero() else repr(got),
                 got.is_zero())
+
+    def normalized_cycle():
+        chain = chern_character(cfg.idempotent_matrix(), cfg.u_trunc,
+                                normalized=True)
+        unit = _unit_label(chain.ctx)
+        return cycle(CyclicChain(chain.ctx, {
+            k: v for k, v in chain.mixed_boundary().coeffs.items()
+            if unit not in k[1:]}))
 
     return [
         _check("abstract-character-cycle", "character-cycle",
                ("idem", cfg.u_trunc),
-               lambda: cycle(chern_word_chain(min(cfg.u_trunc, 2)))),
+               lambda: cycle(chern_word_chain(min(cfg.u_trunc, 2))
+                             .mixed_boundary())),
         _check(f"{cfg.idempotent}-character-cycle", "character-cycle",
                (cfg.idempotent, cfg.dim, cfg.h_trunc, cfg.u_trunc),
-               lambda: cycle(chern_character(cfg.idempotent_matrix(),
-                                             cfg.u_trunc))),
+               normalized_cycle),
     ]
 
 

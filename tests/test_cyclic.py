@@ -396,6 +396,18 @@ def test_inner_boundary_plan_matches_reference(act, order):
     keys.append((((1, 0), (0, 1), (1, 1)),
                  (G.identity, rand_nonidentity(G, rng), G.identity)))
     x = shared_inner_words(dctx, act, rng, True, keys)
+    # both faces of this word reach one target, with star phases whose
+    # constant terms cancel: their sum starts one hbar power above them.
+    # On a coefficient that starts at hbar^1 each face's product is known
+    # through hbar^H, but the product of their sum through hbar^(H + 1).
+    cancel = (((1, 0), (0, 1)), (G.identity, G.identity))
+    (k0, sg0, s0, _), (k1, sg1, s1, _) = _raw_terms(dctx, cancel,
+                                                    "hochschild")
+    both = s0.series * sg0 + s1.series * sg1
+    assert k0 == k1 and both.low > min(s0.low, s1.low)
+    gw = (rand_nonidentity(G, rng), rand_nonidentity(G, rng))
+    c = ULaurent.from_hbar(HbarLaurent.from_rational(1, H, 1), U)
+    x = x + EquivariantChain(dctx, act, True, {(cancel, gw): c})
     for mode in order + order:              # the second pass reuses plans
         assert_matches_reference(x, mode)
 

@@ -360,6 +360,8 @@ def test_trace_pairing_conjugation_invariant():
 # and multiplies with TorusElement.star.  It adds the zero trace of a word
 # whose modes do not sum to zero, which can only lower the u window of the
 # sum, so both sides are compared through the smaller of their windows.
+# Its words are summed by the rule the pairings follow (grouping_free_sum),
+# written here on FieldElements, not by a pairwise sum in word order.
 
 def folded_trace(chain, degree, weight=None):
     ctx = chain.ctx
@@ -386,7 +388,26 @@ def folded_trace(chain, degree, weight=None):
             terms.append(coeff * t.trace())
         elif not (val := weight(labels)).is_zero():
             terms.append(coeff * (t.trace() * val))
-    return sum(terms[1:], terms[0]) if terms else ULaurent.zero(ctx.u_trunc)
+    return grouping_free_sum(terms, ctx.u_trunc)
+
+
+def grouping_free_sum(terms, u_trunc):
+    """The sum of ULaurent terms by the pairings' rule, whatever their
+    order: the least u window of the terms and, per u power, the least
+    hbar window of those that reach it; each coefficient is summed as
+    FieldElements, so it sits at the lcm of their levels also where part
+    of it cancels."""
+    if not terms:
+        return ULaurent.zero(u_trunc)
+    windows, sums = {}, {}
+    for t in terms:
+        for e, h in t.coeffs.items():
+            windows[e] = min(windows.get(e, h.trunc), h.trunc)
+            for c, fe in h.coeffs.items():
+                sums[e, c] = fe if (e, c) not in sums else sums[e, c] + fe
+    return ULaurent(min(t.trunc for t in terms), {
+        e: HbarLaurent(w, {c: fe for (e2, c), fe in sums.items() if e2 == e})
+        for e, w in windows.items()})
 
 
 def assert_same_through_common_window(got, want):
@@ -442,8 +463,20 @@ def fold_chains(draw):
     return kind, CyclicChain(ctx, coeffs)
 
 
+def cancelling_fold_chain():
+    """Three words whose first two pair to opposite values at level 12
+    under the linear cochain and whose third pairs at level 4."""
+    o = (0, 0)
+    z12 = u_scalar(HbarLaurent.from_field(FieldElement.zeta(12), 3), 1)
+    one = u_scalar(HbarLaurent.from_rational(1, 3), 1)
+    ctx = ChainContext.crossed(TW_ACT, h_trunc=3, u_trunc=1)
+    return CyclicChain(ctx, {((o, -1), (o, 1)): z12, ((o, 1), (o, -1)): z12,
+                             ((o, -2), (o, 2)): one})
+
+
 @settings(max_examples=100, deadline=None)
 @given(fold_chains())
+@example(("twisted", cancelling_fold_chain()))
 def test_trace_pairings_match_the_element_fold(kind_chain):
     kind, chain = kind_chain
     assert_same_through_common_window(trace_pair(chain),
@@ -453,6 +486,60 @@ def test_trace_pairings_match_the_element_fold(kind_chain):
             T.pair(chain),
             folded_trace(chain, T.xi.degree,
                          lambda labels: T.xi.evaluate(labels[1:])))
+
+
+# -- pairings do not depend on word order -----------------------------------
+#
+# Words a and b pair to opposite values at level 12 and word c to a value
+# at level 4.  A pairwise sum in insertion order drops the cancelled
+# coefficient of a + b with its level, so the order a, b, c printed the
+# pairing at level 4 and a, c, b at level 12.
+
+ZERO_ACT = TranslationAction(1, Z, (Fraction(0), Fraction(0)))
+
+
+def levels(x):
+    return {fe.level for h in x.coeffs.values() for fe in h.coeffs.values()}
+
+
+def assert_order_free(pair, ctx, words, coeffs):
+    a, b, c = words
+    values = []
+    for order in ((a, b, c), (a, c, b)):
+        chain = CyclicChain(ctx, dict(zip(order, map(coeffs.get, order))))
+        assert list(chain.coeffs) == list(order)
+        values.append(pair(chain))
+    abc, acb = values
+    assert not abc.is_zero()
+    assert to_text(abc) == to_text(acb)
+    assert levels(abc) == levels(acb) == {12}
+
+
+def order_coeffs(words):
+    z12 = u_scalar(HbarLaurent.from_field(FieldElement.zeta(12), 2), 1)
+    one = u_scalar(HbarLaurent.from_rational(1, 2), 1)
+    return dict(zip(words, (z12, z12, one)))
+
+
+def test_trace_pairing_does_not_depend_on_word_order():
+    ctx = ChainContext.crossed(ZERO_ACT, h_trunc=2, u_trunc=1)
+    o = (0, 0)
+    words = (((o, -1), (o, 1)), ((o, 1), (o, -1)), ((o, -2), (o, 2)))
+    T = TraceFunctional(GroupCochain.polynomial(Z, 1, {(1,): 1}))
+    assert_order_free(T.pair, ctx, words, order_coeffs(words))
+
+
+def test_phi_pair_does_not_depend_on_word_order():
+    # the word forms of a and b have opposite minors, that of c twice a's
+    ctx = ChainContext.torus(1, h_trunc=2, u_trunc=1)
+    words = (((-1, -1), (1, 0), (0, 1)), ((-1, -1), (0, 1), (1, 0)),
+             ((-2, -1), (2, 0), (0, 1)))
+    classes = equivariant_ahat(ZERO_ACT, 2).cup(
+        equivariant_theta(ZERO_ACT, 2).exponential())
+    xi = GroupCochain.constant(Z, 1)
+    assert_order_free(lambda ch: phi_pair(classes, xi, ch), ctx, words,
+                      order_coeffs(words))
+
 
 # -- the transposed index pairing ------------------------------------------
 

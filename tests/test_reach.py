@@ -66,8 +66,6 @@ TEST_ONLY = {
         "acceptance criterion 5: the free homotopy identity",
     "cyclic.EquivariantChain.to_homogeneous":
         "acceptance criterion 5: the coordinate-change roundtrip",
-    "cyclic._canonical":
-        "acceptance criterion 4: slot operators on coinvariant chains",
     "cyclic._weyl_labels": "acceptance criterion 4: the Weyl vocabulary",
     "cyclic.alexander_whitney":
         "acceptance criterion 5: the front/back splitting is a chain map",
