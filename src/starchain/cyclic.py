@@ -47,8 +47,10 @@ the non-homogeneous form keeps p independent group slots, dropping any
 word that contains the identity.  A homogeneous chain may be normalized:
 it then drops every group word with two equal adjacent labels, the words
 the non-homogeneous form would drop.  The total boundary is the inner one
-plus (-1)^(inner degree) times the group-word one.  The front/back
-splitting of an honest diagonal chain is one over torus words.
+plus (-1)^(inner degree) times the group-word one.  The inner boundary,
+and with it the one splitting map q_map, is b + uB, which at u window 0
+is the Hochschild boundary b.  The front/back splitting of an honest
+diagonal chain is one over torus words.
 
 Every operator is linear, given by its value on one word as a list of
 entries (target word, sign, scalar or None, u shift): the value is sign *
@@ -59,8 +61,8 @@ copy or an intermediate series.  Each scalar is a `scalars._Flat`, flat
 integer terms grouped by level: the star phases are cached by pairing,
 the crossed face phases on the context, the Moyal terms by slot pair.
 Sums of chains that are themselves operator values (b + uB, the total
-boundary, the layers of the splitting map) go through the same
-accumulator.  Both chain classes keep their terms through `Chain._store`.
+boundary) go through the same accumulator.  Both chain classes keep
+their terms through `Chain._store`.
 
 The inner boundary of an equivariant chain depends only on the inner word:
 it acts on the group word by a left translation and on the coefficient by
@@ -618,10 +620,10 @@ class EquivariantChain(Chain):
 
     # -- inner (coefficient complex) operators -----------------------------
 
-    def inner_boundary(self, mode: str = "mixed") -> "EquivariantChain":
-        """Boundary of the inner part; in free normal form the produced
-        representatives are re-canonicalised and the correction left-
-        translates the group word.
+    def inner_boundary(self) -> "EquivariantChain":
+        """Boundary b + uB of the inner part (b at u window 0); in free
+        normal form the produced representatives are re-canonicalised and
+        the correction left-translates the group word.
 
         The boundary of each inner word is planned once per inner context
         (`_boundary_plan`) and kept on the context.  Per word this
@@ -629,14 +631,11 @@ class EquivariantChain(Chain):
         group word, for the one sum of `Chain._map`, which cuts the
         degree-raising entries at the u window.  The translation phases
         come from the action of the diagonal inner context."""
-        return self._map(self._inner_terms(mode),
-                         u_cap=self.inner_ctx.u_trunc)
+        return self._map(self._inner_terms(), u_cap=self.inner_ctx.u_trunc)
 
-    def _inner_terms(self, mode):
+    def _inner_terms(self):
         """The entries of the inner boundary on one word: its inner word's
         plan, each target paired with the left-translated group word."""
-        if mode not in ("mixed", "hochschild"):
-            raise ValueError(f"unknown boundary mode {mode!r}")
         ctx = self.inner_ctx
         G = self.action.group
 
@@ -644,7 +643,7 @@ class EquivariantChain(Chain):
             ik, gw = key
             return [((k2, gw if ginv is None else
                       tuple(G.compose(ginv, x) for x in gw)), sign, s, shift)
-                    for k2, ginv, sign, s, shift in _plan(ctx, ik, mode)]
+                    for k2, ginv, sign, s, shift in _plan(ctx, ik, "mixed")]
 
         return terms
 
@@ -674,12 +673,12 @@ class EquivariantChain(Chain):
     def group_boundary(self) -> "EquivariantChain":
         return self._map(self._group_terms)
 
-    def total_boundary(self, mode: str = "mixed") -> "EquivariantChain":
+    def total_boundary(self) -> "EquivariantChain":
         """Inner boundary plus (-1)^(inner degree) group-word boundary,
         summed in one accumulator (scalars._chain_sums)."""
         ictx = self.inner_ctx
         return self._spawn(_chain_sums(chain(
-            _as_items(self.inner_boundary(mode)),
+            _as_items(self.inner_boundary()),
             ((c, self._group_terms(k, c, _key_degree(ictx, k[0]) % 2))
              for k, c in self.coeffs.items()))))
 
@@ -693,34 +692,28 @@ class EquivariantChain(Chain):
 
     # -- coordinate changes -------------------------------------------------
 
-    def drop_group_slots(self) -> "EquivariantChain":
-        """Forget the group half of each diagonal inner word."""
-        if not (self.homogeneous and self.inner_ctx.kind == "diag"):
-            raise ValueError("expects homogeneous chains with diagonal "
-                             "inner words")
-        return self._map(lambda k, v: [((k[0][0], k[1]), 1, None, 0)],
-                         partial(EquivariantChain, self.inner_ctx.as_torus(),
-                                 self.action, True,
-                                 normalized=self.normalized))
-
     def to_nonhomogeneous(self) -> "EquivariantChain":
         """Divide out the diagonal action: act on the inner word by the
-        leading group slot, then take successive quotients of the word."""
+        leading group slot, then take successive quotients of the word.
+        A diagonal inner word forgets its group half in the same map, so
+        the chain lands over inner_ctx.as_torus(); torus inner words keep
+        inner_ctx."""
         if not self.homogeneous:
             return self
-        if self.inner_ctx.kind != "torus":
-            raise ValueError("convert after dropping the group half")
+        diag = self.inner_ctx.kind == "diag"
+        tctx = self.inner_ctx.as_torus() if diag else self.inner_ctx
         G = self.action.group
 
         def terms(key, v):
             ik, gw = key
-            ik2, s = _translate(self.inner_ctx, self.action, gw[0], ik)
+            ik2, s = _translate(tctx, self.action, gw[0],
+                                ik[0] if diag else ik)
             word = tuple(G.compose(G.inverse(gw[i]), gw[i + 1])
                          for i in range(len(gw) - 1))
             return [((ik2, word), 1, _Flat(s), 0)]
 
-        return self._map(terms, partial(EquivariantChain, self.inner_ctx,
-                                        self.action, False))
+        return self._map(terms, partial(EquivariantChain, tctx, self.action,
+                                        False))
 
     def to_homogeneous(self) -> "EquivariantChain":
         """Section of to_nonhomogeneous with identity leading slot."""
@@ -755,30 +748,25 @@ def _as_items(x, shift=0):
     return ((c, [(k, 1, None, shift)]) for k, c in x.coeffs.items())
 
 
-def _homotopy_items(x: EquivariantChain, flip: int, mode=None):
+def _homotopy_items(x: EquivariantChain, flip: int, inner: bool = False):
     """The items of scalars._chain_sums for the free homotopy adapted to
     the signed group differential of the total complex, applied to x or,
-    when mode is given, to the inner boundary of x in that mode: prepend
-    the identity, weighted by the parity of the inner word, every sign
-    flipped when flip is 1.  The inner boundary's entries are composed
-    with the homotopy, so its chain is never built."""
+    when inner is set, to the inner boundary of x: prepend the identity,
+    weighted by the parity of the inner word, every sign flipped when flip
+    is 1.  The inner boundary's entries are composed with the homotopy,
+    so its chain is never built."""
     e = x.action.group.identity
     ictx = x.inner_ctx
-    if mode is None:
-        return ((c, [((ik, (e,) + gw),
-                      -1 if _key_degree(ictx, ik) % 2 != flip else 1,
-                      None, 0)])
-                for (ik, gw), c in x.coeffs.items())
-    inner = x._inner_terms(mode)
+    terms = x._inner_terms() if inner else \
+        (lambda key, c: [(key, 1, None, 0)])
     return ((c, [((k2, (e,) + gw2),
                   -sign if _key_degree(ictx, k2) % 2 != flip else sign,
                   s, shift)
-                 for (k2, gw2), sign, s, shift in inner(key, c)])
+                 for (k2, gw2), sign, s, shift in terms(key, c)])
             for key, c in x.coeffs.items())
 
 
-def q_map(f: CyclicChain, mode: str = "mixed",
-          normalized: bool = False) -> EquivariantChain:
+def q_map(f: CyclicChain, *, normalized: bool = False) -> EquivariantChain:
     """Split a chain of coinvariants into the equivariant complex.
 
     Staircase construction: the group-degree-zero layer is the canonical
@@ -787,7 +775,10 @@ def q_map(f: CyclicChain, mode: str = "mixed",
     The series stops when both running layers vanish (the u window and
     the degree floor prune everything), never at a fixed cutoff.  Each
     layer is one sum (scalars._chain_sums) of the homotopy composed with
-    the inner boundary, and the layers are summed once, at the end.
+    the inner boundary.  Layer r holds group words of length r + 1, so no
+    two layers share a word, and the map is the union of its layers.  It
+    splits against b + uB; the Hochschild splitting, against b, is the
+    same map at u window 0, where every uB term of a u^0 chain is cut.
 
     By default the map lands in the full homogeneous bar complex, where
     it is a chain map word for word.  With normalized=True every layer
@@ -800,9 +791,8 @@ def q_map(f: CyclicChain, mode: str = "mixed",
     emb = equivariant_embed(f, normalized)
     if f.is_zero():
         return emb
-    df = f.boundary() if mode == "hochschild" else f.mixed_boundary()
     V = emb
-    W = equivariant_embed(df)
+    W = equivariant_embed(f.mixed_boundary())
     layers = [emb]
     lows = [v.low for v in f.coeffs.values() if v.low is not None]
     head = min(lows) if lows else 0
@@ -817,11 +807,11 @@ def q_map(f: CyclicChain, mode: str = "mixed",
                                   "stabilise within its degree bound")
         V, W = (emb._spawn(_chain_sums(chain(
                     _homotopy_items(W, 0),
-                    _homotopy_items(V, 1, mode)), ut)),
-                emb._spawn(_chain_sums(_homotopy_items(W, 1, mode), ut)))
+                    _homotopy_items(V, 1, True)), ut)),
+                emb._spawn(_chain_sums(_homotopy_items(W, 1, True), ut)))
         layers.append(V)
-    return emb._spawn(_chain_sums(
-        item for layer in layers for item in _as_items(layer)))
+    return emb._spawn({k: c for layer in layers
+                       for k, c in layer.coeffs.items()})
 
 
 # -- front/back splitting and the localisation composite -------------------
@@ -853,20 +843,19 @@ def alexander_whitney(c: CyclicChain) -> EquivariantChain:
     return c._map(terms, partial(EquivariantChain, tctx, c.ctx.action, True))
 
 
-def d_map(c: CyclicChain, mode: str = "mixed") -> EquivariantChain:
+def d_map(c: CyclicChain) -> EquivariantChain:
     """Localise a crossed chain at the identity-product component and
     land in the non-homogeneous equivariant complex over algebra words.
 
-    Composite: project, rewrite as coinvariant diagonal words, split into
-    the equivariant complex, forget the group half of the inner words,
-    divide out the diagonal action.  The split is taken in the normalized
+    Composite of four steps: project, rewrite as coinvariant diagonal
+    words, split into the equivariant complex, and convert, which forgets
+    the group half of the inner words and divides out the diagonal action
+    in one map (to_nonhomogeneous).  The split is taken in the normalized
     bar complex (q_map with normalized=True): dividing out the diagonal
     action drops every degenerate group word, so the output is the one
     the full split gives."""
-    h = homogeneous_projection(c)
-    f = homogeneous_to_coinvariants(h)
-    qc = q_map(f, mode, normalized=True)
-    return qc.drop_group_slots().to_nonhomogeneous()
+    f = homogeneous_to_coinvariants(homogeneous_projection(c))
+    return q_map(f, normalized=True).to_nonhomogeneous()
 
 
 # -- idempotent character --------------------------------------------------

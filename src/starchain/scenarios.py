@@ -57,24 +57,23 @@ SCHEMA_VERSION = 1
 
 # Allowed ranges of the window and size fields, so that every accepted
 # configuration runs in bounded time and memory.  Timed on a 2-vCPU host
-# under CPython 3.11, every suite and index_check each in its own process,
-# on configs/default.json (h_trunc 6, u_trunc 3, weyl_order 6, dim 1) with
-# one field raised; all ten jobs take 6.4 s there, at most 60 MiB each.
-#   h_trunc 20: 4.3 s, 30: 7.0 s (splitting-roundtrips 2.3 s,
-#     character-cycles 1.9 s), at most 49 MiB.  When character-cycles
-#     read the full character, h_trunc 30 took 13 s (8.6 s of it there,
-#     160 MiB) on the same host, and before the splitting laws and d_map
-#     read the normalized bar complex, 108 s.  The cost grows with the
+# under CPython 3.11, every suite and index_check each in its own process
+# (spawn to exit, summed over the ten jobs), on configs/default.json
+# (h_trunc 6, u_trunc 3, weyl_order 6, dim 1) with one field raised; all
+# ten jobs take 2.9 s there, at most 28 MiB each.
+#   h_trunc 20: 4.3 s, 30: 6.3 s (splitting-roundtrips 1.9 s,
+#     character-cycles 1.6 s), at most 48 MiB.  The cost grows with the
 #     window, and at 200 moyal-associativity alone had not finished after
 #     20 s.
-#   u_trunc 4: 7.3 s (character-cycles 2.8 s and 81 MiB); 29 s when
-#     character-cycles read the full character (26 s and 587 MiB there);
-#     at 5, index_check alone took over 150 s when it still built the
-#     full character.
-#   weyl_order 10, 24: 6.5 and 6.0 s, as at 6, since the drawn symbols
+#   u_trunc 4: 5.4 s (character-cycles 2.1 s and 81 MiB); at 5,
+#     index_check alone took over 150 s when it still built the full
+#     character.
+#   weyl_order 10, 24: 2.8 and 2.7 s, as at 6, since the drawn symbols
 #     have bounded degree.
-#   dim 2, 3, 4 (shifts padded with zeros): 4.4, 4.9 and 5.7 s, at most
-#     62 MiB; at 6 forms-bridge needs more than 1.5 GiB.
+#   dim 2, 3, 4 (shifts padded with zeros): 2.6, 3.1 and 4.3 s, at most
+#     62 MiB (forms-bridge at 4); at 6 forms-bridge needs more than 1.5 GiB.
+#   u_trunc 4 with h_trunc 30, both at their bounds: 24 s, at most 229 MiB
+#     (character-cycles 14 s of it).
 FIELD_RANGES = {"dim": (1, 4), "h_trunc": (0, 30), "u_trunc": (0, 4),
                 "weyl_order": (0, 24)}
 

@@ -47,11 +47,14 @@ def inv_i_hbar(trunc):
     return HbarLaurent.from_field(I * (-1), trunc, power=-1)
 
 
-def rand_scalar(ctx, rng):
+def rand_scalar(ctx, rng, u_power=None):
+    """A one-term scalar; its u power is drawn from 0 and 1 unless given."""
     q = Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2))
     hp = rng.randint(0, 1) if ctx.h_trunc > 0 else 0
     h = HbarLaurent.from_rational(q, ctx.h_trunc, hp)
-    return ULaurent.from_hbar(h, ctx.u_trunc, rng.randint(0, 1))
+    up = rng.randint(0, 1)
+    return ULaurent.from_hbar(h, ctx.u_trunc, up if u_power is None
+                              else u_power)
 
 
 def rand_mode(ctx, rng):
@@ -80,11 +83,11 @@ def rand_key(ctx, rng, degree):
     raise AssertionError(k)
 
 
-def rand_chain(ctx, rng, degree, terms=1):
+def rand_chain(ctx, rng, degree, terms=1, u_power=None):
     acc = CyclicChain.zero(ctx)
     for _ in range(terms):
         acc = acc + CyclicChain.word(ctx, rand_key(ctx, rng, degree),
-                                     rand_scalar(ctx, rng))
+                                     rand_scalar(ctx, rng, u_power))
     return acc
 
 
@@ -289,13 +292,16 @@ def test_criterion_05_rewrites_and_chain_maps():
             f = rand_chain(dctx, rng, rng.randint(0, 1))
             assert q_map(f.mixed_boundary()) == q_map(f).total_boundary()
 
+    # the front/back splitting is a map of Hochschild complexes, so it is
+    # checked at u window 0 on u^0 coefficients, where the total boundary
+    # b + uB is b
     for act in (Z_ACT, FIN_ACT):
-        nctx = ChainContext.diagonal(act, small_h, small_u, coinvariant=False)
+        nctx = ChainContext.diagonal(act, small_h, 0, coinvariant=False)
         rng = random.Random(505)
         for _ in range(50):
-            x = rand_chain(nctx, rng, rng.randint(1, 3))
+            x = rand_chain(nctx, rng, rng.randint(1, 3), u_power=0)
             assert alexander_whitney(x.boundary()) == \
-                alexander_whitney(x).total_boundary("hochschild")
+                alexander_whitney(x).total_boundary()
 
     for act in (Z_ACT, FIN_ACT):
         xctx = ChainContext.crossed(act, h_trunc=small_h, u_trunc=small_u)

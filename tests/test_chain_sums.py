@@ -54,6 +54,23 @@ CTXS = {
 }
 
 
+def at_u_window_zero(ctx):
+    """A copy of ctx at u window 0, where the mixed boundary b + uB of a
+    u^0 chain is b: every uB term lands at u^1 and is cut."""
+    return ChainContext(ctx.kind, ctx.dim, ctx.group, ctx.action,
+                        ctx.h_trunc, 0, ctx.coinvariant)
+
+
+def u0_coefficients(items):
+    """{word: coefficient} with each coefficient's lowest u term moved to
+    u^0 at u window 0 (a u^-1 term would let uB reach u^0)."""
+    return {k: ULaurent(0, {0: v.coeffs[v.low]}) for k, v in items
+            if not v.is_zero()}
+
+
+CTXS_U0 = {name: at_u_window_zero(ctx) for name, ctx in CTXS.items()}
+
+
 # -- the reference sums ----------------------------------------------------
 
 def reference_sums(items, u_cap=None):
@@ -153,8 +170,11 @@ def _shape(v):
                      for e, h in v.coeffs.items()}
 
 
-def assert_same_chain(got, want):
-    assert list(got.coeffs) == list(want.coeffs)
+def assert_same_chain(got, want, ordered=True):
+    if ordered:
+        assert list(got.coeffs) == list(want.coeffs)
+    else:
+        assert got.coeffs.keys() == want.coeffs.keys()
     for k, v in want.coeffs.items():
         g = got.coeffs[k]
         assert to_text(g) == to_text(v), k
@@ -276,6 +296,20 @@ def test_boundaries_against_reference_sums(drawn):
     assert_same_chain(x.mixed_boundary(), ref_mixed(x))
 
 
+@settings(max_examples=60, deadline=None)
+@given(chains())
+@example(CANCEL[0])
+@example(CANCEL[1])
+@example(CANCEL[2])
+@example(CANCEL[3])
+def test_mixed_boundary_is_b_at_u_window_zero(drawn):
+    # the lemma behind the one splitting mode: on u^0 chains at u window
+    # 0, b + uB is b, with the same keys, printed form and windows
+    name, items = drawn
+    x = CyclicChain(CTXS_U0[name], u0_coefficients(items))
+    assert_same_chain(x.mixed_boundary(), x.boundary())
+
+
 EQ_CTXS = {
     "z": (ChainContext.diagonal(Z_ACT, H, U, coinvariant=True), Z_ACT, True),
     "tw": (ChainContext.diagonal(TW_ACT, H, U, coinvariant=True), TW_ACT,
@@ -308,6 +342,18 @@ def _equivariant(name, items):
     return EquivariantChain(ictx, act, homogeneous, dict(items))
 
 
+EQ_CTXS_U0 = {name: at_u_window_zero(ictx)
+              for name, (ictx, _, _) in EQ_CTXS.items()}
+
+
+def _equivariant_u0(name, items):
+    """The drawn chain at u window 0 with u^0 coefficients, where its
+    inner boundary is the Hochschild one."""
+    _, act, homogeneous = EQ_CTXS[name]
+    return EquivariantChain(EQ_CTXS_U0[name], act, homogeneous,
+                            u0_coefficients(dict(items).items()))
+
+
 # the first two words share an inner word whose faces cancel (modes of
 # pairing 0), at two levels, beside a third word that reaches one target
 EQ_CANCEL = ("z", [
@@ -320,14 +366,34 @@ EQ_CANCEL = ("z", [
 ])
 
 
+# B of the degree-0 word reaches a degree-1 word under group word (0,)
+# before the faces of the degree-2 words do; at u window 0 it is cut
+EQ_ORDER = ("tw", [
+    (((((0, 0),), (0,)), (0,)), ULaurent(0, {0: h(4, 0, 0, (0, 0, 1, 1))})),
+    (((((0, 0), (0, 0), (0, 0)), (0, 0, 0)), (0, 0)),
+     ULaurent(0, {0: h(4, 0, 0, (0, 0, 1, 1))})),
+    (((((0, 0), (0, 0), (0, 0)), (0, 0, 0)), (0,)),
+     ULaurent(0, {0: h(4, 0, 0, (0, 0, 1, 1))})),
+])
+
+
 @settings(max_examples=50, deadline=None)
 @given(equivariant_chains())
 @example(EQ_CANCEL)
+@example(EQ_ORDER)
 def test_inner_and_total_boundary_against_reference_sums(drawn):
     x = _equivariant(*drawn)
-    for mode in ("hochschild", "mixed"):
-        assert_same_chain(x.inner_boundary(mode), ref_inner(x, mode))
-        assert_same_chain(x.total_boundary(mode), ref_total(x, mode))
+    assert_same_chain(x.inner_boundary(), ref_inner(x, "mixed"))
+    assert_same_chain(x.total_boundary(), ref_total(x, "mixed"))
+    # at u window 0 the inner boundary is b: the Hochschild reference has
+    # every word, coefficient, window and level.  The words come in the
+    # order of b + uB, where a uB entry that the window cuts can reach a
+    # word before any face does, so the order is the mixed reference's.
+    x0 = _equivariant_u0(*drawn)
+    for got, ref in ((x0.inner_boundary(), ref_inner),
+                     (x0.total_boundary(), ref_total)):
+        assert_same_chain(got, ref(x0, "hochschild"), ordered=False)
+        assert_same_chain(got, ref(x0, "mixed"))
 
 
 # -- sums do not depend on how their terms are grouped ---------------------

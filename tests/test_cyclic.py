@@ -92,6 +92,22 @@ def rand_chain(ctx, rng, degree, terms=2):
     return acc
 
 
+def at_u0(x):
+    """x on a copy of its context at u window 0, each word's lowest u term
+    moved to u^0.  There the mixed boundary b + uB is the Hochschild one,
+    since every uB term lands at u^1 and is cut; a u^-1 term would let uB
+    reach u^0."""
+    coeffs = {k: ULaurent(0, {0: v.coeffs[v.low]})
+              for k, v in x.coeffs.items()}
+    ctx = x.inner_ctx if isinstance(x, EquivariantChain) else x.ctx
+    ctx0 = ChainContext(ctx.kind, ctx.dim, ctx.group, ctx.action,
+                        ctx.h_trunc, 0, ctx.coinvariant)
+    if isinstance(x, EquivariantChain):
+        return EquivariantChain(ctx0, x.action, x.homogeneous, coeffs,
+                                x.normalized)
+    return CyclicChain(ctx0, coeffs)
+
+
 # -- the simplicial and cyclic operator relations --------------------------
 
 @pytest.mark.parametrize("ctx", CTX_ONLY, ids=CTX_IDS)
@@ -273,8 +289,8 @@ def test_equivariant_total_boundary_squares_to_zero(act, homogeneous):
         ctx = ChainContext.torus(1, h_trunc=H, u_trunc=U)
     for q, p in ((1, 1), (2, 2), (0, 2)):
         x = rand_equivariant(ctx, act, rng, homogeneous, q=q, p=p)
-        for mode in ("hochschild", "mixed"):
-            assert x.total_boundary(mode).total_boundary(mode).is_zero()
+        for y in (at_u0(x), x):             # Hochschild, then mixed
+            assert y.total_boundary().total_boundary().is_zero()
         assert x.group_boundary().group_boundary().is_zero()
 
 
@@ -296,9 +312,9 @@ def test_group_coordinate_change_is_a_chain_map(act):
     rng = random.Random(60902)
     for q, p in ((1, 1), (1, 2), (2, 1)):
         x = rand_equivariant(tctx, act, rng, True, q=q, p=p)
-        for mode in ("hochschild", "mixed"):
-            assert x.total_boundary(mode).to_nonhomogeneous() == \
-                x.to_nonhomogeneous().total_boundary(mode)
+        for y in (at_u0(x), x):             # Hochschild, then mixed
+            assert y.total_boundary().to_nonhomogeneous() == \
+                y.to_nonhomogeneous().total_boundary()
 
 
 @pytest.mark.parametrize("act", [Z_ACT, TW_ACT, FIN_ACT],
@@ -308,9 +324,9 @@ def test_splitting_is_a_chain_map(act):
     rng = random.Random(280)
     for deg in (1, 2):
         f = rand_chain(dctx, rng, deg, terms=2)
-        for mode in ("hochschild", "mixed"):
-            df = f.boundary() if mode == "hochschild" else f.mixed_boundary()
-            assert q_map(f, mode).total_boundary(mode) == q_map(df, mode)
+        f0 = at_u0(f)                       # the Hochschild splitting
+        assert q_map(f0).total_boundary() == q_map(f0.boundary())
+        assert q_map(f).total_boundary() == q_map(f.mixed_boundary())
 
 
 def test_splitting_sections_the_projection():
@@ -327,11 +343,12 @@ def test_splitting_sections_the_projection():
 
 # -- the inner boundary against a per-term reference ------------------------
 #
-# inner_boundary applies a plan built once per (inner word, mode) on the
-# inner context.  The reference below expands every term on its own: the
-# raw faces and degree-raising terms of the inner word times the term's
-# coefficient, then each output moved to its representative and the group
-# word left-translated.  `_exact` also compares the u and hbar windows,
+# inner_boundary applies a plan built once per inner word on the inner
+# context; CyclicChain.boundary reads the faces of the same plans.  The
+# reference below expands every term on its own: the raw faces and
+# degree-raising terms of the inner word times the term's coefficient,
+# then each output moved to its representative and the group word
+# left-translated.  `_exact` also compares the u and hbar windows,
 # which chain equality reads through the smaller window: the plan must
 # leave every coefficient known through exactly the reference's powers.
 
@@ -362,9 +379,37 @@ def _exact(chain):
 
 
 def assert_matches_reference(x, mode):
-    got, want = x.inner_boundary(mode), reference_inner_boundary(x, mode)
+    got, want = x.inner_boundary(), reference_inner_boundary(x, mode)
     assert got == want
     assert _exact(got) == _exact(want)
+
+
+def reference_boundary(w):
+    """b of a chain, summed word by word from the raw faces."""
+    out = CyclicChain.zero(w.ctx)
+    for k, c in w.coeffs.items():
+        for k2, sign, s, _ in _raw_terms(w.ctx, k, "hochschild"):
+            v = c * sign if s is None else c * sign * s.series
+            out = out + CyclicChain(w.ctx, {k2: v})
+    return out
+
+
+def assert_plans_match(x, steps):
+    """The inner boundary of x against the reference in each step.  The
+    mixed step checks x and at_u0(x); the Hochschild step checks at_u0(x),
+    where the inner boundary is b, after taking b of its inner words on
+    the same context (CyclicChain.boundary), which reads the same plans:
+    so with "hochschild" first, b builds those plans."""
+    x0 = at_u0(x)
+    for mode in steps:
+        if mode == "hochschild":
+            words = CyclicChain(x0.inner_ctx, {ik: x0.inner_ctx.one()
+                                               for ik, _ in x0.coeffs})
+            assert words.boundary() == reference_boundary(words)
+            assert_matches_reference(x0, "hochschild")
+        else:
+            assert_matches_reference(x, "mixed")
+            assert_matches_reference(x0, "mixed")
 
 
 def shared_inner_words(ctx, act, rng, homogeneous, inner_keys, words=3):
@@ -408,8 +453,7 @@ def test_inner_boundary_plan_matches_reference(act, order):
     gw = (rand_nonidentity(G, rng), rand_nonidentity(G, rng))
     c = ULaurent.from_hbar(HbarLaurent.from_rational(1, H, 1), U)
     x = x + EquivariantChain(dctx, act, True, {(cancel, gw): c})
-    for mode in order + order:              # the second pass reuses plans
-        assert_matches_reference(x, mode)
+    assert_plans_match(x, order + order)    # the second pass reuses plans
 
 
 @pytest.mark.parametrize("act", [Z_ACT, FIN_ACT], ids=["z", "z4"])
@@ -430,8 +474,7 @@ def test_inner_boundary_plan_on_torus_words(act, order):
             x = x + CyclicChain.word(ctx, (alg, grp), rand_scalar(ctx, rng))
     t = alexander_whitney(x)
     assert len({ik for ik, _ in t.coeffs}) < len(t.coeffs)
-    for mode in order + order:
-        assert_matches_reference(t, mode)
+    assert_plans_match(t, order + order)
 
 
 @pytest.mark.parametrize("field", ["h_trunc", "u_trunc"])
@@ -446,8 +489,7 @@ def test_inner_boundary_plans_stay_with_their_context(field):
                                         windows["u_trunc"], coinvariant=True)
             rng = random.Random(trunc)
             x = shared_inner_words(ctx, act, rng, True, [ik])
-            for mode in ("mixed", "hochschild"):
-                assert_matches_reference(x, mode)
+            assert_plans_match(x, ("mixed", "hochschild"))
 
 
 def test_splitting_of_zero_is_zero():
@@ -462,9 +504,9 @@ def test_front_back_splitting_is_a_chain_map(act):
     ctx = ChainContext.diagonal(act, H, U, coinvariant=False)
     rng = random.Random(3435)
     for deg in (1, 2, 3):
-        x = rand_chain(ctx, rng, deg, terms=2)
+        x = at_u0(rand_chain(ctx, rng, deg, terms=2))
         assert alexander_whitney(x.boundary()) == \
-            alexander_whitney(x).total_boundary("hochschild")
+            alexander_whitney(x).total_boundary()
 
 
 @pytest.mark.parametrize("act", [Z_ACT, FIN_ACT], ids=["z", "z4"])
@@ -492,7 +534,9 @@ def test_localisation_is_a_chain_map(act):
     rng = random.Random(1009)
     for deg in (1, 2):
         c = rand_identity_product_chain(xctx, rng, deg, terms=2)
-        assert d_map(c.mixed_boundary()) == d_map(c).total_boundary("mixed")
+        assert d_map(c.mixed_boundary()) == d_map(c).total_boundary()
+        c0 = at_u0(c)                       # the Hochschild localisation
+        assert d_map(c0.boundary()) == d_map(c0).total_boundary()
 
 
 def test_localisation_reuses_the_plans_of_its_context():

@@ -24,7 +24,7 @@ from starchain.group_coh import (GroupCochain, TraceFunctional,
                                  equivariant_ahat, equivariant_theta,
                                  phi_pair, trace_pair)
 from starchain.groups import CyclicGroup
-from starchain.scalars import to_text
+from starchain.scalars import ULaurent, to_text
 from starchain.scenarios import (ScenarioConfig, _identity_words,
                                  _rand_chain, _slot_words)
 from starchain.torus import TranslationAction
@@ -51,6 +51,16 @@ def record(chain):
             for key, v in chain.coeffs.items()}
 
 
+def at_u0(x):
+    """A coinvariant chain on a copy of its context at u window 0, each
+    word's lowest u term moved to u^0: there b + uB is b, since every uB
+    term lands at u^1 and is cut."""
+    ctx = x.ctx
+    return CyclicChain(ChainContext.diagonal(ctx.action, ctx.h_trunc, 0),
+                       {k: ULaurent(0, {0: v.coeffs[v.low]})
+                        for k, v in x.coeffs.items()})
+
+
 def degenerate(chain):
     """The words of a homogeneous equivariant chain with two equal
     adjacent group labels."""
@@ -60,10 +70,23 @@ def degenerate(chain):
                    for a, b in zip(key[1], key[1][1:]))}
 
 
-def full_d_map(c, mode="mixed"):
-    """d_map's composite through the full q_map."""
+def drop_group_half(x):
+    """A homogeneous chain over diagonal inner words relabelled (alg,
+    grp) -> alg with a plain dict, the words that meet summed, as a chain
+    over the torus words of the inner context."""
+    out = {}
+    for ((alg, _), gw), v in x.coeffs.items():
+        key = (alg, gw)
+        out[key] = v if key not in out else out[key] + v
+    return EquivariantChain(x.inner_ctx.as_torus(), x.action, True, out,
+                            x.normalized)
+
+
+def full_d_map(c):
+    """d_map's composite through the full q_map, the group half of its
+    inner words dropped before the conversion."""
     f = homogeneous_to_coinvariants(homogeneous_projection(c))
-    return q_map(f, mode).drop_group_slots().to_nonhomogeneous()
+    return drop_group_half(q_map(f)).to_nonhomogeneous()
 
 
 # -- the normalized bar complex in the splitting ----------------------------
@@ -97,11 +120,39 @@ def test_normalized_split_is_the_projection_of_the_full_one(name):
                 if k not in degenerate(full)}
         assert record(norm) == kept
         assert not degenerate(norm)
-        # the chain-map law in the normalized complex
-        for mode in ("hochschild", "mixed"):
-            df = f.boundary() if mode == "hochschild" else f.mixed_boundary()
-            assert q_map(f, mode, normalized=True).total_boundary(mode) == \
-                q_map(df, mode, normalized=True)
+        # the chain-map law in the normalized complex, Hochschild (at u
+        # window 0, u^0 coefficients only) and mixed
+        f0 = at_u0(f)
+        assert q_map(f0, normalized=True).total_boundary() == \
+            q_map(f0.boundary(), normalized=True)
+        assert q_map(f, normalized=True).total_boundary() == \
+            q_map(f.mixed_boundary(), normalized=True)
+
+
+@pytest.mark.parametrize("name", ["default", "twisted", "order4"])
+def test_conversion_forgets_the_group_half_in_one_map(name):
+    # to_nonhomogeneous on diagonal inner words against dropping their
+    # group half first, on the full and the normalized split
+    cfg = config(name, h_trunc=2, u_trunc=1)
+    xctx = ChainContext.crossed(cfg.action(), h_trunc=cfg.h_trunc,
+                                u_trunc=cfg.u_trunc)
+    rng = random.Random(cfg.seed)
+    for deg in (0, 1, 2):
+        x = _rand_chain(rng, xctx, _identity_words(rng, xctx, deg))
+        f = homogeneous_to_coinvariants(x)
+        # each algebra word again under another group half, so that words
+        # meet once the group half is dropped
+        G = f.ctx.group
+        f = f + CyclicChain(f.ctx, {
+            (alg, grp[:1] + tuple(G.compose(g, 1) for g in grp[1:])): v
+            for (alg, grp), v in f.coeffs.items()})
+        for normalized in (False, True):
+            split = q_map(f, normalized=normalized)
+            got = split.to_nonhomogeneous()
+            want = drop_group_half(split).to_nonhomogeneous()
+            assert got.inner_ctx is f.ctx.as_torus()
+            assert list(got.coeffs) == list(want.coeffs)
+            assert record(got) == record(want)
 
 
 def test_unreduced_labels_are_one_element():
