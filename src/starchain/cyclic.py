@@ -11,22 +11,25 @@ operator set serves several slot vocabularies:
              the resulting hbar powers into the scalar
   'sym'      the same monomial slots with the plain commutative product;
              this is the domain of the chains-to-forms rule
-  'group'    slots are cyclic-group elements; inner faces omit a slot and
-             degeneracies duplicate one
+  'group'    slots are cyclic-group elements; g times h is h, so a face
+             omits a slot, and a degeneracy duplicates one
   'crossed'  slots are (mode, group element) pairs multiplying as the
              crossed product of the quantized torus by a translation
-  'diag'     slots are aligned algebra/group pairs, every structure map
-             acting slotwise on both tuples
+  'diag'     slots are (mode, group element) pairs of the tensor product
+             of the torus and group vocabularies: (m, g) times (n, h) is
+             the wave product of the modes under the label h, and a
+             degeneracy after slot (m, g) inserts (zero mode, g)
   'idem'     slots are words in {unit, e} over one abstract idempotent;
              this vocabulary backs the character coefficient table
 
-Conventions.  Face i with 0 <= i < n merges slots i and i+1 in that
-order; the top face folds slot n onto slot 0 as (slot n)(slot 0).  In the
-group vocabulary face i omits slot i instead.  Degeneracy i inserts the
-unit after slot i (duplicates slot i for group words).  The rotation
-sends (x_0, ..., x_n) to (x_1, ..., x_n, x_0) without a sign.  The
-simplicial boundary is the alternating face sum.  The degree-raising
-boundary is
+Conventions.  A vocabulary is two rules: the product of two adjacent
+slots (_mul_labels) and the slot a degeneracy inserts after a slot
+(_unit_after); every word of n + 1 slots has degree n.  Face i with
+0 <= i < n merges slots i and i+1 in that order; the top face folds slot
+n onto slot 0 as (slot n)(slot 0).  Degeneracy i inserts the unit after
+slot i, in the sense of _unit_after.  The rotation sends (x_0,
+..., x_n) to (x_1, ..., x_n, x_0) without a sign.  The simplicial
+boundary is the alternating face sum.  The degree-raising boundary is
 
     (rotate_inverse + (-1)^n) o (degeneracy n) o N,
     N = sum_i (-1)^(i n) rotate^i,
@@ -35,10 +38,11 @@ and the mixed boundary adds u times it to the simplicial one.
 
 Diagonal chains come in two flavours.  The plain flavour is an honest
 tensor; the coinvariant flavour stores one canonical representative per
-orbit of the joint group action (first group slot equal to the identity),
-and every operator re-canonicalises its output.  The translation actions
-used here scale a mode by a phase without moving it, so canonicalisation
-only multiplies coefficients and left-translates group labels.
+orbit of the joint group action (the label of slot 0 the identity), and
+every operator moves its raw entries to their representatives
+(_canonical).  The translation actions used here scale a mode by a phase
+without moving it, so canonicalisation only multiplies coefficients and
+left-translates the labels.
 
 Equivariant chains pair an inner chain with a word of group elements.
 The homogeneous form keeps p+1 group slots modulo the diagonal action
@@ -68,15 +72,16 @@ The inner boundary of an equivariant chain depends only on the inner word:
 it acts on the group word by a left translation and on the coefficient by
 one scalar per entry.  Each inner word's mixed boundary is therefore
 built once per chain context, as a plan: its raw entries moved to their
-representatives by `_canonical`, the one coinvariant rewrite of entries,
-as (target inner word, g^-1 or None, sign, scalar or None, u shift), each
-scalar the star phase times the translation phase, built as flat terms
-once.  The plan is applied to every group word that carries that inner
-word, and the accumulator sums the entries of one target, so no plan sums
-its own values; b and B take its faces and its degree-raising entries.
-The plans live on the context, so they are cut at its own hbar and u
-windows and live no longer than it.  The splitting map composes them with
-its homotopy, so the inner boundary's chain is never built there.
+representatives by `_canonical`, as (target inner word, g^-1 or None,
+sign, scalar or None, u shift), each scalar the star phase times the
+translation phase, built as flat terms once.  The plan is applied to
+every group word that carries that inner word, and the accumulator sums
+the entries of one target, so no plan sums its own values.  Only the
+inner boundary reads plans: a cyclic chain's b and B take the raw entries
+of each word once.  The plans live on the context, so they are cut at its
+own hbar and u windows and live no longer than it.  The splitting map
+composes them with its homotopy, so the inner boundary's chain is never
+built there.
 """
 
 from fractions import Fraction
@@ -87,7 +92,7 @@ from .scalars import (HbarLaurent, ULaurent, _Accumulator, _chain_sums,
                       _Flat, _as_field, _flat_phase, _star_phase)
 from .sparse import Chain, _acc
 from .torus import (TorusElement, CrossedElement, TranslationAction,
-                    omega_pairing)
+                    mode_add, omega_pairing)
 from .weyl import _moyal_product
 
 _KINDS = ("torus", "weyl", "sym", "group", "crossed", "diag", "idem")
@@ -111,7 +116,7 @@ class ChainContext:
         self.h_trunc = h_trunc
         self.u_trunc = u_trunc
         self.coinvariant = coinvariant
-        # inner word -> its boundary plan; see _boundary_plan
+        # inner word -> its boundary plan; see _plan
         self._plans = {}
         # (g, mode, pairing) -> crossed face phase as a _Flat; see _mul_labels
         self._phases = {}
@@ -190,10 +195,6 @@ class ChainContext:
 
 # -- slot helpers ----------------------------------------------------------
 
-def _mode_add(m, n):
-    return tuple(a + b for a, b in zip(m, n))
-
-
 def _unit_label(ctx):
     kind = ctx.kind
     if kind in ("torus", "diag"):
@@ -208,15 +209,35 @@ def _unit_label(ctx):
     raise ValueError(f"no unit slot for kind {ctx.kind!r}")
 
 
+def _unit_after(ctx, slot):
+    """The slot a degeneracy inserts after slot: the slot itself in a
+    group word, the zero mode under the slot's label in a diagonal word,
+    the unit in every other vocabulary."""
+    kind = ctx.kind
+    if kind == "group":
+        return slot
+    if kind == "diag":
+        return (_unit_label(ctx), slot[1])
+    return _unit_label(ctx)
+
+
 def _mul_labels(ctx, x, y):
-    """Product of two slot labels as [(label, scalar or None), ...], each
+    """Product of two adjacent slots as [(slot, scalar or None), ...], each
     scalar a cached _Flat: the star phase by pairing, the crossed phase
     (translation times star phase) on the context, the Moyal terms by
-    label pair."""
+    label pair.  A diagonal slot (m, g) times (n, h) is the wave product
+    of the modes under the label h, and a group slot g times h is h: so
+    face i omits group label i, and the top face keeps label 0."""
     kind = ctx.kind
-    if kind in ("torus", "diag"):
-        return [(_mode_add(x, y),
+    if kind == "torus":
+        return [(mode_add(x, y),
                  _flat_phase(omega_pairing(x, y), ctx.h_trunc))]
+    if kind == "diag":
+        (m, _), (n, h) = x, y
+        return [((mode_add(m, n), h),
+                 _flat_phase(omega_pairing(m, n), ctx.h_trunc))]
+    if kind == "group":
+        return [(y, None)]
     if kind == "crossed":
         (m, g), (n, h) = x, y
         p = omega_pairing(m, n)
@@ -225,10 +246,10 @@ def _mul_labels(ctx, x, y):
             ph = ctx._phases[g, n, p] = _Flat(
                 ctx.action.mode_phase(g, n, ctx.h_trunc)
                 * _star_phase(p, ctx.h_trunc))
-        return [((_mode_add(m, n), ctx.group.compose(g, h)), ph)]
+        return [((mode_add(m, n), ctx.group.compose(g, h)), ph)]
     if kind == "sym":
         (a, b), (c, d) = x, y
-        return [((_mode_add(a, c), _mode_add(b, d)), None)]
+        return [((mode_add(a, c), mode_add(b, d)), None)]
     if kind == "weyl":
         return _weyl_labels(x, y, ctx.h_trunc)
     if kind == "idem":
@@ -246,74 +267,48 @@ def _weyl_labels(x, y, h_trunc):
 
 # -- raw word operators (no coinvariant canonicalisation) ------------------
 
-def _key_degree(ctx, key):
-    return len(key[0]) - 1 if ctx.kind == "diag" else len(key) - 1
-
-
-def _alg_face(ctx, word, i):
-    n = len(word) - 1
+def _face_key(ctx, key, i):
+    """Face i of a word: slot i times slot i + 1 in its place, or for the
+    top face slot n times slot 0 in the place of slot 0."""
+    n = len(key) - 1
     if not 0 <= i <= n or n < 1:
         raise ValueError(f"face {i} undefined on a word of degree {n}")
     if i < n:
-        return [(word[:i] + (lab,) + word[i + 2:], s)
-                for lab, s in _mul_labels(ctx, word[i], word[i + 1])]
-    return [((lab,) + word[1:n], s)
-            for lab, s in _mul_labels(ctx, word[n], word[0])]
-
-
-def _face_key(ctx, key, i):
-    if ctx.kind == "group":
-        if len(key) < 2:
-            raise ValueError("cannot take a face of a single group slot")
-        return [(key[:i] + key[i + 1:], None)]
-    if ctx.kind == "diag":
-        alg, grp = key
-        grp2 = grp[:i] + grp[i + 1:]
-        return [((w, grp2), s) for w, s in _alg_face(ctx, alg, i)]
-    return _alg_face(ctx, key, i)
+        return [(key[:i] + (lab,) + key[i + 2:], s)
+                for lab, s in _mul_labels(ctx, key[i], key[i + 1])]
+    return [((lab,) + key[1:n], s)
+            for lab, s in _mul_labels(ctx, key[n], key[0])]
 
 
 def _deg_key(ctx, key, i):
-    if ctx.kind == "group":
-        return [(key[:i + 1] + (key[i],) + key[i + 1:], None)]
-    if ctx.kind == "diag":
-        alg, grp = key
-        alg2 = alg[:i + 1] + (_unit_label(ctx),) + alg[i + 1:]
-        grp2 = grp[:i + 1] + (grp[i],) + grp[i + 1:]
-        return [((alg2, grp2), None)]
-    return [(key[:i + 1] + (_unit_label(ctx),) + key[i + 1:], None)]
+    return [(key[:i + 1] + (_unit_after(ctx, key[i]),) + key[i + 1:], None)]
 
 
-def _rotate_key(ctx, key, k):
+def _rotate_key(key, k):
     """Rotate a word k places: (x_0, ..., x_n) to (x_k, ..., x_n, x_0,
     ..., x_(k-1)); k may be negative or exceed the length."""
-    if ctx.kind == "diag":
-        alg, grp = key
-        k %= len(alg)
-        return (alg[k:] + alg[:k], grp[k:] + grp[:k])
-    k %= len(key)
-    return key[k:] + key[:k]
+    return key[k % len(key):] + key[:k % len(key)]
 
 
 def _translate(ctx, action, g, key):
     """Act by g^-1 on an inner word of ctx.
 
     Modes never move, so the word only picks up the eigenvalue of g^-1 on
-    its modes; the group half of a diagonal word is left-translated by
-    g^-1.  Returns (key, phase)."""
+    its modes; the labels of a diagonal word are left-translated by g^-1.
+    Returns (key, phase)."""
     G = action.group
     ginv = G.inverse(g)
     if ctx.kind == "diag":
-        alg, grp = key
-        return ((alg, tuple(G.compose(ginv, x) for x in grp)),
-                action.word_phase((ginv,) * len(alg), alg, ctx.h_trunc))
+        modes = tuple(m for m, _ in key)
+        return (tuple((m, G.compose(ginv, x)) for m, x in key),
+                action.word_phase((ginv,) * len(key), modes, ctx.h_trunc))
     return key, action.word_phase((ginv,) * len(key), key, ctx.h_trunc)
 
 
 def _raw_boundary_terms(ctx, key):
     """Alternating face sum of one word as entries (target, sign, scalar or
     None, 0); degree 0 contributes nothing."""
-    n = _key_degree(ctx, key)
+    n = len(key) - 1
     return [(k2, -1 if i % 2 else 1, s, 0)
             for i in range(n + 1 if n else 0)
             for k2, s in _face_key(ctx, key, i)]
@@ -322,12 +317,12 @@ def _raw_boundary_terms(ctx, key):
 def _raw_connes_terms(ctx, key, shift=0):
     """Degree-raising boundary of one word as entries (target, sign, None,
     shift); shift 1 is the u factor of the mixed boundary."""
-    n = _key_degree(ctx, key)
+    n = len(key) - 1
     out = []
     for i in range(n + 1):
         sg = -1 if (i * n) % 2 else 1
-        for k1, _ in _deg_key(ctx, _rotate_key(ctx, key, i), n):
-            out.append((_rotate_key(ctx, k1, -1), sg, None, shift))
+        for k1, _ in _deg_key(ctx, _rotate_key(key, i), n):
+            out.append((_rotate_key(k1, -1), sg, None, shift))
             out.append((k1, -sg if n % 2 else sg, None, shift))
     return out
 
@@ -354,38 +349,27 @@ def _canonical(ctx, entries):
     out = []
     for k2, sign, s, shift in entries:
         ginv = None
-        if canon and not G.is_identity(k2[1][0]):
-            ginv = G.inverse(k2[1][0])
-            k2, phase = _translate(ctx, ctx.action, k2[1][0], k2)
+        if canon and not G.is_identity(k2[0][1]):
+            ginv = G.inverse(k2[0][1])
+            k2, phase = _translate(ctx, ctx.action, k2[0][1], k2)
             s = _Flat(phase if s is None else s.series * phase)
         out.append((k2, ginv, sign, s, shift))
     return out
 
 
-def _boundary_plan(ctx, ik):
-    """The mixed boundary b + uB of the inner word ik of ctx, taken on the
-    coefficient 1, as its entries moved to their representatives
-    (_canonical): the faces (u shift 0), then all of them with the
-    degree-raising terms (u shift 1).  The entries of one target are kept
-    apart; the accumulator that applies them sums their products, each
-    through its own window."""
-    mixed = _canonical(ctx, _raw_terms(ctx, ik, "mixed"))
-    return [e for e in mixed if not e[4]], mixed
-
-
-def _plan(ctx, ik, mode):
-    """The plan entries of the inner word ik for b ('hochschild'), B
-    ('connes', at u shift 0) or b + uB ('mixed'); the plan is built once
-    per context (_boundary_plan)."""
+def _plan(ctx, ik):
+    """The boundary plan of the inner word ik of ctx: its mixed boundary
+    b + uB on the coefficient 1, the faces (u shift 0) then the
+    degree-raising terms (u shift 1), as entries moved to their
+    representatives (_canonical).  The inner boundary applies one plan to
+    every group word that carries ik, so the plan is built once and kept
+    on the context.  The entries of one target are kept apart; the
+    accumulator that applies them sums their products, each through its
+    own window."""
     plan = ctx._plans.get(ik)
     if plan is None:
-        plan = ctx._plans[ik] = _boundary_plan(ctx, ik)
-    faces, mixed = plan
-    if mode == "hochschild":
-        return faces
-    if mode == "mixed":
-        return mixed
-    return [(k2, g, sign, s, 0) for k2, g, sign, s, _ in mixed[len(faces):]]
+        plan = ctx._plans[ik] = _canonical(ctx, _raw_terms(ctx, ik, "mixed"))
+    return plan
 
 
 class CyclicChain(Chain):
@@ -406,8 +390,8 @@ class CyclicChain(Chain):
         the one whose first group slot is the identity."""
         ctx = self.ctx
         if ctx.kind == "diag" and ctx.coinvariant \
-                and not ctx.group.is_identity(key[1][0]):
-            key, s = _translate(ctx, ctx.action, key[1][0], key)
+                and not ctx.group.is_identity(key[0][1]):
+            key, s = _translate(ctx, ctx.action, key[0][1], key)
             value = value * s
         return key, value
 
@@ -429,13 +413,22 @@ class CyclicChain(Chain):
     def _scalar(self, s):
         return self.ctx.scalar(s)
 
+    def _raw_map(self, terms):
+        """The map sending each word to its raw entries terms(ctx, word), a
+        coinvariant context moving each target to its representative
+        (_canonical)."""
+        ctx = self.ctx
+        if ctx.kind == "diag" and ctx.coinvariant:
+            return self._map(lambda k, c: [
+                (k2, sign, s, shift)
+                for k2, _, sign, s, shift in _canonical(ctx, terms(ctx, k))])
+        return self._map(lambda k, c: terms(ctx, k))
+
     def _slotwise(self, op, *args):
         """The map sending each word to op(ctx, word, *args), a list of
-        (word, scalar or None) pairs, coinvariant targets canonicalised."""
-        ctx = self.ctx
-        return self._map(lambda k, c: [
-            (k2, 1, s, 0) for k2, _, _, s, _ in _canonical(
-                ctx, [(k2, 1, s, 0) for k2, s in op(ctx, k, *args)])])
+        (word, scalar or None) pairs."""
+        return self._raw_map(lambda ctx, k: [(k2, 1, s, 0)
+                                             for k2, s in op(ctx, k, *args)])
 
     def face(self, i: int) -> "CyclicChain":
         return self._slotwise(_face_key, i)
@@ -444,22 +437,11 @@ class CyclicChain(Chain):
         return self._slotwise(_deg_key, i)
 
     def rotate(self, power: int = 1) -> "CyclicChain":
-        return self._slotwise(lambda ctx, k: [(_rotate_key(ctx, k, power),
-                                               None)])
+        return self._slotwise(lambda ctx, k: [(_rotate_key(k, power), None)])
 
     def _boundary(self, mode):
-        """b ('hochschild') or B ('connes') (see _raw_terms).  A coinvariant
-        word takes its plan, whose targets are representatives; the plan is
-        kept on the context."""
-        ctx = self.ctx
-        if ctx.kind == "diag" and ctx.coinvariant:
-            def terms(k, c):
-                return [(k2, sign, s, shift)
-                        for k2, _, sign, s, shift in _plan(ctx, k, mode)]
-        else:
-            def terms(k, c):
-                return _raw_terms(ctx, k, mode)
-        return self._map(terms)
+        """b ('hochschild') or B ('connes'); see _raw_terms."""
+        return self._raw_map(partial(_raw_terms, mode=mode))
 
     def boundary(self) -> "CyclicChain":
         """Simplicial boundary b (alternating face sum)."""
@@ -486,7 +468,7 @@ class CyclicChain(Chain):
 
     def __repr__(self):
         n = len(self.coeffs)
-        degrees = sorted({_key_degree(self.ctx, k) for k in self.coeffs})
+        degrees = sorted({len(k) - 1 for k in self.coeffs})
         return (f"CyclicChain({self.ctx.kind}, {n} word"
                 f"{'s' if n != 1 else ''}, degrees {degrees})")
 
@@ -508,8 +490,9 @@ def homogeneous_to_coinvariants(c: CyclicChain) -> CyclicChain:
     """Identity-product crossed words to coinvariant diagonal words.
 
     Slot 0 is acted on by the inverse of its own group label; slot j >= 1
-    by the product of labels 1 through j-1.  The group word becomes the
-    prefix products (identity first), which is already canonical."""
+    by the product of labels 1 through j-1.  Slot j keeps its mode under
+    the product of labels 1 through j (the identity at slot 0), so the
+    word is already canonical."""
     if c.ctx.kind != "crossed":
         raise ValueError("expected a crossed chain")
     ctx = c.ctx
@@ -524,7 +507,7 @@ def homogeneous_to_coinvariants(c: CyclicChain) -> CyclicChain:
         prefix = tuple(accumulate(labels[1:], G.compose, initial=G.identity))
         s = act.word_phase((G.inverse(labels[0]),) + prefix[:-1], modes,
                            ctx.h_trunc)
-        return [((modes, prefix), 1, _Flat(s), 0)]
+        return [(tuple(zip(modes, prefix)), 1, _Flat(s), 0)]
 
     return c._map(terms, partial(CyclicChain,
                                  ctx.as_diagonal(coinvariant=True)))
@@ -533,16 +516,15 @@ def homogeneous_to_coinvariants(c: CyclicChain) -> CyclicChain:
 def coinvariants_to_homogeneous(c: CyclicChain) -> CyclicChain:
     """Inverse of homogeneous_to_coinvariants.
 
-    Slot j >= 1 becomes (action of previous label inverse on mode j,
-    previous label inverse composed with label j); slot 0 wraps around
-    using the last label."""
+    Slot (m_j, g_j) becomes (action of g_(j-1)^-1 on m_j, g_(j-1)^-1
+    g_j), slot 0 wrapping around to the last label g_n."""
     if c.ctx.kind != "diag" or not c.ctx.coinvariant:
         raise ValueError("expected a coinvariant diagonal chain")
     ctx = c.ctx
     G, act = ctx.group, ctx.action
 
     def terms(key, v):
-        modes, grp = key
+        modes, grp = zip(*key)
         pinv = [G.inverse(grp[j - 1]) for j in range(len(modes))]
         slots = tuple((m, G.compose(p, g))
                       for m, p, g in zip(modes, pinv, grp))
@@ -626,11 +608,12 @@ class EquivariantChain(Chain):
         the correction left-translates the group word.
 
         The boundary of each inner word is planned once per inner context
-        (`_boundary_plan`) and kept on the context.  Per word this
-        leaves the plan's entries, each with the left translation of the
-        group word, for the one sum of `Chain._map`, which cuts the
-        degree-raising entries at the u window.  The translation phases
-        come from the action of the diagonal inner context."""
+        (`_plan`) and kept on the context, since one inner word carries
+        many group words.  Per word this leaves the plan's entries, each
+        with the left translation of the group word, for the one sum of
+        `Chain._map`, which cuts the degree-raising entries at the u
+        window.  The translation phases come from the action of the
+        diagonal inner context."""
         return self._map(self._inner_terms(), u_cap=self.inner_ctx.u_trunc)
 
     def _inner_terms(self):
@@ -643,7 +626,7 @@ class EquivariantChain(Chain):
             ik, gw = key
             return [((k2, gw if ginv is None else
                       tuple(G.compose(ginv, x) for x in gw)), sign, s, shift)
-                    for k2, ginv, sign, s, shift in _plan(ctx, ik, "mixed")]
+                    for k2, ginv, sign, s, shift in _plan(ctx, ik)]
 
         return terms
 
@@ -676,10 +659,9 @@ class EquivariantChain(Chain):
     def total_boundary(self) -> "EquivariantChain":
         """Inner boundary plus (-1)^(inner degree) group-word boundary,
         summed in one accumulator (scalars._chain_sums)."""
-        ictx = self.inner_ctx
         return self._spawn(_chain_sums(chain(
             _as_items(self.inner_boundary()),
-            ((c, self._group_terms(k, c, _key_degree(ictx, k[0]) % 2))
+            ((c, self._group_terms(k, c, (len(k[0]) - 1) % 2))
              for k, c in self.coeffs.items()))))
 
     def prepend_unit(self) -> "EquivariantChain":
@@ -695,9 +677,9 @@ class EquivariantChain(Chain):
     def to_nonhomogeneous(self) -> "EquivariantChain":
         """Divide out the diagonal action: act on the inner word by the
         leading group slot, then take successive quotients of the word.
-        A diagonal inner word forgets its group half in the same map, so
-        the chain lands over inner_ctx.as_torus(); torus inner words keep
-        inner_ctx."""
+        A diagonal inner word keeps only the modes of its slots in the
+        same map, so the chain lands over inner_ctx.as_torus(); torus inner
+        words keep inner_ctx."""
         if not self.homogeneous:
             return self
         diag = self.inner_ctx.kind == "diag"
@@ -707,7 +689,7 @@ class EquivariantChain(Chain):
         def terms(key, v):
             ik, gw = key
             ik2, s = _translate(tctx, self.action, gw[0],
-                                ik[0] if diag else ik)
+                                tuple(m for m, _ in ik) if diag else ik)
             word = tuple(G.compose(G.inverse(gw[i]), gw[i + 1])
                          for i in range(len(gw) - 1))
             return [((ik2, word), 1, _Flat(s), 0)]
@@ -756,11 +738,10 @@ def _homotopy_items(x: EquivariantChain, flip: int, inner: bool = False):
     is 1.  The inner boundary's entries are composed with the homotopy,
     so its chain is never built."""
     e = x.action.group.identity
-    ictx = x.inner_ctx
     terms = x._inner_terms() if inner else \
         (lambda key, c: [(key, 1, None, 0)])
     return ((c, [((k2, (e,) + gw2),
-                  -sign if _key_degree(ictx, k2) % 2 != flip else sign,
+                  -sign if (len(k2) - 1) % 2 != flip else sign,
                   s, shift)
                  for (k2, gw2), sign, s, shift in terms(key, c)])
             for key, c in x.coeffs.items())
@@ -796,7 +777,7 @@ def q_map(f: CyclicChain, *, normalized: bool = False) -> EquivariantChain:
     layers = [emb]
     lows = [v.low for v in f.coeffs.values() if v.low is not None]
     head = min(lows) if lows else 0
-    limit = max(_key_degree(f.ctx, k) for k in f.coeffs)
+    limit = max(len(k) - 1 for k in f.coeffs)
     limit += 2 * max(f.ctx.u_trunc - min(head, 0) + 1, 1) + 4
     ut = f.ctx.u_trunc
     rounds = 0
@@ -817,18 +798,18 @@ def q_map(f: CyclicChain, *, normalized: bool = False) -> EquivariantChain:
 # -- front/back splitting and the localisation composite -------------------
 
 def alexander_whitney(c: CyclicChain) -> EquivariantChain:
-    """Front faces of the algebra half against back faces of the group
-    half of an honest diagonal chain, as a homogeneous equivariant chain
-    over torus words; its Hochschild total boundary is the algebra
-    boundary plus (-1)^(algebra degree) times the omission boundary of
-    the group word."""
+    """Front faces of the modes against back faces of the labels of an
+    honest diagonal chain, as a homogeneous equivariant chain over torus
+    words; its Hochschild total boundary is the algebra boundary plus
+    (-1)^(algebra degree) times the omission boundary of the group
+    word."""
     if c.ctx.kind != "diag" or c.ctx.coinvariant:
         raise ValueError("expected an honest (non-coinvariant) diagonal "
                          "chain")
     tctx = c.ctx.as_torus()
 
     def terms(key, v):
-        alg, grp = key
+        alg, grp = zip(*key)
         out = []
         fronts = [(alg, None)]          # (front word, its face phases)
         for p in range(len(alg) - 1, -1, -1):
@@ -837,7 +818,7 @@ def alexander_whitney(c: CyclicChain) -> EquivariantChain:
             if p:
                 fronts = [(w2, f.series if s is None else s * f.series)
                           for w, s in fronts
-                          for w2, f in _alg_face(tctx, w, len(w) - 1)]
+                          for w2, f in _face_key(tctx, w, len(w) - 1)]
         return out
 
     return c._map(terms, partial(EquivariantChain, tctx, c.ctx.action, True))

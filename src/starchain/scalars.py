@@ -461,17 +461,15 @@ def _common_den(fes) -> int:
     return den
 
 
-def _flat(coeffs: dict[int, FieldElement], den: int, level: int):
-    """The coefficients of {power: FieldElement} as flat (power, a, b, n)
-    terms at level, a multiple of their levels, every numerator n over den,
-    a multiple of their denominators, in ascending powers."""
+def _flat(coeffs: dict[int, FieldElement], den: int):
+    """The coefficients of {power: FieldElement}, all at one level, as flat
+    (power, a, b, n) terms, every numerator n over den, a multiple of their
+    denominators, in ascending powers."""
     terms = []
     for k in sorted(coeffs):
         fe = coeffs[k]
         s = den // fe.den
-        num = fe.num if fe.level == level else \
-            _lift({}, fe.num, level // fe.level, level)
-        terms += [(k, a, b, n * s) for (a, b), n in num.items()]
+        terms += [(k, a, b, n * s) for (a, b), n in fe.num.items()]
     return terms
 
 
@@ -842,7 +840,7 @@ class _Flat:
         else:
             coeffs, trunc, low = series.coeffs, series.trunc, series.low
         self.den = den = _common_den(coeffs.values())
-        self.groups = {lev: _flat(g, den, lev)
+        self.groups = {lev: _flat(g, den)
                        for lev, g in _level_groups(coeffs).items()}
         self.trunc, self.low, self.series, self._lifts = trunc, low, series, {}
 

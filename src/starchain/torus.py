@@ -43,6 +43,11 @@ def omega_pairing(m, n) -> int:
     return sum(m[d + i] * n[i] - m[i] * n[d + i] for i in range(d))
 
 
+def mode_add(m, n) -> tuple:
+    """m + n for modes of equal length."""
+    return tuple(map(add, m, n))
+
+
 class TorusElement(Sparse):
     """Sparse combination of plane waves with hbar-Laurent coefficients."""
 
@@ -106,8 +111,7 @@ class TorusElement(Sparse):
     def _product(self, other: "TorusElement", phased: bool):
         assert isinstance(other, TorusElement) and other.dim == self.dim
         return TorusElement(self.dim, _series_products(
-            self.coeffs, other.coeffs,
-            lambda m, n: tuple(map(add, m, n)),
+            self.coeffs, other.coeffs, mode_add,
             omega_pairing if phased else None))
 
     def partial(self, j: int) -> "TorusElement":
@@ -275,7 +279,7 @@ class CrossedElement(Sparse):
               for n, c in act.apply(g, b).coeffs.items()}
         sums = _series_products(
             xs, ys,
-            lambda x, y: (tuple(map(add, x[0], y[0])), compose(x[1], y[1]))
+            lambda x, y: (mode_add(x[0], y[0]), compose(x[1], y[1]))
             if x[1] == y[2] else None,
             lambda x, y: omega_pairing(x[0], y[0]))
         out: dict = {}

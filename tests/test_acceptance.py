@@ -11,8 +11,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from starchain.cyclic import (ChainContext, CyclicChain, EquivariantChain,
                               alexander_whitney, chern_character, d_map,
                               coinvariants_to_homogeneous,
@@ -76,8 +74,9 @@ def rand_key(ctx, rng, degree):
         return tuple((rand_mode(ctx, rng), ctx.group.sample(rng, 2))
                      for _ in range(degree + 1))
     if k == "diag":
-        return (tuple(rand_mode(ctx, rng) for _ in range(degree + 1)),
-                tuple(ctx.group.sample(rng, 2) for _ in range(degree + 1)))
+        modes = [rand_mode(ctx, rng) for _ in range(degree + 1)]
+        return tuple(zip(modes, [ctx.group.sample(rng, 2)
+                                 for _ in range(degree + 1)]))
     if k == "idem":
         return tuple(rng.randint(0, 1) for _ in range(degree + 1))
     raise AssertionError(k)
@@ -106,7 +105,7 @@ def rand_coinv_key(ctx, rng, degree):
     alg = tuple(rand_mode(ctx, rng) for _ in range(degree + 1))
     grp = (ctx.group.identity,) + tuple(ctx.group.sample(rng, 2)
                                         for _ in range(degree))
-    return (alg, grp)
+    return tuple(zip(alg, grp))
 
 
 def rand_equivariant(ctx, act, rng, homogeneous, q, p):

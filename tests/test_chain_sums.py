@@ -19,8 +19,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from starchain.cyclic import (ChainContext, CyclicChain, EquivariantChain,
-                              _deg_key, _entry_terms, _face_key, _key_degree,
-                              _plan, _rotate_key, chern_character,
+                              _deg_key, _entry_terms, _face_key, _plan,
+                              _rotate_key, chern_character,
                               chern_coefficients)
 from starchain.groups import CyclicGroup
 from starchain.scalars import (FieldElement, HbarLaurent, ULaurent,
@@ -112,21 +112,31 @@ def _series(s):
     return None if s is None else s.series
 
 
+def plan_entries(ctx, key, mode):
+    """The entries of the boundary plan of one word for b ('hochschild'),
+    B ('connes', at u shift 0) or b + uB ('mixed')."""
+    plan = _plan(ctx, key)
+    if mode == "mixed":
+        return plan
+    shift = 1 if mode == "connes" else 0
+    return [(k2, g, sign, s, 0) for k2, g, sign, s, u in plan if u == shift]
+
+
 def ref_entries(ctx, key, mode):
     """The terms of b ('hochschild') or B ('connes') on one word: the
     coinvariant plan, or the faces and degeneracies by definition."""
     if ctx.kind == "diag" and ctx.coinvariant:
         return [(k2, sign, _series(s), shift)
-                for k2, _, sign, s, shift in _plan(ctx, key, mode)]
-    n = _key_degree(ctx, key)
+                for k2, _, sign, s, shift in plan_entries(ctx, key, mode)]
+    n = len(key) - 1
     if mode == "hochschild":
         return [(k2, (-1) ** i, _series(s), 0)
                 for i in range(n + 1 if n else 0)
                 for k2, s in _face_key(ctx, key, i)]
     out = []
     for i in range(n + 1):
-        for k1, _ in _deg_key(ctx, _rotate_key(ctx, key, i), n):
-            out.append((_rotate_key(ctx, k1, -1), (-1) ** (i * n), None, 0))
+        for k1, _ in _deg_key(ctx, _rotate_key(key, i), n):
+            out.append((_rotate_key(k1, -1), (-1) ** (i * n), None, 0))
             out.append((k1, (-1) ** (i * n + n), None, 0))
     return out
 
@@ -151,7 +161,7 @@ def ref_inner(x, mode):
         items.append((c, [
             ((k2, gw if g is None else tuple(G.compose(g, h) for h in gw)),
              sign, _series(s), shift)
-            for k2, g, sign, s, shift in _plan(ictx, ik, mode)]))
+            for k2, g, sign, s, shift in plan_entries(ictx, ik, mode)]))
     return x._spawn(reference_sums(items, ictx.u_trunc))
 
 
@@ -159,7 +169,7 @@ def ref_total(x, mode):
     inner = ref_inner(x, mode)
     items = [(c, [(k, 1, None, 0)]) for k, c in inner.coeffs.items()]
     for k, c in x.coeffs.items():
-        odd = _key_degree(x.inner_ctx, k[0]) % 2
+        odd = (len(k[0]) - 1) % 2
         items.append((c, [(k2, sign, _series(s), shift) for k2, sign, s, shift
                           in x._group_terms(k, c, odd)]))
     return x._spawn(reference_sums(items))
@@ -245,7 +255,7 @@ def words(draw, ctx):
     grp = draw(st.lists(labels(ctx.group), min_size=n, max_size=n))
     if ctx.coinvariant:
         grp[0] = ctx.group.identity
-    return modes, tuple(grp)
+    return tuple(zip(modes, grp))
 
 
 @st.composite
@@ -271,8 +281,10 @@ CANCEL = [
     ("torus", [(((1, 1), (2, -1)), ULaurent(1, {0: h(4, 1, 3, (1, 0, 1, 1))})),
                (((1, 0), (2, 0)), ULaurent(2, {1: h(12, 0, 1, (3, 0, -1, 1))}))]),
     ("diag-coinv-z4",
-     [((((1, 0), (0, 1)), (0, 1)), ULaurent(2, {0: h(12, 0, 2, (1, 0, 1, 1))})),
-      ((((0, 1), (1, 0)), (0, 3)), ULaurent(2, {0: h(4, 0, 3, (0, 0, -1, 1))}))]),
+     [((((1, 0), 0), ((0, 1), 1)),
+       ULaurent(2, {0: h(12, 0, 2, (1, 0, 1, 1))})),
+      ((((0, 1), 0), ((1, 0), 3)),
+       ULaurent(2, {0: h(4, 0, 3, (0, 0, -1, 1))}))]),
     ("group-z", [((0, 1, 2), ULaurent(2, {0: h(60, 0, 1, (0, 0, 1, 1))})),
                  ((0, 2, 2), ULaurent(2, {0: h(4, 2, 3, (1, 0, 1, 1))})),
                  ((1, 1, 2), ULaurent(1, {1: h(12, 0, 2, (2, 0, 1, 3))}))]),
@@ -357,11 +369,11 @@ def _equivariant_u0(name, items):
 # the first two words share an inner word whose faces cancel (modes of
 # pairing 0), at two levels, beside a third word that reaches one target
 EQ_CANCEL = ("z", [
-    (((((1, 0), (2, 0)), (0, 1)), (1,)),
+    (((((1, 0), 0), ((2, 0), 1)), (1,)),
      ULaurent(2, {0: h(60, 0, 3, (7, 0, 1, 1))})),
-    (((((1, 0), (2, 0)), (0, 1)), (2,)),
+    (((((1, 0), 0), ((2, 0), 1)), (2,)),
      ULaurent(2, {1: h(4, 0, 2, (1, 0, 1, 1))})),
-    (((((1, 1), (2, -1)), (0, 0)), (1,)),
+    (((((1, 1), 0), ((2, -1), 0)), (1,)),
      ULaurent(1, {0: h(12, 1, 2, (1, 0, 1, 1))})),
 ])
 
@@ -369,10 +381,10 @@ EQ_CANCEL = ("z", [
 # B of the degree-0 word reaches a degree-1 word under group word (0,)
 # before the faces of the degree-2 words do; at u window 0 it is cut
 EQ_ORDER = ("tw", [
-    (((((0, 0),), (0,)), (0,)), ULaurent(0, {0: h(4, 0, 0, (0, 0, 1, 1))})),
-    (((((0, 0), (0, 0), (0, 0)), (0, 0, 0)), (0, 0)),
+    (((((0, 0), 0),), (0,)), ULaurent(0, {0: h(4, 0, 0, (0, 0, 1, 1))})),
+    (((((0, 0), 0), ((0, 0), 0), ((0, 0), 0)), (0, 0)),
      ULaurent(0, {0: h(4, 0, 0, (0, 0, 1, 1))})),
-    (((((0, 0), (0, 0), (0, 0)), (0, 0, 0)), (0,)),
+    (((((0, 0), 0), ((0, 0), 0), ((0, 0), 0)), (0,)),
      ULaurent(0, {0: h(4, 0, 0, (0, 0, 1, 1))})),
 ])
 

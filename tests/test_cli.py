@@ -11,9 +11,9 @@ import pytest
 
 import starchain
 from starchain.cli import main
-from starchain.scalars import FieldElement, HbarLaurent, ULaurent, _zeta_rows
-from starchain.scenarios import (FIELD_RANGES, CheckRecord, ConfigError,
-                                 Report, ScenarioConfig, available_suites,
+from starchain.scalars import _zeta_rows
+from starchain.scenarios import (FIELD_RANGES, ConfigError, Report,
+                                 ScenarioConfig, available_suites,
                                  emit_fixtures, emit_report, index_check,
                                  run_suite)
 from starchain.torus import TorusElement

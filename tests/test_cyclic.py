@@ -77,8 +77,9 @@ def rand_key(ctx, rng, degree):
         return tuple((rand_mode(ctx, rng), ctx.group.sample(rng, 2))
                      for _ in range(degree + 1))
     if k == "diag":
-        return (tuple(rand_mode(ctx, rng) for _ in range(degree + 1)),
-                tuple(ctx.group.sample(rng, 2) for _ in range(degree + 1)))
+        modes = [rand_mode(ctx, rng) for _ in range(degree + 1)]
+        return tuple(zip(modes, [ctx.group.sample(rng, 2)
+                                 for _ in range(degree + 1)]))
     if k == "idem":
         return tuple(rng.randint(0, 1) for _ in range(degree + 1))
     raise AssertionError(k)
@@ -235,7 +236,7 @@ def rand_coinv_inner_key(ctx, rng, degree):
     alg = tuple(rand_mode(ctx, rng) for _ in range(degree + 1))
     grp = (ctx.group.identity,) + tuple(ctx.group.sample(rng, 2)
                                         for _ in range(degree))
-    return (alg, grp)
+    return tuple(zip(alg, grp))
 
 
 def rand_equivariant(ctx, act, rng, homogeneous, q, p, terms=2):
@@ -344,7 +345,7 @@ def test_splitting_sections_the_projection():
 # -- the inner boundary against a per-term reference ------------------------
 #
 # inner_boundary applies a plan built once per inner word on the inner
-# context; CyclicChain.boundary reads the faces of the same plans.  The
+# context; CyclicChain.boundary takes the raw faces of each word.  The
 # reference below expands every term on its own: the raw faces and
 # degree-raising terms of the inner word times the term's coefficient,
 # then each output moved to its representative and the group word
@@ -363,8 +364,8 @@ def reference_inner_boundary(x, mode):
             if shift:
                 v = v.shift(shift).truncate(ctx.u_trunc)
             gw2 = gw
-            if canon and not G.is_identity(k2[1][0]):
-                g = k2[1][0]
+            if canon and not G.is_identity(k2[0][1]):
+                g = k2[0][1]
                 k2, phase = _translate(ctx, act, g, k2)
                 v = v * phase
                 gw2 = tuple(G.compose(G.inverse(g), h) for h in gw)
@@ -398,8 +399,7 @@ def assert_plans_match(x, steps):
     """The inner boundary of x against the reference in each step.  The
     mixed step checks x and at_u0(x); the Hochschild step checks at_u0(x),
     where the inner boundary is b, after taking b of its inner words on
-    the same context (CyclicChain.boundary), which reads the same plans:
-    so with "hochschild" first, b builds those plans."""
+    the same context (CyclicChain.boundary), which builds no plans."""
     x0 = at_u0(x)
     for mode in steps:
         if mode == "hochschild":
@@ -438,14 +438,15 @@ def test_inner_boundary_plan_matches_reference(act, order):
     G = act.group
     dctx = ChainContext.diagonal(act, H, U, coinvariant=True)
     keys = [rand_coinv_inner_key(dctx, rng, q) for q in (0, 1, 2, 2)]
-    keys.append((((1, 0), (0, 1), (1, 1)),
-                 (G.identity, rand_nonidentity(G, rng), G.identity)))
+    keys.append(tuple(zip(((1, 0), (0, 1), (1, 1)),
+                          (G.identity, rand_nonidentity(G, rng),
+                           G.identity))))
     x = shared_inner_words(dctx, act, rng, True, keys)
     # both faces of this word reach one target, with star phases whose
     # constant terms cancel: their sum starts one hbar power above them.
     # On a coefficient that starts at hbar^1 each face's product is known
     # through hbar^H, but the product of their sum through hbar^(H + 1).
-    cancel = (((1, 0), (0, 1)), (G.identity, G.identity))
+    cancel = (((1, 0), G.identity), ((0, 1), G.identity))
     (k0, sg0, s0, _), (k1, sg1, s1, _) = _raw_terms(dctx, cancel,
                                                     "hochschild")
     both = s0.series * sg0 + s1.series * sg1
@@ -471,7 +472,8 @@ def test_inner_boundary_plan_on_torus_words(act, order):
         alg = tuple(rand_mode(ctx, rng) for _ in range(deg + 1))
         for _ in range(3):
             grp = tuple(G.sample(rng, 2) for _ in range(deg + 1))
-            x = x + CyclicChain.word(ctx, (alg, grp), rand_scalar(ctx, rng))
+            x = x + CyclicChain.word(ctx, tuple(zip(alg, grp)),
+                                     rand_scalar(ctx, rng))
     t = alexander_whitney(x)
     assert len({ik for ik, _ in t.coeffs}) < len(t.coeffs)
     assert_plans_match(t, order + order)
@@ -481,7 +483,7 @@ def test_inner_boundary_plan_on_torus_words(act, order):
 def test_inner_boundary_plans_stay_with_their_context(field):
     # one inner word on contexts that differ only in one window, the
     # narrower first: each result must carry its own context's windows
-    ik = (((1, 0), (0, 1), (-1, 1)), (0, 1, 3))
+    ik = (((1, 0), 0), ((0, 1), 1), ((-1, 1), 3))
     for act in (TW_ACT, FIN_ACT):
         for trunc in (1, 3, 2):
             windows = {"h_trunc": H, "u_trunc": U, field: trunc}
@@ -521,7 +523,7 @@ def test_capped_splitting_forgets_the_group_word(act):
         capped = alexander_whitney(x)._map(
             lambda k, v: [(k[0], 1, None, 0)] if len(k[1]) == 1 else [],
             partial(CyclicChain, tctx))
-        algebra = x._map(lambda k, v: [(k[0], 1, None, 0)],
+        algebra = x._map(lambda k, v: [(tuple(m for m, _ in k), 1, None, 0)],
                          partial(CyclicChain, tctx))
         assert capped == algebra
 
@@ -606,14 +608,22 @@ SPLIT_LEVELS = {
 }
 
 
-def _level_record(chain):
+def _halves(key):
+    """A split word with its diagonal inner word written as (modes,
+    labels), the form in which the q digests are pinned."""
+    ik, gw = key
+    return (tuple(m for m, _ in ik), tuple(g for _, g in ik)), gw
+
+
+def _level_record(chain, form=None):
     levels = set()
     lines = []
     for key, v in chain.coeffs.items():
         lv = sorted({fe.level for h in v.coeffs.values()
                      for fe in h.coeffs.values()})
         levels.update(lv)
-        lines.append(f"{key!r} | {to_text(v)} | {lv}")
+        lines.append(f"{key if form is None else form(key)!r} | "
+                     f"{to_text(v)} | {lv}")
     blob = "\n".join(sorted(lines)).encode()
     return len(lines), sorted(levels), hashlib.sha256(blob).hexdigest()[:16]
 
@@ -624,9 +634,9 @@ def test_split_maps_keep_their_levels(act):
     G = act.group
     dctx = ChainContext.diagonal(act, 1, 1, coinvariant=True)
     xctx = ChainContext.crossed(act, h_trunc=1, u_trunc=1)
-    f = CyclicChain.word(dctx, (((1, 0), (0, 1)), (G.identity, 1)))
+    f = CyclicChain.word(dctx, (((1, 0), G.identity), ((0, 1), 1)))
     c = CyclicChain.word(xctx, (((1, 0), 1), ((0, 1), G.inverse(1))))
-    assert _level_record(q_map(f)) == SPLIT_LEVELS[(name, "q")]
+    assert _level_record(q_map(f), _halves) == SPLIT_LEVELS[(name, "q")]
     assert _level_record(d_map(c)) == SPLIT_LEVELS[(name, "d")]
 
 

@@ -11,7 +11,6 @@ from starchain.group_coh import (EquivariantClassCocycle, GroupCochain, cap,
                                  equivariant_ahat, equivariant_theta,
                                  form_pullback, phi_pair, TraceFunctional, trace_pair,
                                  word_to_form, _int_det)
-from starchain.cyclic import d_map
 from starchain.groups import CyclicGroup
 from starchain.scalars import FieldElement, HbarLaurent, ULaurent, to_text
 from starchain.torus import (CrossedElement, TorusElement, TorusForm,

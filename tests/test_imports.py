@@ -1,4 +1,4 @@
-"""No module in src/starchain imports a name it never uses.
+"""No module in src/starchain or tests imports a name it never uses.
 
 A deletion that keeps the import of what it deleted leaves a name behind
 that nothing reads.  The check reads each module's syntax tree (no linter
@@ -16,7 +16,9 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "starchain")
+TESTS = os.path.join(ROOT, "tests")
 MODULES = sorted(n for n in os.listdir(PACKAGE) if n.endswith(".py"))
+TEST_MODULES = sorted(n for n in os.listdir(TESTS) if n.endswith(".py"))
 
 
 def _read_names(tree):
@@ -77,8 +79,17 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == [(2, "os"), (3, "osp"), (6, "h")]
 
 
+def assert_reads_its_imports(path):
+    with open(path, encoding="utf-8") as fh:
+        unused = unused_imports(fh.read())
+    assert not unused, f"{path} imports names it never reads: {unused}"
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_import(module):
-    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
-        unused = unused_imports(fh.read())
-    assert not unused, f"{module} imports names it never reads: {unused}"
+    assert_reads_its_imports(os.path.join(PACKAGE, module))
+
+
+@pytest.mark.parametrize("module", TEST_MODULES)
+def test_no_unused_import_in_tests(module):
+    assert_reads_its_imports(os.path.join(TESTS, module))

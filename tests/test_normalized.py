@@ -71,12 +71,12 @@ def degenerate(chain):
 
 
 def drop_group_half(x):
-    """A homogeneous chain over diagonal inner words relabelled (alg,
-    grp) -> alg with a plain dict, the words that meet summed, as a chain
-    over the torus words of the inner context."""
+    """A homogeneous chain over diagonal inner words relabelled ((m_0,
+    g_0), ...) -> (m_0, ...) with a plain dict, the words that meet
+    summed, as a chain over the torus words of the inner context."""
     out = {}
-    for ((alg, _), gw), v in x.coeffs.items():
-        key = (alg, gw)
+    for (ik, gw), v in x.coeffs.items():
+        key = (tuple(m for m, _ in ik), gw)
         out[key] = v if key not in out else out[key] + v
     return EquivariantChain(x.inner_ctx.as_torus(), x.action, True, out,
                             x.normalized)
@@ -144,8 +144,8 @@ def test_conversion_forgets_the_group_half_in_one_map(name):
         # meet once the group half is dropped
         G = f.ctx.group
         f = f + CyclicChain(f.ctx, {
-            (alg, grp[:1] + tuple(G.compose(g, 1) for g in grp[1:])): v
-            for (alg, grp), v in f.coeffs.items()})
+            key[:1] + tuple((m, G.compose(g, 1)) for m, g in key[1:]): v
+            for key, v in f.coeffs.items()})
         for normalized in (False, True):
             split = q_map(f, normalized=normalized)
             got = split.to_nonhomogeneous()
@@ -161,7 +161,7 @@ def test_unreduced_labels_are_one_element():
     act = TranslationAction(1, CyclicGroup(4),
                             (Fraction(1, 4), Fraction(1, 2)))
     dctx = ChainContext.diagonal(act, 1, 1)
-    ik = (((1, 0),), (0,))
+    ik = (((1, 0), 0),)
     one = dctx.one()
     for gw, kept in (((0, -1, 3), False), ((0, 3, -1), False),
                      ((0, -1, 2), True), ((5, 1), False), ((1,), True)):
@@ -175,7 +175,7 @@ def test_unreduced_labels_are_one_element():
 def test_full_and_normalized_chains_do_not_mix():
     cfg = config("default", h_trunc=1, u_trunc=0)
     dctx = ChainContext.diagonal(cfg.action(), cfg.h_trunc, cfg.u_trunc)
-    f = CyclicChain.word(dctx, (((1, 0), (0, 1)), (0, 1)))
+    f = CyclicChain.word(dctx, (((1, 0), 0), ((0, 1), 1)))
     full, norm = equivariant_embed(f), equivariant_embed(f, normalized=True)
     assert norm.normalized and not full.normalized
     assert norm.total_boundary().normalized
