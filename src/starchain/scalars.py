@@ -25,13 +25,18 @@ power, zeta exponent, pi power) with no normalisation.  Freezing cuts each
 key at its window and makes one FieldElement per output coefficient at the
 lcm of the levels of every pair that reaches it, also where part of the
 sum cancels, so that level, which is what it prints at, does not depend on
-the order of the terms.  Its callers only say what to multiply: the
-kernel _series_products (two hbar series, the torus star and symbol
-products, the crossed star, the u product), the chain kernel _chain_sums
-(every chain operator, over scalars cached as _Flat terms), the
-idempotent character's paths (cyclic.chern_character) and the Weyl star
-(one add per coefficient pair and Moyal term).  A product of two
-u-series with one power each is the product of their hbar series.
+the order of the terms.  In the common case every operand sits at one
+level: then an add is one pass over the two term lists, a product by a
+one-term rational factor (_Flat.times) is a relabelling of the other's
+terms, and a key reached at one level freezes straight from its sums, one
+normal form per power; only mixed levels pair and merge level groups.
+Its callers only say what to multiply: the kernel _series_products (two
+hbar series, the torus star and symbol products, the crossed star, the u
+product), the chain kernel _chain_sums (every chain operator, over
+scalars cached as _Flat terms), the idempotent character's paths
+(cyclic.chern_character) and the Weyl star (one add per coefficient pair
+and Moyal term).  A product of two u-series with one power each is the
+product of their hbar series.
 
 The only other route is the product by a one-term monomial u hbar^k,
 u = (n/d) zeta^a pi^b, a relabelling, not a series product; most scalars
@@ -161,15 +166,23 @@ def _lift(out: dict[tuple[int, int], int], num: dict[tuple[int, int], int],
 def _normal(level: int, num: dict[tuple[int, int], int],
             den: int, content: bool = True) -> "FieldElement":
     """FieldElement with numerators num over den > 0, brought to normal
-    form: zero numerators dropped, then one gcd to put it in lowest terms;
-    content=False skips the gcd for a caller that knows it is 1."""
-    if not all(num.values()):
-        num = {k: v for k, v in num.items() if v}
-    if content and den != 1:
-        g = math.gcd(den, *num.values())
-        if g != 1:
+    form: zero numerators dropped, then one gcd to put it in lowest terms,
+    so a zero is {} over 1; content=False skips the gcd for a caller that
+    knows it is 1.  A one-term num takes one gcd of its numerator."""
+    if len(num) == 1:
+        (t, n), = num.items()
+        g = math.gcd(den, n) if content else 1      # gcd(den, 0) = den
+        if g != 1 or not n:
             den //= g
-            num = {k: v // g for k, v in num.items()}
+            num = {t: n // g} if n else {}
+    else:
+        if not all(num.values()):
+            num = {k: v for k, v in num.items() if v}
+        if content and den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {k: v // g for k, v in num.items()}
     x = object.__new__(FieldElement)
     x.level = level
     x.num = num
@@ -491,7 +504,8 @@ class _Accumulator:
     power, zeta exponent, pi power), each key's over one denominator and
     under one window of its own.  Nothing is normalised while terms are
     added; `freeze` makes one FieldElement per output coefficient and
-    level, with one `_normal` each.
+    level, with one `_normal` each.  Operands at one level take one pass
+    in `add`, and a key reached at one level freezes without a merge.
 
     `add` is the entry point of every windowed product and holds the
     window rule (_min_trunc): a key keeps the least window of its
@@ -554,7 +568,10 @@ class _Accumulator:
         """Add scale * x * s / den under key, s None for 1, through the
         product's window: x's own when s is None or a scalar (no window),
         else _min_trunc of the two.  The key's window is lowered to it
-        also when s has no terms (an empty phase)."""
+        also when s has no terms (an empty phase).  When x has one level
+        group and s is None or one group at that level, the two term
+        lists go to `_into` once; other operands pair their level groups
+        (_Flat.pairs)."""
         if s is None:
             w = x.trunc
         else:
@@ -564,6 +581,14 @@ class _Accumulator:
         by_level, f = self._slot(key, x.den * den, w)
         f *= scale
         into = self._into
+        if len(x.groups) == 1 and (s is None or len(s.groups) == 1):
+            (lev, xs), = x.groups.items()
+            ys = _UNIT if s is None else s.groups.get(lev)
+            if ys is not None:
+                sums = by_level.get(lev)
+                if sums is None:
+                    sums = by_level[lev] = {}
+                return into(sums, lev, xs, ys, w, f)
         for lev, xs, ys in x.pairs(s):
             sums = by_level.get(lev)
             if sums is None:
@@ -595,23 +620,31 @@ class _Accumulator:
 
     def freeze(self) -> dict:
         """{key: HbarLaurent}: each key's sums through its window, a key
-        with no terms as the zero series at its window.  The sums at one
-        key and power but at several levels are added as FieldElements,
-        so the coefficient sits at the lcm of the levels of its products,
-        as the pairwise sum has it, also where it sums to zero.  The sums
-        are consumed, each released once its coefficients are made."""
+        with no terms as the zero series at its window.  A key whose sums
+        sit at one level makes its coefficients straight from them, one
+        `_normal` per power, the zero ones dropped.  The sums at one key
+        and power but at several levels are added as FieldElements, so
+        the coefficient sits at the lcm of the levels of its products, as
+        the pairwise sum has it, also where it sums to zero.  The sums are
+        consumed, each key's released once its coefficients are made."""
         out: dict = {}
         for key, (den, top, by_level) in self._sums.items():
-            by_power: dict = {}
-            for lev, sums in by_level.items():
-                for k, num in sums.items():
-                    if k <= top:
-                        _acc(by_power, k, _normal(lev, num, den))
+            if len(by_level) == 1:
+                (lev, sums), = by_level.items()
+                coeffs = {k: fe for k, num in sums.items() if k <= top
+                          and (fe := _normal(lev, num, den)).num}
+            else:
+                by_power: dict = {}
+                for lev, sums in by_level.items():
+                    for k, num in sums.items():
+                        if k <= top:
+                            _acc(by_power, k, _normal(lev, num, den))
+                coeffs = {k: v for k, v in by_power.items() if v.num}
             by_level.clear()
-            # already cut at top; only the zero sums are left to drop
+            # already cut at top, the zero sums dropped
             h = out[key] = object.__new__(HbarLaurent)
             h.trunc = top
-            h.coeffs = {k: v for k, v in by_power.items() if v.num}
+            h.coeffs = coeffs
         self._sums = {}
         return out
 
@@ -884,8 +917,23 @@ class _Flat:
         """self * other for two nonzero series, as the series product has
         it: the window by the product rule (_min_trunc), each pair of
         level groups at the lcm of their levels, the powers above the
-        window dropped."""
+        window dropped.  When both are one group at one level and a factor
+        is one rational term n hbar^i, the product is the other's terms
+        moved to power + i with numerator times n, in their (ascending)
+        power order, which `_Accumulator._into` relies on."""
         w = _min_trunc(self.trunc, self.low, other.trunc, other.low)
+        den, low = self.den * other.den, self.low + other.low
+        if len(self.groups) == 1 and len(other.groups) == 1:
+            (lev, xs), = self.groups.items()
+            ys = other.groups.get(lev)
+            if ys is not None:
+                if len(xs) == 1 and not (xs[0][1] or xs[0][2]):
+                    xs, ys = ys, xs
+                if len(ys) == 1 and not (ys[0][1] or ys[0][2]):
+                    (i, _, _, n), = ys
+                    return _Flat.of({lev: [(i + j, a, b, n * m)
+                                           for j, a, b, m in xs
+                                           if i + j <= w]}, den, w, low)
         groups: dict = {}
         for lev, xs, ys in self.pairs(other):
             sums = groups.get(lev)
@@ -895,8 +943,7 @@ class _Flat:
         for lev, sums in groups.items():
             groups[lev] = [(k, a, b, n) for k in sorted(sums)
                            for (a, b), n in sums[k].items() if n]
-        return _Flat.of(groups, self.den * other.den, w,
-                        self.low + other.low)
+        return _Flat.of(groups, den, w, low)
 
 
 _UNIT = ((0, 0, 0, 1),)

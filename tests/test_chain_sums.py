@@ -7,10 +7,13 @@ manner of `reference_sums` in test_torus.py: each term's windows by the
 product rule, then the least window over the terms, and FieldElement
 addition, which keeps the lcm of the levels of every product also where
 part of a sum cancels.  Each operator's terms are read off the slot
-products (`_face_key`, whose scalars are the star and face phases) and,
-for coinvariant diagonal words, off the context's boundary plans; the
-references share no summation code with the accumulator.  A comparison
-covers keys, u and hbar windows, `to_text` and levels.
+products (`_face_key`, whose scalars are the star and face phases); on
+coinvariant diagonal words b and B are taken by the slot rule written out
+here, from star products of plane waves, each target moved to its orbit
+representative by `CyclicChain._admit`; the equivariant inner boundary
+reads the context's boundary plans.  The references share no summation
+code with the accumulator.  A comparison covers keys, u and hbar windows,
+`to_text` and levels.
 """
 
 from fractions import Fraction
@@ -122,12 +125,52 @@ def plan_entries(ctx, key, mode):
     return [(k2, g, sign, s, 0) for k2, g, sign, s, u in plan if u == shift]
 
 
+def to_representative(ctx, key, s):
+    """key, with the scalar s (None for 1), moved to its orbit
+    representative as a coinvariant chain stores it (CyclicChain._admit):
+    the translation phase multiplied into s."""
+    moved, v = CyclicChain.zero(ctx)._admit(
+        key, HbarLaurent.one(ctx.h_trunc) if s is None else s)
+    return (key, s) if moved == key else (moved, v)
+
+
+def diag_entries(ctx, key, mode):
+    """b or B on a coinvariant diagonal word by the slot rule: face i
+    merges the modes of slots i and i + 1 with the star phase under the
+    label of slot i + 1 (the top face: slot n times slot 0, under the
+    label of slot 0); degeneracy i inserts (zero mode, label of slot i).
+    Each target moves to its representative."""
+    n = len(key) - 1
+    terms = []
+    if mode == "hochschild":
+        for i in range(n + 1 if n else 0):
+            x, y = (key[i], key[i + 1]) if i < n else (key[n], key[0])
+            wx, wy = (TorusElement.plane_wave(ctx.dim, m, ctx.h_trunc)
+                      for m in (x[0], y[0]))
+            for m, c in wx.star(wy).coeffs.items():
+                z = (m, y[1])
+                k2 = key[:i] + (z,) + key[i + 2:] if i < n else \
+                    (z,) + key[1:n]
+                terms.append((k2, (-1) ** i, c))
+    else:
+        for i in range(n + 1):
+            r = key[i:] + key[:i]               # rotated i places
+            unit = ((0,) * (2 * ctx.dim), r[n][1])
+            terms.append(((unit,) + r, (-1) ** (i * n), None))
+            terms.append((r + (unit,), (-1) ** (i * n + n), None))
+    out = []
+    for k2, sign, s in terms:
+        k2, s = to_representative(ctx, k2, s)
+        out.append((k2, sign, s, 0))
+    return out
+
+
 def ref_entries(ctx, key, mode):
-    """The terms of b ('hochschild') or B ('connes') on one word: the
-    coinvariant plan, or the faces and degeneracies by definition."""
+    """The terms of b ('hochschild') or B ('connes') on one word: by the
+    slot rule on coinvariant diagonal words, else the faces and
+    degeneracies by definition."""
     if ctx.kind == "diag" and ctx.coinvariant:
-        return [(k2, sign, _series(s), shift)
-                for k2, _, sign, s, shift in plan_entries(ctx, key, mode)]
+        return diag_entries(ctx, key, mode)
     n = len(key) - 1
     if mode == "hochschild":
         return [(k2, (-1) ** i, _series(s), 0)

@@ -17,6 +17,7 @@ from starchain.scalars import (
     to_text,
     _Accumulator,
     _Flat,
+    _normal,
     _series_products,
     _zeta_rows,
 )
@@ -779,6 +780,144 @@ def test_add_keeps_the_lcm_level_where_a_coefficient_cancels():
     # at level 12; hbar^1 cancels altogether and is dropped
     assert list(got.coeffs) == [0]
     assert got.coeffs[0] == 1 and got.coeffs[0].level == 12
+
+
+# ---------------------------------------------------------------------------
+# the kernel's branches against pairwise products
+#
+# _Accumulator.add, _Flat.times and freeze take one pass when every operand
+# sits at one level and the route over pairs of level groups otherwise;
+# _Flat.times relabels by a one-term rational factor, and _normal has a
+# one-term branch.  The reference multiplies coefficient pairs as
+# FieldElements and adds every product at its (key, power) by FieldElement
+# addition, which keeps the lcm of the levels of every product also where
+# the sum cancels, so it does not depend on how the products are grouped.
+
+KERNEL_LEVELS = ((4,), (12,), (60,), (4, 12), (4, 60))
+
+
+@st.composite
+def kernel_series(draw):
+    """A nonzero hbar series at one level or at two: one rational term
+    q hbar^i, one term, or several terms."""
+    levels = draw(st.sampled_from(KERNEL_LEVELS))
+    shape = draw(st.sampled_from(("rational", "term", "several")))
+    if shape == "several":
+        return draw(hbar_series(mixed=True, levels=levels))
+    trunc = draw(st.integers(-1, 4))
+    level = draw(st.sampled_from(levels))
+    if shape == "rational":
+        fe = FieldElement.rational(draw(st.fractions(
+            min_value=-6, max_value=6, max_denominator=4).filter(bool)), level)
+    else:
+        fe = one_term_field(draw, level)
+    return HbarLaurent(trunc, {draw(st.integers(-2, trunc)): fe})
+
+
+# an add: (key, x, s, scale, den), x a series or ("times", x1, x2) for the
+# product _Flat.times makes, s None, a scalar or a series
+kernel_adds = st.lists(st.tuples(
+    st.sampled_from("ab"),
+    st.one_of(kernel_series(),
+              st.tuples(st.just("times"), kernel_series(), kernel_series())),
+    st.one_of(st.none(), st.sampled_from((4, 12, 60)).flatmap(nonzero_field),
+              kernel_series()),
+    st.integers(-3, 3).filter(bool), st.integers(1, 4)),
+    min_size=1, max_size=4)
+
+
+def kernel_run(adds):
+    acc = _Accumulator()
+    for key, x, s, scale, den in adds:
+        fx = _Flat(x) if isinstance(x, HbarLaurent) else \
+            _Flat(x[1]).times(_Flat(x[2]))
+        acc.add(key, fx, None if s is None else _Flat(s), scale, den)
+    return acc.freeze()
+
+
+def times_parts(x, y, w):
+    """x * y through w as _Flat.times has it: one part per lcm level, the
+    pairwise product of the coefficients of each pair of level groups, so
+    a power where one group's products cancel is absent from that part."""
+    cells = {}
+    for i, a in x.coeffs.items():
+        for j, b in y.coeffs.items():
+            if i + j <= w:
+                cell = cells.setdefault(math.lcm(a.level, b.level), {})
+                p = a * b
+                cell[i + j] = p if i + j not in cell else cell[i + j] + p
+    return [HbarLaurent(w, cell) for cell in cells.values()]
+
+
+def kernel_reference(adds):
+    windows, sums = {}, {}
+    for key, x, s, scale, den in adds:
+        if isinstance(x, HbarLaurent):
+            parts, xt, xl = [x], x.trunc, x.low
+        else:
+            _, x1, x2 = x
+            xt = min(x1.trunc + x2.low, x2.trunc + x1.low)
+            parts, xl = times_parts(x1, x2, xt), x1.low + x2.low
+        if isinstance(s, HbarLaurent):
+            w, ys = min(xt + s.low, s.trunc + xl), s.coeffs
+        else:
+            w, ys = xt, {0: FieldElement.rational(1) if s is None else s}
+        windows[key] = min(w, windows.get(key, w))
+        cell = sums.setdefault(key, {})
+        q = Fraction(scale, den)
+        for part in parts:
+            for i, a in part.coeffs.items():
+                for j, b in ys.items():
+                    if i + j <= w:
+                        p = a * b * q
+                        cell[i + j] = p if i + j not in cell \
+                            else cell[i + j] + p
+    return {key: HbarLaurent(w, sums[key]) for key, w in windows.items()}
+
+
+Z12 = FieldElement.zeta(12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_adds, st.booleans())
+# key a cancels at hbar^1 at level 4 beside a level-12 product at hbar^0;
+# key b is reached at one level by a relabelled product
+@example([("a", HbarLaurent(2, {0: Z12, 1: FieldElement.rational(2)}),
+           None, 1, 1),
+          ("a", HbarLaurent(3, {1: FieldElement.rational(1)}), None, -2, 1),
+          ("b", ("times", HbarLaurent(2, {1: FieldElement.rational(3)}),
+                 HbarLaurent(3, {0: Z12, 2: FieldElement(4, {(1, 1): 5})})),
+           HbarLaurent(2, {0: FieldElement(4, {(1, 2): Fraction(1, 2)})}),
+           3, 2)], False)
+# operands at levels 4 and 60, and a key reached at two levels
+@example([("a", HbarLaurent(2, {0: FieldElement.zeta(60, 7),
+                                1: FieldElement.rational(1)}),
+           FieldElement(4, {(1, 0): -1}), 1, 3),
+          ("a", ("times", HbarLaurent(2, {0: FieldElement(4, {(1, 0): 2,
+                                                               (0, 1): 1})}),
+                 HbarLaurent(1, {0: FieldElement.zeta(12, 5)})),
+           HbarLaurent(3, {0: FieldElement.rational(1, 12)}), -1, 1)], True)
+def test_kernel_branches_against_pairwise_products(adds, cancel):
+    if cancel:          # the first add again, negated: its products cancel
+        key, x, s, scale, den = adds[0]
+        adds = adds + [(key, x, s, -scale, den)]
+    got, want = kernel_run(adds), kernel_reference(adds)
+    assert list(got) == list(want)
+    for key, v in want.items():
+        assert_same_product(got[key], v)
+
+
+def test_normal_form_of_one_term_and_zero():
+    # a zero is {} over 1, on the one-term and the several-term branch
+    for num in ({(0, 0): 0}, {(0, 0): 0, (1, 2): 0}, {}):
+        x = _normal(4, dict(num), 4)
+        assert (x.num, x.den) == ({}, 1)
+    x = _normal(12, {(1, 2): -6}, 4)            # -6/4 -> -3/2, one gcd
+    assert (x.level, x.num, x.den) == (12, {(1, 2): -3}, 2)
+    x = _normal(4, {(0, 0): 6, (1, 0): -4, (0, 1): 0}, 8)
+    assert (x.num, x.den) == ({(0, 0): 3, (1, 0): -2}, 4)
+    x = _normal(4, {(1, 0): -6}, 4, content=False)
+    assert (x.num, x.den) == ({(1, 0): -6}, 4)
 
 
 # ---------------------------------------------------------------------------
