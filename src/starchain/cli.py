@@ -4,7 +4,8 @@ Subcommands: verify <suite> runs one property suite (or "all"),
 index-check compares both sides of the pairing identity, list-suites
 prints the registry, emit-fixtures writes the golden tables into the
 directory named by --report.  Exit status: 0 when every check passed,
-1 when some check failed, 2 for usage or configuration problems.
+1 when some check failed, 2 for usage or configuration problems or a
+report that cannot be written.
 """
 
 import argparse
@@ -82,7 +83,12 @@ def main(argv=None) -> int:
         if not args.report:
             print("emit-fixtures needs --report DIR", file=sys.stderr)
             return 2
-        for path in emit_fixtures(cfg, args.report):
+        try:
+            written = emit_fixtures(cfg, args.report)
+        except OSError as exc:
+            print(f"report error: {exc}", file=sys.stderr)
+            return 2
+        for path in written:
             print(path)
         return 0
 
@@ -97,7 +103,11 @@ def main(argv=None) -> int:
 
     _print_report(report, sys.stdout)
     if args.report:
-        emit_report(report, args.report)
+        try:
+            emit_report(report, args.report)
+        except OSError as exc:
+            print(f"report error: {exc}", file=sys.stderr)
+            return 2
     return 0 if report.all_passed() else 1
 
 

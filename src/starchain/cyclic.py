@@ -87,6 +87,7 @@ built there.
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, chain
+from types import MappingProxyType
 
 from .scalars import (HbarLaurent, ULaurent, _Accumulator, _chain_sums,
                       _Flat, _as_field, _flat_phase, _star_phase)
@@ -327,17 +328,6 @@ def _raw_connes_terms(ctx, key, shift=0):
     return out
 
 
-def _raw_terms(ctx, key, mode):
-    """The entries of b ('hochschild'), B ('connes') or b + uB ('mixed')
-    on one word."""
-    if mode == "connes":
-        return _raw_connes_terms(ctx, key)
-    out = _raw_boundary_terms(ctx, key)
-    if mode == "mixed":
-        out += _raw_connes_terms(ctx, key, 1)
-    return out
-
-
 def _canonical(ctx, entries):
     """Entries (target, sign, scalar or None, u shift) as (target, g^-1 or
     None, sign, scalar or None, u shift): a coinvariant diagonal target
@@ -368,7 +358,8 @@ def _plan(ctx, ik):
     own window."""
     plan = ctx._plans.get(ik)
     if plan is None:
-        plan = ctx._plans[ik] = _canonical(ctx, _raw_terms(ctx, ik, "mixed"))
+        plan = ctx._plans[ik] = _canonical(
+            ctx, _raw_boundary_terms(ctx, ik) + _raw_connes_terms(ctx, ik, 1))
     return plan
 
 
@@ -439,17 +430,13 @@ class CyclicChain(Chain):
     def rotate(self, power: int = 1) -> "CyclicChain":
         return self._slotwise(lambda ctx, k: [(_rotate_key(k, power), None)])
 
-    def _boundary(self, mode):
-        """b ('hochschild') or B ('connes'); see _raw_terms."""
-        return self._raw_map(partial(_raw_terms, mode=mode))
-
     def boundary(self) -> "CyclicChain":
         """Simplicial boundary b (alternating face sum)."""
-        return self._boundary("hochschild")
+        return self._raw_map(_raw_boundary_terms)
 
     def connes_boundary(self) -> "CyclicChain":
         """Degree-raising boundary B (no u factor; mixed_boundary adds it)."""
-        return self._boundary("connes")
+        return self._raw_map(_raw_connes_terms)
 
     def mixed_boundary(self) -> "CyclicChain":
         """Simplicial boundary plus u times the degree-raising one, kept
@@ -841,81 +828,53 @@ def d_map(c: CyclicChain) -> EquivariantChain:
 
 # -- idempotent character --------------------------------------------------
 #
-# Coefficient table for the even character of an idempotent e.  Words are
-# tuples over {0, 1} with 1 the idempotent and 0 the unit; the degree-n
-# block multiplies u^n and has word length 2n + 1.  The blocks solve
+# Coefficient table for the even character of an idempotent e (Loday,
+# Cyclic Homology, 8.3).  Words are idem-vocabulary words, tuples over
+# {0, 1} with 1 the idempotent and 0 the unit; the degree-n block
+# multiplies u^n and has word length 2n + 1.  The blocks solve
 #
 #     boundary(block n) = -(degree-raising boundary)(block n-1)
 #
-# and are produced by an exact contracting homotopy: rewrite in the
-# orthogonal letters p = e, q = 1 - e (where faces merge only equal
-# letters), apply "duplicate the leading letter", and convert back.  The
-# first blocks are
+# and block n is the exact contracting homotopy of b applied to the right
+# side, both on the idem vocabulary: the degree-raising boundary is
+# _raw_connes_terms, and the homotopy sends a_0 (x) rest to the sum of
+# (a_0 x) (x) y (x) rest over the separability element
+#
+#     p (x) p + q (x) q = 2 e (x) e - e (x) 1 - 1 (x) e + 1 (x) 1
+#
+# of the orthogonal idempotents p = e and q = 1 - e, with a_0 x the slot
+# product (_mul_labels).  The first blocks are
 #
 #     n = 0:  (e)
 #     n = 1:  -2 (e,e,e) - (e,e,1) - (1,1,e) + (1,e,e) + (e,1,e)
 #
-# and every block is derived on demand: chern_coefficients(n) solves
-# through degree n only, since the cost grows steeply with the degree.
-
-def _pq_connes_terms(word):
-    """Degree-raising boundary in the orthogonal letter basis; the unit
-    inserted by the degeneracy expands to both letters."""
-    n = len(word) - 1
-    out = []
-    cur = word
-    for i in range(n + 1):
-        sg = -1 if (i * n) % 2 else 1
-        for letter in (0, 1):
-            w1 = cur + (letter,)
-            out.append((w1[-1:] + w1[:-1], sg))
-            out.append((w1, -sg if n % 2 else sg))
-        cur = cur[1:] + cur[:1]
-    return out
-
-
-@lru_cache(maxsize=None)
-def derive_chern_coefficients(n_max: int):
-    """Solve for the character blocks through degree n_max; returns
-    {n: {word: Fraction}} in the {unit, idempotent} basis."""
-    cur = {(1,): Fraction(1)}
-    tables = {}
-    for n in range(n_max + 1):
-        conv: dict = {}
-        for w, q in cur.items():
-            qs = [i for i, x in enumerate(w) if x == 0]
-            for bits in range(1 << len(qs)):
-                w2 = list(w)
-                sign = 1
-                for j, pos in enumerate(qs):
-                    if bits >> j & 1:
-                        w2[pos] = 1
-                        sign = -sign
-                    else:
-                        w2[pos] = 0
-                _acc(conv, tuple(w2), sign * q)
-        tables[n] = {w: q for w, q in conv.items() if q}
-        if n == n_max:
-            break
-        rhs: dict = {}
-        for w, q in cur.items():
-            for w2, sg in _pq_connes_terms(w):
-                _acc(rhs, w2, -sg * q)
-        cur = {}
-        for w, q in rhs.items():
-            if q:
-                _acc(cur, (w[0],) + w, q)
-        cur = {w: q for w, q in cur.items() if q}
-    return tables
-
+# On the normalized words (no unit after slot 0) block n is the classical
+# (-1)^n (2n)!/n! (e - 1/2) (x) e^(x)2n; its other words are the unit
+# letters the full character needs to be a cycle word for word.  Each
+# block is derived once, from the one before it, and the table stops at
+# degree _CHERN_MAX, since a block is four times the size of the last.
 
 _CHERN_MAX = 5
 
+# p (x) p + q (x) q as (x, y, coefficient) over the idem letters
+_SEPARABILITY = ((1, 1, 2), (1, 0, -1), (0, 1, -1), (0, 0, 1))
 
-def chern_coefficients(n: int) -> dict:
+
+@lru_cache(maxsize=None)
+def chern_coefficients(n: int) -> MappingProxyType:
+    """Block n of the character table as a read-only {word: Fraction}."""
     if not 0 <= n <= _CHERN_MAX:
         raise ValueError(f"character blocks are kept for degrees 0..{_CHERN_MAX}")
-    return dict(derive_chern_coefficients(n)[n])
+    if n == 0:
+        return MappingProxyType({(1,): Fraction(1)})
+    ctx = ChainContext.idem()
+    out: dict = {}
+    for w, q in chern_coefficients(n - 1).items():
+        for k, sign, _, _ in _raw_connes_terms(ctx, w):
+            for x, y, c in _SEPARABILITY:
+                for a, _ in _mul_labels(ctx, k[0], x):
+                    _acc(out, (a, y) + k[1:], -sign * c * q)
+    return MappingProxyType({w: q for w, q in out.items() if q})
 
 
 def chern_word_chain(u_trunc: int) -> CyclicChain:
@@ -967,28 +926,19 @@ def chern_character(matrix, u_trunc: int,
     if any(len(row) != r for row in rows):
         raise ValueError("the idempotent matrix must be square")
     sample = rows[0][0]
+    h_trunc = min((w for row in rows for x in row
+                   if (w := x.global_window()) is not None), default=8)
     if isinstance(sample, CrossedElement):
-        action = sample.action
-        windows = [v.trunc for row in rows for x in row
-                   for _, tor in x.coeffs.items() for v in tor.coeffs.values()]
-        h_trunc = min(windows) if windows else 8
-        ctx = ChainContext.crossed(action, h_trunc=h_trunc, u_trunc=u_trunc)
-        one = CrossedElement.one(action, h_trunc)
-        zero = CrossedElement(action, {})
+        ctx = ChainContext.crossed(sample.action, h_trunc=h_trunc,
+                                   u_trunc=u_trunc)
+        one = CrossedElement.one(sample.action, h_trunc)
     else:
-        dim = sample.dim
-        windows = [v.trunc for row in rows for x in row
-                   for v in x.coeffs.values()]
-        h_trunc = min(windows) if windows else 8
-        ctx = ChainContext.torus(dim, h_trunc=h_trunc, u_trunc=u_trunc)
-        one = TorusElement.one(dim, h_trunc)
-        zero = TorusElement.zero(dim)
+        ctx = ChainContext.torus(sample.dim, h_trunc=h_trunc, u_trunc=u_trunc)
+        one = TorusElement.one(sample.dim, h_trunc)
     for i in range(r):
         for j in range(r):
-            acc = zero
-            for k in range(r):
-                acc = acc + rows[i][k].star(rows[k][j])
-            diff = acc - rows[i][j]
+            diff = sum((rows[i][k].star(rows[k][j]) for k in range(1, r)),
+                       rows[i][0].star(rows[0][j])) - rows[i][j]
             if not diff.is_zero():
                 raise ValueError(
                     "matrix is not idempotent: (E*E - E) is nonzero at "

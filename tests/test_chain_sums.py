@@ -10,9 +10,11 @@ part of a sum cancels.  Each operator's terms are read off the slot
 products (`_face_key`, whose scalars are the star and face phases); on
 coinvariant diagonal words b and B are taken by the slot rule written out
 here, from star products of plane waves, each target moved to its orbit
-representative by `CyclicChain._admit`; the equivariant inner boundary
-reads the context's boundary plans.  The references share no summation
-code with the accumulator.  A comparison covers keys, u and hbar windows,
+representative by `CyclicChain._admit`.  The equivariant inner boundary
+takes the same entries of its inner words, a moved target left-
+translating the group word by the inverse of the label it was moved by;
+it reads no boundary plan.  The references share no summation code with
+the accumulator.  A comparison covers keys, u and hbar windows,
 `to_text` and levels.
 """
 
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from starchain.cyclic import (ChainContext, CyclicChain, EquivariantChain,
-                              _deg_key, _entry_terms, _face_key, _plan,
+                              _deg_key, _entry_terms, _face_key,
                               _rotate_key, chern_character,
                               chern_coefficients)
 from starchain.groups import CyclicGroup
@@ -115,23 +117,16 @@ def _series(s):
     return None if s is None else s.series
 
 
-def plan_entries(ctx, key, mode):
-    """The entries of the boundary plan of one word for b ('hochschild'),
-    B ('connes', at u shift 0) or b + uB ('mixed')."""
-    plan = _plan(ctx, key)
-    if mode == "mixed":
-        return plan
-    shift = 1 if mode == "connes" else 0
-    return [(k2, g, sign, s, 0) for k2, g, sign, s, u in plan if u == shift]
-
-
 def to_representative(ctx, key, s):
-    """key, with the scalar s (None for 1), moved to its orbit
-    representative as a coinvariant chain stores it (CyclicChain._admit):
-    the translation phase multiplied into s."""
+    """(key, g^-1 or None, s): key, with the scalar s (None for 1), moved
+    to its orbit representative as a coinvariant chain stores it
+    (CyclicChain._admit), the translation phase multiplied into s; a
+    moved key carries the inverse of the first label g it was moved by."""
     moved, v = CyclicChain.zero(ctx)._admit(
         key, HbarLaurent.one(ctx.h_trunc) if s is None else s)
-    return (key, s) if moved == key else (moved, v)
+    if moved == key:
+        return key, None, s
+    return moved, ctx.group.inverse(key[0][1]), v
 
 
 def diag_entries(ctx, key, mode):
@@ -139,7 +134,8 @@ def diag_entries(ctx, key, mode):
     merges the modes of slots i and i + 1 with the star phase under the
     label of slot i + 1 (the top face: slot n times slot 0, under the
     label of slot 0); degeneracy i inserts (zero mode, label of slot i).
-    Each target moves to its representative."""
+    Each target moves to its representative: entries (target, g^-1 or
+    None, sign, scalar, 0)."""
     n = len(key) - 1
     terms = []
     if mode == "hochschild":
@@ -160,8 +156,8 @@ def diag_entries(ctx, key, mode):
             terms.append((r + (unit,), (-1) ** (i * n + n), None))
     out = []
     for k2, sign, s in terms:
-        k2, s = to_representative(ctx, k2, s)
-        out.append((k2, sign, s, 0))
+        k2, g, s = to_representative(ctx, k2, s)
+        out.append((k2, g, sign, s, 0))
     return out
 
 
@@ -170,7 +166,8 @@ def ref_entries(ctx, key, mode):
     slot rule on coinvariant diagonal words, else the faces and
     degeneracies by definition."""
     if ctx.kind == "diag" and ctx.coinvariant:
-        return diag_entries(ctx, key, mode)
+        return [(k2, sign, s, 0)
+                for k2, _, sign, s, _ in diag_entries(ctx, key, mode)]
     n = len(key) - 1
     if mode == "hochschild":
         return [(k2, (-1) ** i, _series(s), 0)
@@ -197,14 +194,34 @@ def ref_mixed(x):
     return CyclicChain(x.ctx, reference_sums(items, x.ctx.u_trunc))
 
 
+def inner_entries(ctx, key, mode):
+    """The terms of b ('hochschild') or b + uB ('mixed') on one inner word
+    as (target, g^-1 or None, sign, scalar, u shift): the faces, then the
+    degree-raising terms at u shift 1.  Coinvariant diagonal words take
+    them by the slot rule (diag_entries), torus words as ref_entries does;
+    a torus word never moves."""
+    steps = [("hochschild", 0)]
+    if mode == "mixed":
+        steps.append(("connes", 1))
+    out = []
+    for step, shift in steps:
+        if ctx.kind == "diag" and ctx.coinvariant:
+            out += [(k2, g, sign, s, shift)
+                    for k2, g, sign, s, _ in diag_entries(ctx, key, step)]
+        else:
+            out += [(k2, None, sign, s, shift)
+                    for k2, sign, s, _ in ref_entries(ctx, key, step)]
+    return out
+
+
 def ref_inner(x, mode):
     ictx, G = x.inner_ctx, x.action.group
     items = []
     for (ik, gw), c in x.coeffs.items():
         items.append((c, [
             ((k2, gw if g is None else tuple(G.compose(g, h) for h in gw)),
-             sign, _series(s), shift)
-            for k2, g, sign, s, shift in plan_entries(ictx, ik, mode)]))
+             sign, s, shift)
+            for k2, g, sign, s, shift in inner_entries(ictx, ik, mode)]))
     return x._spawn(reference_sums(items, ictx.u_trunc))
 
 

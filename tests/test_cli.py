@@ -344,6 +344,35 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "--report" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "moyal-associativity"],
+    ["index-check"],
+], ids=["verify", "index-check"])
+def test_cli_unwritable_report_exits_2(tmp_path, capsys, argv):
+    # the checks ran and printed, but the report has no directory to go to
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config().to_dict()),
+                        encoding="utf-8")
+    target = tmp_path / "missing" / "rep.json"
+    assert main(argv + ["--config", str(cfg_path),
+                        "--report", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert "checks passed" in out
+    assert err.startswith("report error: ")
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
+def test_cli_emit_fixtures_onto_a_file_exits_2(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("kept\n", encoding="utf-8")
+    assert main(["emit-fixtures", "--report", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("report error: ")
+    assert target.read_text(encoding="utf-8") == "kept\n"
+
+
 @pytest.mark.parametrize("body, field", [
     ('{"dim": "2"}', "dim"),
     ('{"dim": 2.5}', "dim"),

@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from functools import partial
+from math import factorial
 
 import pytest
 
@@ -12,7 +13,8 @@ from starchain.cyclic import (
     ChainContext,
     CyclicChain,
     EquivariantChain,
-    _raw_terms,
+    _raw_boundary_terms,
+    _raw_connes_terms,
     _translate,
     alexander_whitney,
     chern_character,
@@ -20,7 +22,6 @@ from starchain.cyclic import (
     chern_word_chain,
     coinvariants_to_homogeneous,
     d_map,
-    derive_chern_coefficients,
     equivariant_embed,
     homogeneous_projection,
     homogeneous_to_coinvariants,
@@ -353,13 +354,21 @@ def test_splitting_sections_the_projection():
 # which chain equality reads through the smaller window: the plan must
 # leave every coefficient known through exactly the reference's powers.
 
+# the raw entries of one word on each step: b, or b then u B
+RAW_TERMS = {
+    "hochschild": _raw_boundary_terms,
+    "mixed": lambda ctx, k: (_raw_boundary_terms(ctx, k)
+                             + _raw_connes_terms(ctx, k, 1)),
+}
+
+
 def reference_inner_boundary(x, mode):
     ctx, act = x.inner_ctx, x.action
     G = act.group
     canon = ctx.kind == "diag" and ctx.coinvariant
     out = {}
     for (ik, gw), c in x.coeffs.items():
-        for k2, sign, s, shift in _raw_terms(ctx, ik, mode):
+        for k2, sign, s, shift in RAW_TERMS[mode](ctx, ik):
             v = c * sign if s is None else c * sign * s.series
             if shift:
                 v = v.shift(shift).truncate(ctx.u_trunc)
@@ -389,7 +398,7 @@ def reference_boundary(w):
     """b of a chain, summed word by word from the raw faces."""
     out = CyclicChain.zero(w.ctx)
     for k, c in w.coeffs.items():
-        for k2, sign, s, _ in _raw_terms(w.ctx, k, "hochschild"):
+        for k2, sign, s, _ in _raw_boundary_terms(w.ctx, k):
             v = c * sign if s is None else c * sign * s.series
             out = out + CyclicChain(w.ctx, {k2: v})
     return out
@@ -447,8 +456,7 @@ def test_inner_boundary_plan_matches_reference(act, order):
     # On a coefficient that starts at hbar^1 each face's product is known
     # through hbar^H, but the product of their sum through hbar^(H + 1).
     cancel = (((1, 0), G.identity), ((0, 1), G.identity))
-    (k0, sg0, s0, _), (k1, sg1, s1, _) = _raw_terms(dctx, cancel,
-                                                    "hochschild")
+    (k0, sg0, s0, _), (k1, sg1, s1, _) = _raw_boundary_terms(dctx, cancel)
     both = s0.series * sg0 + s1.series * sg1
     assert k0 == k1 and both.low > min(s0.low, s1.low)
     gw = (rand_nonidentity(G, rng), rand_nonidentity(G, rng))
@@ -642,20 +650,56 @@ def test_split_maps_keep_their_levels(act):
 
 # -- idempotent character --------------------------------------------------
 
-def test_character_table_matches_fresh_derivation():
-    fresh = derive_chern_coefficients(3)
-    for n in range(4):
-        assert chern_coefficients(n) == fresh[n]
+# Block sizes and the sha256 of each block's sorted "word coefficient"
+# lines, recorded from the table derived in the orthogonal letters p = e,
+# q = 1 - e (duplicate the leading letter, then expand q) before the
+# derivation moved to the idem vocabulary.
+CHERN_TABLE = {
+    0: (1, "020a7c91e30725bb191818987340dec6040aff93923840de685e1e1d7b3d071a"),
+    1: (5, "de6f838e04e7af3c62b941dd4f6b91deeb18df97e5dd1f4bf8e1df589ab2b45f"),
+    2: (29, "dea75a6359d009ca16c62f4b176e14d3e460914593145fe3b69f080d7494c80a"),
+    3: (125, "042f0faf9c179d81892f3be8450c65bf1d03dca57cba96f80ed72ceacf2ea2f2"),
+    4: (509, "9ab272beef58c02e4c2233a6cad38632e6fdc18a857a7112ee0902c884b81215"),
+    5: (2045,
+        "0b147da785a0461a78cae19a33092d1f22845528b870710348b6ded2a80c192e"),
+}
+
+
+def test_character_table_matches_recorded_blocks():
+    for n, (size, digest) in CHERN_TABLE.items():
+        tab = chern_coefficients(n)
+        text = "\n".join("".join(map(str, w)) + " " + str(q)
+                         for w, q in sorted(tab.items()))
+        assert len(tab) == size
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_character_table_has_the_closed_form_on_normalized_words():
+    # Loday, Cyclic Homology, 8.3: on the words with no unit after slot 0
+    # block n >= 1 is (-1)^n (2n)!/n! (e - 1/2) (x) e^(x)2n, block 0 is e
+    for n in range(6):
+        c = Fraction((-1) ** n * factorial(2 * n), factorial(n))
+        want = {(1,) * (2 * n + 1): c}
+        if n:
+            want[(0,) + (1,) * (2 * n)] = -c / 2
+        assert {w: q for w, q in chern_coefficients(n).items()
+                if 0 not in w[1:]} == want
+
+
+def test_character_table_is_read_only():
+    tab = chern_coefficients(2)
+    with pytest.raises(TypeError):
+        tab[(1, 1, 1, 1, 1)] = Fraction(0)
+    assert chern_coefficients(2)[(1, 1, 1, 1, 1)] == 12
 
 
 def test_character_blocks_solve_the_descent_recursion():
     ctx = ChainContext.idem(u_trunc=4)
-    tabs = derive_chern_coefficients(4)
 
     def blk(n):
         return CyclicChain(
             ctx, {w: ULaurent.from_hbar(HbarLaurent.from_rational(q, 0), 4)
-                  for w, q in tabs[n].items()})
+                  for w, q in chern_coefficients(n).items()})
 
     for n in range(1, 5):
         assert blk(n).boundary() == -(blk(n - 1).connes_boundary())
